@@ -17,7 +17,6 @@ from .fixedpoint import FixedFormat
 from .harness import DpdReport, ExperimentSpec, emit_psd_overlay, run_sweep
 from .ofdm import OfdmConfig, generate_ofdm
 from .signals import papr_db, read_signal_csv, write_signal_csv
-from .training import TrainConfig
 
 
 def _add_waveform_flags(p: argparse.ArgumentParser) -> None:

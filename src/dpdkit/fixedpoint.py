@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .mempoly import MemoryPolyModel
+from .mempoly import MemoryPolyModel, _delayed
 from .nn import DenseNet
 from .signals import IqSignal
 
@@ -188,17 +188,10 @@ def poly_forward_fixed(
             env = quantize(env * r2, fmt, stats)
         return quantize(base * env, fmt, stats)
 
-    def delayed(v: np.ndarray, m: int) -> np.ndarray:
-        if m == 0:
-            return v
-        out = np.zeros_like(v)
-        out[m:] = v[:-m]
-        return out
-
     def fir(v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         acc = np.zeros(n, dtype=np.complex128)
         for m, c in enumerate(coeffs):
-            acc += complex(c) * delayed(v, m)
+            acc += complex(c) * _delayed(v, m)
         return quantize(acc, fmt, stats)
 
     total = np.zeros(n, dtype=np.complex128)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexity import nn_count, poly_count
+from .complexity import ComplexityReport, nn_count, poly_count
 from .errors import AlignmentError, ConfigurationError
 from .fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
 from .mempoly import (
@@ -76,6 +76,12 @@ def parse_descriptor(desc) -> tuple[str, object]:
     {"type": "nn", "K": 1, "N": 14}) and the text forms the models print
     ("poly P=7 M=1 Q=3 L=1", "nn_K1_N14").
     """
+    kind, params, _ = _parse_descriptor(desc)
+    return kind, params
+
+
+def _parse_descriptor(desc) -> tuple[str, object, ComplexityReport]:
+    """parse_descriptor's result plus the complexity report that names the row."""
     if isinstance(desc, str):
         return _parse_descriptor_text(desc)
     if not isinstance(desc, dict):
@@ -91,7 +97,7 @@ def parse_descriptor(desc) -> tuple[str, object]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad poly descriptor {desc!r}: {exc}") from exc
-        return "poly", shape
+        return "poly", shape, poly_count(shape)
     if kind == "nn":
         try:
             k, n = int(desc["K"]), int(desc["N"])
@@ -99,11 +105,11 @@ def parse_descriptor(desc) -> tuple[str, object]:
             raise ConfigurationError(f"bad nn descriptor {desc!r}: {exc}") from exc
         if k < 1 or n < 1:
             raise ConfigurationError(f"nn descriptor needs K >= 1 and N >= 1, got K={k}, N={n}")
-        return "nn", (k, n)
+        return "nn", (k, n), nn_count(k, n)
     raise ConfigurationError(f"descriptor type must be 'poly' or 'nn', got {kind!r}")
 
 
-def _parse_descriptor_text(text: str) -> tuple[str, object]:
+def _parse_descriptor_text(text: str) -> tuple[str, object, ComplexityReport]:
     t = text.strip()
     if t.startswith("nn"):
         body = t[2:].replace("_", " ").strip()
@@ -111,7 +117,7 @@ def _parse_descriptor_text(text: str) -> tuple[str, object]:
             part.split("=", 1) if "=" in part else (part[0], part[1:])
             for part in body.split()
         )
-        return parse_descriptor({"type": "nn", "K": fields.get("K"), "N": fields.get("N")})
+        return _parse_descriptor({"type": "nn", "K": fields.get("K"), "N": fields.get("N")})
     if t.startswith("poly"):
         fields = {}
         for part in t[4:].split():
@@ -119,7 +125,7 @@ def _parse_descriptor_text(text: str) -> tuple[str, object]:
                 raise ConfigurationError(f"cannot parse descriptor field {part!r} in {text!r}")
             key, val = part.split("=", 1)
             fields[key] = val
-        return parse_descriptor(
+        return _parse_descriptor(
             {
                 "type": "poly",
                 "P": fields.get("P"),
@@ -177,33 +183,41 @@ class ExperimentSpec:
             "output_dir",
             "seed",
         }
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"spec must be a JSON object, got {type(raw).__name__}")
         extra = set(raw) - known
         if extra:
             raise ConfigurationError(f"unknown spec keys: {sorted(extra)}")
-        kwargs = {}
-        if "pa_profile_path" in raw:
-            pa_path = raw["pa_profile_path"]
-            if base_dir is not None and pa_path not in ("default", "", None):
-                p = Path(pa_path)
-                if not p.is_absolute():
-                    pa_path = str(base_dir / p)
-            kwargs["pa_profile_path"] = pa_path
-        if "waveform" in raw:
-            kwargs["waveform"] = OfdmConfig(**raw["waveform"])
-        if "dpd_list" in raw:
-            kwargs["dpd_list"] = raw["dpd_list"]
-        if "train" in raw:
-            kwargs["train"] = TrainConfig(**raw["train"])
-        if raw.get("fixed_point") is not None:
-            kwargs["fixed_point"] = FixedFormat(**raw["fixed_point"])
-        if "output_dir" in raw:
-            out = Path(raw["output_dir"])
-            if base_dir is not None and not out.is_absolute():
-                out = base_dir / out
-            kwargs["output_dir"] = str(out)
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        return cls(**kwargs)
+        # the constructors raise TypeError or ValueError on unknown keys and bad types
+        try:
+            kwargs = {}
+            if "pa_profile_path" in raw:
+                pa_path = raw["pa_profile_path"]
+                if base_dir is not None and pa_path not in ("default", "", None):
+                    p = Path(pa_path)
+                    if not p.is_absolute():
+                        pa_path = str(base_dir / p)
+                kwargs["pa_profile_path"] = pa_path
+            if "waveform" in raw:
+                kwargs["waveform"] = OfdmConfig(**raw["waveform"])
+            if "dpd_list" in raw:
+                kwargs["dpd_list"] = raw["dpd_list"]
+            if "train" in raw:
+                if "seed" in raw["train"]:
+                    raise ConfigurationError("train.seed is not a spec key; set the top-level seed")
+                kwargs["train"] = TrainConfig(**raw["train"])
+            if raw.get("fixed_point") is not None:
+                kwargs["fixed_point"] = FixedFormat(**raw["fixed_point"])
+            if "output_dir" in raw:
+                out = Path(raw["output_dir"])
+                if base_dir is not None and not out.is_absolute():
+                    out = base_dir / out
+                kwargs["output_dir"] = str(out)
+            if "seed" in raw:
+                kwargs["seed"] = int(raw["seed"])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad spec value: {exc}") from exc
 
 
 @dataclass
@@ -250,22 +264,40 @@ def _error_report(descriptor: str, exc: Exception) -> DpdReport:
     )
 
 
-def _train_poly(pa, shape, spec: ExperimentSpec, x_train) -> tuple[MemoryPolyModel, list[float]]:
-    if spec.train.outer_iterations == 0:
-        return MemoryPolyModel.identity(shape), []
-    cfg = IlaConfig(shape, n_iterations=spec.train.outer_iterations)
-    result = fit_ila(pa, cfg, x_train)
-    return result.model, result.residuals
+def _fit(kind, params, pa, spec: ExperimentSpec, x_train, row_dir: Path):
+    """Fit one predistorter, then write its model.txt and trainlog.csv.
 
-
-def _train_nn(pa, k, n, spec: ExperimentSpec) -> tuple[DenseNet, TrainLog | None]:
+    The one place the two families differ. Returns the model with its float
+    and fixed-point forwards, named as module globals at call time so that a
+    rebinding of those globals reaches the sweep's calls. The row directory
+    is created only after the fit succeeds: a failed row leaves no directory.
+    """
+    if kind == "poly":
+        if spec.train.outer_iterations == 0:
+            model, residuals = MemoryPolyModel.identity(params), []
+        else:
+            cfg = IlaConfig(params, n_iterations=spec.train.outer_iterations)
+            result = fit_ila(pa, cfg, x_train)
+            model, residuals = result.model, result.residuals
+        if spec.fixed_point is not None:
+            model = rescale_cascade_gain(model, POLY_FIXED_BACKOFF)
+        row_dir.mkdir(parents=True, exist_ok=True)
+        save_poly_model(model, str(row_dir / "model.txt"))
+        lines = ["iteration,residual"]
+        lines += [f"{i + 1},{_fmt(r)}" for i, r in enumerate(residuals)]
+        (row_dir / "trainlog.csv").write_text("\n".join(lines) + "\n")
+        return model, poly_predistort, poly_forward_fixed
     if spec.train.outer_iterations == 0:
-        return DenseNet.zeros(k, n), None
-    cfg = replace(spec.train, seed=spec.seed)
-    dpd, log = run_full_training(
-        pa, shapes=((k, n), DEFAULT_PA_MODEL_SHAPE), cfg=cfg, waveform=spec.waveform
-    )
-    return dpd, log
+        net, log = DenseNet.zeros(*params), TrainLog()
+    else:
+        cfg = replace(spec.train, seed=spec.seed)
+        net, log = run_full_training(
+            pa, shapes=(params, DEFAULT_PA_MODEL_SHAPE), cfg=cfg, waveform=spec.waveform
+        )
+    row_dir.mkdir(parents=True, exist_ok=True)
+    save_net(net, str(row_dir / "model.txt"))
+    log.to_csv(str(row_dir / "trainlog.csv"))
+    return net, nn_forward, nn_forward_fixed
 
 
 def _evaluate(pa, predistorted: IqSignal, val_cfg: OfdmConfig, ref_grid) -> tuple[float, float, IqSignal]:
@@ -275,85 +307,40 @@ def _evaluate(pa, predistorted: IqSignal, val_cfg: OfdmConfig, ref_grid) -> tupl
     return aclr, evm, y
 
 
-def _write_psd_csv(signal: IqSignal, path: Path) -> None:
-    est = psd_welch(signal)
-    lines = ["freq_hz,power_db"]
-    for f, p in zip(est.freqs_hz, est.power_db):
-        lines.append(f"{_fmt(f)},{_fmt(p)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _load_pa(path):
     if path in ("default", "", None):
         return load_default_pa()
     return load_pa_profile(path)
 
 
-def _run_descriptor(desc, spec: ExperimentSpec, x_train, x_val, val_cfg, ref_grid) -> list[DpdReport]:
+def _run_descriptor(
+    kind, params, report: ComplexityReport, spec: ExperimentSpec, x_train, x_val, val_cfg, ref_grid
+) -> list[DpdReport]:
     # a fresh amplifier per row: rows never share noise-generator state, so
     # they are order-independent and could run in parallel
     pa = _load_pa(spec.pa_profile_path)
-    kind, params = parse_descriptor(desc)
-    if kind == "poly":
-        report = poly_count(params)
-        model, residuals = _train_poly(pa, params, spec, x_train)
-        if spec.fixed_point is not None:
-            model = rescale_cascade_gain(model, POLY_FIXED_BACKOFF)
-    else:
-        k, n = params
-        report = nn_count(k, n)
-        net, log = _train_nn(pa, k, n, spec)
-
     slug = descriptor_slug(report.model_descriptor)
     row_dir = Path(spec.output_dir) / slug
-    row_dir.mkdir(parents=True, exist_ok=True)
-    log_rel = f"{slug}/trainlog.csv"
+    model, forward, forward_fixed = _fit(kind, params, pa, spec, x_train, row_dir)
 
-    if kind == "poly":
-        save_poly_model(model, str(row_dir / "model.txt"))
-        lines = ["iteration,residual"]
-        lines += [f"{i + 1},{_fmt(r)}" for i, r in enumerate(residuals)]
-        (row_dir / "trainlog.csv").write_text("\n".join(lines) + "\n")
-        u_float = poly_predistort(model, x_val)
-    else:
-        save_net(net, str(row_dir / "model.txt"))
-        (log if log is not None else TrainLog()).to_csv(str(row_dir / "trainlog.csv"))
-        u_float = nn_forward(net, x_val)
-
-    aclr, evm, y = _evaluate(pa, u_float, val_cfg, ref_grid)
-    _write_psd_csv(y, row_dir / "psd.csv")
-    rows = [
-        DpdReport(
-            descriptor=report.model_descriptor,
-            n_params_real=report.n_params_real,
-            n_mults=report.n_mults,
-            aclr_db=aclr,
-            evm_pct=evm,
-            mode="float",
-            train_log_path=log_rel,
-        )
-    ]
-    if spec.fixed_point is not None:
-        stats = FixedPointStats()
-        if kind == "poly":
-            u_fixed = poly_forward_fixed(model, x_val, spec.fixed_point, stats)
-        else:
-            u_fixed = nn_forward_fixed(net, x_val, spec.fixed_point, stats)
-        aclr_q, evm_q, _ = _evaluate(pa, u_fixed, val_cfg, ref_grid)
-        rows.append(
-            DpdReport(
-                descriptor=report.model_descriptor,
-                n_params_real=report.n_params_real,
-                n_mults=report.n_mults,
-                aclr_db=aclr_q,
-                evm_pct=evm_q,
-                mode="fixed",
-                sat_events=stats.sat_events,
-                underflow_pct=stats.underflow_pct(),
-                train_log_path=log_rel,
-            )
-        )
-    return rows
+    aclr, evm, y = _evaluate(pa, forward(model, x_val), val_cfg, ref_grid)
+    emit_psd_overlay([(slug, y)], row_dir / "psd.csv")
+    float_row = DpdReport(
+        descriptor=report.model_descriptor,
+        n_params_real=report.n_params_real,
+        n_mults=report.n_mults,
+        aclr_db=aclr,
+        evm_pct=evm,
+        train_log_path=f"{slug}/trainlog.csv",
+    )
+    if spec.fixed_point is None:
+        return [float_row]
+    stats = FixedPointStats()
+    u_fixed = forward_fixed(model, x_val, spec.fixed_point, stats)
+    aclr_q, evm_q, _ = _evaluate(pa, u_fixed, val_cfg, ref_grid)
+    fixed_row = replace(float_row, mode="fixed", aclr_db=aclr_q, evm_pct=evm_q,
+                        sat_events=stats.sat_events, underflow_pct=stats.underflow_pct())
+    return [float_row, fixed_row]
 
 
 def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
@@ -374,15 +361,13 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
 
     reports: list[DpdReport] = []
     for desc in spec.dpd_list:
+        kind, params, report = _parse_descriptor(desc)
         try:
-            reports.extend(_run_descriptor(desc, spec, x_train, x_val, val_cfg, ref_grid))
+            reports.extend(
+                _run_descriptor(kind, params, report, spec, x_train, x_val, val_cfg, ref_grid)
+            )
         except Exception as exc:  # noqa: BLE001 — per-row capture is the contract
-            try:
-                kind, params = parse_descriptor(desc)
-                name = params.descriptor() if kind == "poly" else f"nn_K{params[0]}_N{params[1]}"
-            except Exception:
-                name = str(desc).replace(",", ";")
-            reports.append(_error_report(name, exc))
+            reports.append(_error_report(report.model_descriptor, exc))
 
     tmp = out_dir / "sweep.csv.tmp"
     tmp.write_text("\n".join([SWEEP_COLUMNS] + [r.csv_row() for r in reports]) + "\n")

@@ -120,21 +120,7 @@ def aclr_db(
             bandwidth.
         MetricError: if the channel power is zero.
     """
-    if not signal.sample_rate_hz > channel_bw_hz:
-        raise ConfigurationError(
-            f"sample rate {signal.sample_rate_hz} Hz must exceed channel bandwidth {channel_bw_hz} Hz"
-        )
-    if segment_len is None:
-        segment_len = default_segment_len(len(signal))
-    freqs, psd = _welch_linear(signal, segment_len, overlap)
-    half = channel_bw_hz / 2.0
-    measured = np.abs(freqs) <= 2.0 * channel_bw_hz
-    in_channel = np.abs(freqs) <= half
-    p_channel = float(np.sum(psd[in_channel]))
-    p_adjacent = float(np.sum(psd[measured & ~in_channel]))
-    if p_channel <= 0:
-        raise MetricError("channel power is zero; ACLR undefined")
-    return float(10.0 * np.log10(p_adjacent / p_channel))
+    return aclr_db_gated(signal, len(signal), channel_bw_hz, segment_len, overlap)
 
 
 def aclr_db_gated(

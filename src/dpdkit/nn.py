@@ -208,8 +208,8 @@ def nn_count_params(hidden_layers: int, width: int) -> int:
 def save_net(net: DenseNet, path) -> None:
     """Write a net as text: `K,N` header, weight rows, bias rows, bypass rows.
 
-    Weight rows are `layer,row,col,value` (5 fields) and bias rows are
-    `layer,row,value` (4 fields); layers are numbered from 1. The bypass is
+    Weight rows are `layer,row,col,value` (4 fields) and bias rows are
+    `layer,row,value` (3 fields); layers are numbered from 1. The bypass is
     stored explicitly as weight rows of layer 0.
     """
     lines = [f"{net.hidden_layers},{net.width}"]
@@ -248,21 +248,22 @@ def load_net(path) -> DenseNet:
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         try:
-            if len(parts) == 4:
-                layer, r, c = int(parts[0]), int(parts[1]), int(parts[2])
-                value = float(parts[3])
-                if layer == 0:
-                    if not seen_bypass:
-                        net.linear_bypass = np.zeros((2, 2))
-                        seen_bypass = True
-                    net.linear_bypass[r, c] = value
-                else:
-                    net.weights[layer - 1][r, c] = value
-            elif len(parts) == 3:
-                layer, r = int(parts[0]), int(parts[1])
-                net.biases[layer - 1][r] = float(parts[2])
-            else:
+            if len(parts) not in (3, 4):
                 raise ValueError(f"expected 3 or 4 fields, got {len(parts)}")
+            layer, *index = (int(v) for v in parts[:-1])
+            value = float(parts[-1])
+            # negative indices would wrap around; layer 0 (the bypass) has no biases
+            if min(layer, *index) < 0 or layer > k + 1 or (layer == 0 and len(index) == 1):
+                raise ValueError(f"no such entry in a net with K={k}")
+            if len(index) == 1:
+                net.biases[layer - 1][index[0]] = value
+            elif layer == 0:
+                if not seen_bypass:
+                    net.linear_bypass = np.zeros((2, 2))
+                    seen_bypass = True
+                net.linear_bypass[tuple(index)] = value
+            else:
+                net.weights[layer - 1][tuple(index)] = value
         except (ValueError, IndexError) as exc:
             raise FormatError(f"{path}:{lineno}: bad row {ln!r}: {exc}") from None
     return net

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, InputRangeError
 from .mempoly import MemoryPolyModel, PolyShape, _apply
-from .signals import IqSignal, _fmt, estimate_gain  # noqa: F401  (re-exported PA-side op)
+from .signals import IqSignal, _fmt
 
 MAX_DRIVE = 1.5
 
@@ -85,11 +85,12 @@ class SimulatedPa:
 
         Raises:
             InputRangeError: if any input sample magnitude exceeds 1.5
-                (the device would be destroyed, not just saturated).
+                (the device would be destroyed, not just saturated) or is
+                not a number.
         """
         x = signal.samples
         peak = float(np.max(np.abs(x)))
-        if peak > MAX_DRIVE:
+        if not peak <= MAX_DRIVE:  # NaN fails this test too
             raise InputRangeError(f"input peak {peak:.4f} exceeds the allowed drive {MAX_DRIVE}")
         y = _apply(self.core, x)
         y = _soft_clip(y, self.saturation_output_limit)
@@ -100,11 +101,6 @@ class SimulatedPa:
             )
         self._calls += 1
         return IqSignal(y, signal.sample_rate_hz)
-
-
-def pa_apply(pa: SimulatedPa, signal: IqSignal) -> IqSignal:
-    """Function-style alias for SimulatedPa.apply."""
-    return pa.apply(signal)
 
 
 def save_pa_profile(pa: SimulatedPa, path: str) -> None:

@@ -3,7 +3,7 @@
 Seven checks, each a single test that prints one PASS line when its gates
 hold. The expensive artifacts (two fully trained nets, two least-squares
 fits) are shared through module-scoped fixtures, so the file runs in about
-two minutes; everything is seeded and single-valued, so the gates are
+ten seconds; everything is seeded and single-valued, so the gates are
 deterministic on a given machine.
 """
 

@@ -234,6 +234,8 @@ class TestRunSweep:
             rows = run_sweep(spec)
         assert rows[0].status == "ok"
         assert rows[1].status.startswith("error: DivergenceError")
+        assert rows[1].descriptor == "nn_K1_N4"
+        assert not (tmp_path / "out" / "nn_K1_N4").exists()
         text = (tmp_path / "out" / "sweep.csv").read_text()
         assert "error: DivergenceError" in text
 
@@ -318,8 +320,18 @@ class TestCli:
 
     def test_bad_spec_contents_exit_2(self, tmp_path):
         spec = tmp_path / "exp.json"
-        spec.write_text(json.dumps({"dpd_list": []}))
-        assert main(["sweep", "--spec", str(spec)]) == 2
+        bad_specs = [
+            {"dpd_list": []},
+            {"train": {"bogus": 1}},
+            {"waveform": {"nope": 2}},
+            {"train": {"epochs_per_iteration": 5}},
+            {"train": {"seed": 7}},  # training takes the top-level seed
+            {"seed": "x"},
+            [],
+        ]
+        for raw in bad_specs:
+            spec.write_text(json.dumps(raw))
+            assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
 
     def test_failed_row_exits_1(self, tmp_path):
         spec = tmp_path / "exp.json"

@@ -260,9 +260,19 @@ class TestNetIo:
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("1,2\n0,0,0,1.0\n1,0,zero,0.5\n")
-        with pytest.raises(FormatError, match="3"):
-            load_net(path)
+        bad_rows = [
+            "1,0,zero,0.5",
+            "0,1,5.0",  # a bias row for the bypass
+            "-1,0,0,1.0",
+            "1,-1,0,9.0",
+            "1,0,-1,9.0",
+            "1,-1,9.0",
+            "3,0,0,1.0",  # the K=1 net has layers 0..2
+        ]
+        for row in bad_rows:
+            path.write_text(f"1,2\n0,0,0,1.0\n{row}\n")
+            with pytest.raises(FormatError, match=":3:"):
+                load_net(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -96,9 +96,11 @@ class TestSaturation:
 
     def test_overdrive_rejected(self):
         pa = self.pa_with_limit(1.0)
-        bad = IqSignal(np.array([0.1, MAX_DRIVE + 0.01]), RATE)
-        with pytest.raises(InputRangeError):
-            pa.apply(bad)
+        # NaN compares false against any limit, so it must be caught explicitly
+        for sample in (MAX_DRIVE + 0.01, np.inf, np.nan):
+            bad = IqSignal(np.array([0.1, sample]), RATE)
+            with pytest.raises(InputRangeError):
+                pa.apply(bad)
 
 
 class TestNoise:
