@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigurationError, DpdError
+from .errors import ConfigurationError, DpdError, FormatError
 from .fixedpoint import FixedFormat
 from .harness import DpdReport, ExperimentSpec, emit_psd_overlay, run_sweep
 from .ofdm import OfdmConfig, generate_ofdm
@@ -22,19 +22,25 @@ from .signals import papr_db, read_signal_csv, write_signal_csv
 def _add_waveform_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subcarriers", type=int, help="occupied subcarrier count")
     p.add_argument("--spacing", type=float, help="subcarrier spacing in Hz")
-    p.add_argument("--symbols", type=int, help="symbols per frame")
     p.add_argument("--constellation", choices=["qpsk", "qam16", "qam64"])
     p.add_argument("--oversampling", type=int, help="DFT zero-padding factor")
     p.add_argument("--wave-seed", type=int, help="data symbol seed")
+
+
+def _epoch_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(e) for e in text.split(",") if e != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers like 20,5, got {text!r}") from None
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="JSON experiment spec; flags override its values")
     p.add_argument("--pa", help="PA profile path, or 'default'")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="experiment seed (model init and shuffling)")
+    p.add_argument("--seed", type=int, help="training seed (model init and shuffling)")
     p.add_argument("--iterations", type=int, help="outer training iterations (0 = passthrough)")
-    p.add_argument("--epochs", help="comma-separated epochs per iteration, e.g. 20,5")
+    p.add_argument("--epochs", type=_epoch_list, help="epochs per iteration, e.g. 20,5")
     p.add_argument("--lr", type=float, help="Adam learning rate")
     p.add_argument("--batch", type=int, help="minibatch size")
     p.add_argument(
@@ -53,6 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="synthesize an OFDM frame to a signal CSV")
     _add_waveform_flags(g)
+    g.add_argument("--symbols", type=int, default=OfdmConfig.n_symbols, help="symbols per frame")
     g.add_argument("--out", required=True, help="output signal CSV path")
 
     t = sub.add_parser("train", help="train and evaluate one predistorter")
@@ -80,8 +87,6 @@ def _waveform_from_args(args, base: OfdmConfig) -> OfdmConfig:
         updates["n_subcarriers"] = args.subcarriers
     if args.spacing is not None:
         updates["subcarrier_spacing_hz"] = args.spacing
-    if args.symbols is not None:
-        updates["n_symbols"] = args.symbols
     if args.constellation is not None:
         updates["constellation"] = args.constellation
     if args.oversampling is not None:
@@ -101,7 +106,7 @@ def _spec_from_args(args) -> ExperimentSpec:
     if args.iterations is not None or args.epochs is not None:
         iterations = args.iterations if args.iterations is not None else train.outer_iterations
         if args.epochs is not None:
-            epochs = tuple(int(e) for e in args.epochs.split(",") if e != "")
+            epochs = args.epochs
         elif iterations <= len(train.epochs_per_iteration):
             epochs = train.epochs_per_iteration[:iterations]
         else:
@@ -113,20 +118,20 @@ def _spec_from_args(args) -> ExperimentSpec:
         train = replace(train, learning_rate=args.lr)
     if args.batch is not None:
         train = replace(train, batch_size=args.batch)
+    if args.seed is not None:
+        train = replace(train, seed=args.seed)
     spec = replace(spec, train=train)
     if args.pa is not None:
         spec = replace(spec, pa_profile_path=args.pa)
     if args.out is not None:
         spec = replace(spec, output_dir=args.out)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     if args.fixed_point and spec.fixed_point is None:
         spec = replace(spec, fixed_point=FixedFormat())
     return spec
 
 
 def _cmd_generate(args) -> int:
-    cfg = _waveform_from_args(args, OfdmConfig())
+    cfg = _waveform_from_args(args, OfdmConfig(n_symbols=args.symbols))
     _, signal = generate_ofdm(cfg)
     meta = {
         "n_subcarriers": cfg.n_subcarriers,
@@ -179,12 +184,17 @@ def _cmd_report(args) -> int:
     if path.is_dir():
         path = path / "sweep.csv"
     lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    idx = {name: header.index(name) for name in
-           ("descriptor", "n_params", "n_mults", "aclr_db", "evm_pct", "mode", "status")}
+    header = lines[0].split(",") if lines else []
+    needed = ("descriptor", "n_params", "n_mults", "aclr_db", "evm_pct", "mode", "status")
+    missing = [name for name in needed if name not in header]
+    if missing:
+        raise FormatError(f"{path}:1: sweep.csv header lacks {missing}")
+    idx = {name: header.index(name) for name in needed}
     out_lines = ["descriptor,n_params,n_mults,aclr_db,evm_pct"]
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(header):
+            raise FormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
         if cells[idx["status"]] != "ok":
             continue
         if args.mode != "all" and cells[idx["mode"]] != args.mode:

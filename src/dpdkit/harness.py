@@ -12,7 +12,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,9 @@ from .nn import DenseNet, nn_forward, save_net
 from .ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
 from .pa import load_default_pa, load_pa_profile
 from .signals import IqSignal, _fmt
-from .training import DEFAULT_PA_MODEL_SHAPE, TrainConfig, TrainLog, run_full_training
+from .training import (
+    DEFAULT_PA_MODEL_SHAPE, TrainConfig, TrainLog, _frame_configs, run_full_training
+)
 
 __all__ = [
     "DEFAULT_SWEEP",
@@ -147,18 +149,15 @@ class ExperimentSpec:
     """Everything run_sweep needs; mirrors the CLI flags and the JSON file."""
 
     pa_profile_path: str = "default"
-    waveform: OfdmConfig = field(default_factory=lambda: OfdmConfig(n_symbols=10, seed=1))
+    waveform: OfdmConfig = field(default_factory=lambda: OfdmConfig(seed=1))
     dpd_list: list = field(default_factory=lambda: [dict(d) for d in DEFAULT_SWEEP])
     train: TrainConfig = field(default_factory=TrainConfig)
     fixed_point: FixedFormat | None = None
     output_dir: str = "sweep_out"
-    seed: int = 0
 
     def __post_init__(self):
         if not self.dpd_list:
             raise ConfigurationError("dpd_list must not be empty")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         for d in self.dpd_list:
             parse_descriptor(d)
 
@@ -174,18 +173,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "ExperimentSpec":
-        known = {
-            "pa_profile_path",
-            "waveform",
-            "dpd_list",
-            "train",
-            "fixed_point",
-            "output_dir",
-            "seed",
-        }
         if not isinstance(raw, dict):
             raise ConfigurationError(f"spec must be a JSON object, got {type(raw).__name__}")
-        extra = set(raw) - known
+        extra = set(raw) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigurationError(f"unknown spec keys: {sorted(extra)}")
         # the constructors raise TypeError or ValueError on unknown keys and bad types
@@ -199,12 +189,13 @@ class ExperimentSpec:
                         pa_path = str(base_dir / p)
                 kwargs["pa_profile_path"] = pa_path
             if "waveform" in raw:
+                if "n_symbols" in raw["waveform"]:
+                    raise ConfigurationError("waveform.n_symbols is not a spec key; "
+                                             "train.train_symbols/val_symbols size the frames")
                 kwargs["waveform"] = OfdmConfig(**raw["waveform"])
             if "dpd_list" in raw:
                 kwargs["dpd_list"] = raw["dpd_list"]
             if "train" in raw:
-                if "seed" in raw["train"]:
-                    raise ConfigurationError("train.seed is not a spec key; set the top-level seed")
                 kwargs["train"] = TrainConfig(**raw["train"])
             if raw.get("fixed_point") is not None:
                 kwargs["fixed_point"] = FixedFormat(**raw["fixed_point"])
@@ -213,8 +204,6 @@ class ExperimentSpec:
                 if base_dir is not None and not out.is_absolute():
                     out = base_dir / out
                 kwargs["output_dir"] = str(out)
-            if "seed" in raw:
-                kwargs["seed"] = int(raw["seed"])
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad spec value: {exc}") from exc
@@ -290,9 +279,8 @@ def _fit(kind, params, pa, spec: ExperimentSpec, x_train, row_dir: Path):
     if spec.train.outer_iterations == 0:
         net, log = DenseNet.zeros(*params), TrainLog()
     else:
-        cfg = replace(spec.train, seed=spec.seed)
         net, log = run_full_training(
-            pa, shapes=(params, DEFAULT_PA_MODEL_SHAPE), cfg=cfg, waveform=spec.waveform
+            pa, shapes=(params, DEFAULT_PA_MODEL_SHAPE), cfg=spec.train, waveform=spec.waveform
         )
     row_dir.mkdir(parents=True, exist_ok=True)
     save_net(net, str(row_dir / "model.txt"))
@@ -353,10 +341,8 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    _, x_train = generate_ofdm(replace(spec.waveform, n_symbols=spec.train.train_symbols))
-    val_cfg = replace(
-        spec.waveform, n_symbols=spec.train.val_symbols, seed=spec.waveform.seed + 1
-    )
+    train_cfg, val_cfg = _frame_configs(spec.waveform, spec.train)
+    _, x_train = generate_ofdm(train_cfg)
     ref_grid, x_val = generate_ofdm(val_cfg)
 
     reports: list[DpdReport] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import os
 from dataclasses import dataclass
 
@@ -107,8 +108,8 @@ def read_signal_csv(path: str) -> tuple[IqSignal, dict]:
         (values as strings, except sample_rate_hz which is consumed).
 
     Raises:
-        FormatError: on malformed rows (the message names the line number)
-            or a missing/invalid sidecar.
+        FormatError: on malformed or non-finite rows (the message names the
+            line number) or a missing/invalid sidecar.
     """
     meta_path = path + ".meta"
     if not os.path.exists(meta_path):
@@ -143,9 +144,12 @@ def read_signal_csv(path: str) -> tuple[IqSignal, dict]:
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
             try:
-                values.append(complex(float(parts[1]), float(parts[2])))
+                value = complex(float(parts[1]), float(parts[2]))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad numeric field") from exc
+            if not cmath.isfinite(value):
+                raise FormatError(f"{path}:{lineno}: non-finite sample {value}")
+            values.append(value)
     if not values:
         raise FormatError(f"{path}: no samples")
     return IqSignal(np.array(values, dtype=np.complex128), rate), metadata

@@ -10,6 +10,7 @@ signal pairs, never coefficients.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,6 +75,9 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must lie in (0, 1), got {v}")
         if self.batch_size < 1 or self.train_symbols < 1 or self.val_symbols < 1:
             raise ConfigurationError("batch_size and symbol counts must be positive")
+        # operator.index rejects a float or string seed here, not at the first shuffle
+        if operator.index(self.seed) < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -270,42 +274,35 @@ DEFAULT_DPD_SHAPE = (1, 14)
 DEFAULT_PA_MODEL_SHAPE = (2, 24)
 
 
+def _frame_configs(waveform: OfdmConfig, cfg: TrainConfig) -> tuple[OfdmConfig, OfdmConfig]:
+    """(training, held-out) frames: ``cfg`` sizes both; the held-out one takes the next seed."""
+    return (
+        replace(waveform, n_symbols=cfg.train_symbols),
+        replace(waveform, n_symbols=cfg.val_symbols, seed=waveform.seed + 1),
+    )
+
+
 def run_full_training(
     pa,
-    shapes: tuple[tuple[int, int], tuple[int, int]] | tuple[int, int] | None = None,
+    shapes: tuple[tuple[int, int], tuple[int, int]] | None = None,
     cfg: TrainConfig | None = None,
     waveform: OfdmConfig | None = None,
 ) -> tuple[DenseNet, TrainLog]:
     """The full iterative procedure; returns the final predistorter and log.
 
     ``shapes`` is a pair ((dpd_hidden_layers, dpd_width),
-    (model_hidden_layers, model_width)); a single (hidden_layers, width)
-    tuple is applied to both nets, and None selects the defaults above.
+    (model_hidden_layers, model_width)); None selects the defaults above.
+    ``waveform`` defaults to ``OfdmConfig(seed=1)``; ``cfg`` sets its symbol counts.
     Iteration 1 transmits the raw frame; later iterations transmit the
     current predistorter's output, so the model sees the amplifier in the
-    region the predistorter actually drives. The validation frame reuses the
-    waveform numerology with the next seed.
+    region the predistorter actually drives.
     """
     if cfg is None:
         cfg = TrainConfig()
-    if shapes is None:
-        dpd_shape, model_shape = DEFAULT_DPD_SHAPE, DEFAULT_PA_MODEL_SHAPE
-    else:
-        shapes = tuple(shapes)
-        if len(shapes) == 2 and all(isinstance(v, (int, np.integer)) for v in shapes):
-            dpd_shape = model_shape = (int(shapes[0]), int(shapes[1]))
-        else:
-            dpd_shape, model_shape = shapes
-    if waveform is None:
-        waveform = OfdmConfig(
-            n_subcarriers=600, n_symbols=cfg.train_symbols, constellation="qam16", seed=1
-        )
-    elif waveform.n_symbols != cfg.train_symbols:
-        waveform = replace(waveform, n_symbols=cfg.train_symbols)
-    _, x_train = generate_ofdm(waveform)
-    _, x_val = generate_ofdm(
-        replace(waveform, n_symbols=cfg.val_symbols, seed=waveform.seed + 1)
-    )
+    dpd_shape, model_shape = shapes or (DEFAULT_DPD_SHAPE, DEFAULT_PA_MODEL_SHAPE)
+    train_cfg, val_cfg = _frame_configs(waveform or OfdmConfig(seed=1), cfg)
+    _, x_train = generate_ofdm(train_cfg)
+    _, x_val = generate_ofdm(val_cfg)
 
     pa_net = glorot_net(*model_shape, seed=[cfg.seed, 0])
     dpd = glorot_net(*dpd_shape, seed=[cfg.seed, 5])

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpdkit.cli import main
+from dpdkit.complexity import nn_count
 from dpdkit.errors import AlignmentError, ConfigurationError
 from dpdkit.fixedpoint import FixedFormat
 from dpdkit.harness import (
@@ -73,6 +76,22 @@ class TestParseDescriptor:
         for shape in [PolyShape(7, 1), PolyShape(13, 4), PolyShape(5, 2, 5, 2)]:
             assert parse_descriptor(shape.descriptor())[1] == shape
 
+    @given(
+        p_max=st.integers(0, 20).map(lambda i: 2 * i + 1),
+        main_taps=st.integers(1, 8),
+        conj=st.one_of(
+            st.just((0, 0)),
+            st.tuples(st.integers(0, 10).map(lambda i: 2 * i + 1), st.integers(1, 8)),
+        ),
+    )
+    def test_poly_descriptor_text_round_trips(self, p_max, main_taps, conj):
+        shape = PolyShape(p_max, main_taps, *conj)
+        assert parse_descriptor(shape.descriptor()) == ("poly", shape)
+
+    @given(k=st.integers(1, 16), n=st.integers(1, 512))
+    def test_nn_descriptor_text_round_trips(self, k, n):
+        assert parse_descriptor(nn_count(k, n).model_descriptor) == ("nn", (k, n))
+
     def test_malformed_rejected(self):
         for bad in [
             {"type": "fir", "taps": 3},
@@ -107,28 +126,27 @@ class TestExperimentSpec:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
-            ExperimentSpec(seed=-1)
+            TrainConfig(seed=-1)
 
     def test_from_json(self, tmp_path):
         spec_file = tmp_path / "exp.json"
         spec_file.write_text(
             json.dumps(
                 {
-                    "waveform": {"n_symbols": 2, "seed": 5},
-                    "train": {"outer_iterations": 1, "epochs_per_iteration": [4]},
+                    "waveform": {"seed": 5},
+                    "train": {"outer_iterations": 1, "epochs_per_iteration": [4], "seed": 3},
                     "dpd_list": [{"type": "nn", "K": 1, "N": 6}],
                     "fixed_point": {"total_bits": 12, "frac_bits": 11},
                     "output_dir": "results",
-                    "seed": 3,
                 }
             )
         )
         spec = ExperimentSpec.from_json(spec_file)
-        assert spec.waveform.n_symbols == 2 and spec.waveform.seed == 5
+        assert spec.waveform.seed == 5
         assert spec.train.outer_iterations == 1
         assert spec.fixed_point == FixedFormat(total_bits=12, frac_bits=11)
         assert spec.output_dir == str(tmp_path / "results")
-        assert spec.seed == 3
+        assert spec.train.seed == 3
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         spec_file = tmp_path / "exp.json"
@@ -217,6 +235,26 @@ class TestRunSweep:
         log_lines = (tmp_path / "out" / "nn_K1_N4" / "trainlog.csv").read_text().splitlines()
         assert log_lines[0] == "iteration,phase,epoch,train_mse,val_mse"
         assert len(log_lines) == 1 + 60  # 30 amplifier-model epochs + 30 predistorter epochs
+
+    def test_train_seed_reaches_training(self, tmp_path):
+        models = []
+        for seed in (0, 5):
+            spec = small_spec(
+                tmp_path,
+                dpd_list=[{"type": "nn", "K": 1, "N": 4}],
+                train=TrainConfig(
+                    outer_iterations=1,
+                    epochs_per_iteration=(1,),
+                    train_symbols=1,
+                    val_symbols=1,
+                    seed=seed,
+                ),
+                output_dir=str(tmp_path / f"seed{seed}"),
+            )
+            # model.txt is written before evaluation, which at seed 0 overdrives the amplifier
+            run_sweep(spec)
+            models.append((tmp_path / f"seed{seed}" / "nn_K1_N4" / "model.txt").read_bytes())
+        assert models[0] != models[1]
 
     def test_row_failure_is_captured_and_sweep_continues(self, tmp_path):
         spec = small_spec(
@@ -315,6 +353,26 @@ class TestCli:
         lines = overlay.read_text().splitlines()
         assert lines[0] == "freq_hz,base_db,frame_db"
 
+    def test_bad_flags_exit_2(self):
+        for argv in (
+            ["sweep", "--iterations", "2", "--epochs", "a,5"],
+            ["sweep", "--symbols", "3"],
+            ["train", "--dpd", "poly P=3 M=1", "--symbols", "3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+    def test_malformed_sweep_csv_exits_2(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        for text in (
+            "",
+            "n_params,n_mults,aclr_db,evm_pct,mode,status\n8,27,-40.0,1.0,float,ok\n",
+            "descriptor,n_params,n_mults,aclr_db,evm_pct,mode,status\npoly P=7 M=1,8\n",
+        ):
+            path.write_text(text)
+            assert main(["report", "--sweep", str(path)]) == 2
+
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert main(["sweep", "--spec", str(tmp_path / "nope.json")]) == 2
 
@@ -325,8 +383,10 @@ class TestCli:
             {"train": {"bogus": 1}},
             {"waveform": {"nope": 2}},
             {"train": {"epochs_per_iteration": 5}},
-            {"train": {"seed": 7}},  # training takes the top-level seed
+            {"seed": 3},  # the seed lives under train
             {"seed": "x"},
+            {"train": {"seed": "x"}},
+            {"waveform": {"n_symbols": 2}},  # train.train_symbols/val_symbols size the frames
             [],
         ]
         for raw in bad_specs:
@@ -338,7 +398,7 @@ class TestCli:
         spec.write_text(
             json.dumps(
                 {
-                    "waveform": {"n_symbols": 1, "seed": 1},
+                    "waveform": {"seed": 1},
                     "train": {
                         "outer_iterations": 1,
                         "epochs_per_iteration": [1],
@@ -359,7 +419,7 @@ class TestCli:
         spec.write_text(
             json.dumps(
                 {
-                    "waveform": {"n_symbols": 1, "seed": 1},
+                    "waveform": {"seed": 1},
                     "train": {"train_symbols": 1, "val_symbols": 1},
                     "dpd_list": [{"type": "poly", "P": 9, "taps": 1}],
                     "output_dir": str(tmp_path / "run"),

@@ -106,8 +106,9 @@ class TestSignalCsv:
         from dpdkit import FormatError
 
         path = str(tmp_path / "bad.csv")
-        write_signal_csv(random_signal(n=4), path)
-        with open(path, "a") as fh:
-            fh.write("4,not-a-number,0\n")
-        with pytest.raises(FormatError, match=":6"):
-            read_signal_csv(path)
+        for row in ("4,not-a-number,0", "4,nan,0", "4,0.1,inf"):
+            write_signal_csv(random_signal(n=4), path)
+            with open(path, "a") as fh:
+                fh.write(row + "\n")
+            with pytest.raises(FormatError, match=":6"):
+                read_signal_csv(path)

@@ -256,11 +256,6 @@ class TestRunFullTraining:
         )
         assert linearized < base - 5.0
 
-    def test_single_shape_tuple_applies_to_both_nets(self):
-        cfg = TrainConfig(outer_iterations=1, epochs_per_iteration=(2,))
-        dpd, _ = run_full_training(load_default_pa(), (1, 4), cfg)
-        assert dpd.descriptor() == "nn_K1_N4"
-
     def test_linear_pa_leaves_evm_unchanged(self):
         cfg = TrainConfig(outer_iterations=1, epochs_per_iteration=(25,), batch_size=128)
         pa = linear_pa()
