@@ -1,4 +1,4 @@
-"""Command-line front end: generate, train, sweep, psd, report.
+"""Command-line front end: generate, sweep, psd, report.
 
 A sweep can be described entirely by flags, entirely by a JSON spec file,
 or a mix — flags override file values. Exit codes: 0 on success, 1 if any
@@ -62,12 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--symbols", type=int, default=OfdmConfig.n_symbols, help="symbols per frame")
     g.add_argument("--out", required=True, help="output signal CSV path")
 
-    t = sub.add_parser("train", help="train and evaluate one predistorter")
-    t.add_argument("--dpd", required=True, help="descriptor, e.g. 'nn K=1 N=14' or 'poly P=7 M=1'")
-    _add_sweep_flags(t)
-
     s = sub.add_parser("sweep", help="train and evaluate a list of predistorters")
-    s.add_argument("--dpd", action="append", help="descriptor (repeatable); overrides the spec")
+    s.add_argument("--dpd", action="append",
+                   help="descriptor, e.g. 'nn K=1 N=14' or 'poly P=7 M=1' (repeatable); "
+                        "overrides the spec")
     _add_sweep_flags(s)
 
     p = sub.add_parser("psd", help="PSD overlay CSV from signal CSVs")
@@ -98,9 +96,8 @@ def _waveform_from_args(args, base: OfdmConfig) -> OfdmConfig:
 
 def _spec_from_args(args) -> ExperimentSpec:
     spec = ExperimentSpec.from_json(args.spec) if args.spec else ExperimentSpec()
-    if getattr(args, "dpd", None):
-        dpd = args.dpd if isinstance(args.dpd, list) else [args.dpd]
-        spec = replace(spec, dpd_list=dpd)
+    if args.dpd:
+        spec = replace(spec, dpd_list=args.dpd)
     spec = replace(spec, waveform=_waveform_from_args(args, spec.waveform))
     train = spec.train
     if args.iterations is not None or args.epochs is not None:
@@ -215,7 +212,7 @@ def main(argv=None) -> int:
     try:
         if args.verb == "generate":
             return _cmd_generate(args)
-        if args.verb in ("train", "sweep"):
+        if args.verb == "sweep":
             return _cmd_sweep(args)
         if args.verb == "psd":
             return _cmd_psd(args)

@@ -9,10 +9,15 @@ value) cost nothing. The instrumented forwards in this module execute that
 exact datapath one sample at a time, tallying every real multiply event, so
 tests can check the formulas against a running implementation instead of a
 second formula.
+
+A design point is named by its descriptor text, and this module is the only
+one that writes or reads it: ``poly_count`` and ``nn_count`` write it,
+``parse_descriptor`` reads it back.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +32,7 @@ __all__ = [
     "poly_count_mults",
     "poly_count_params",
     "nn_count",
+    "parse_descriptor",
     "count_poly_multiplies",
     "count_nn_multiplies",
 ]
@@ -60,10 +66,15 @@ def poly_count_mults(shape: PolyShape) -> int:
 
 
 def poly_count(shape: PolyShape) -> ComplexityReport:
+    text = f"poly P={shape.p_max} M={shape.main_taps}"
+    if shape.q_max:
+        text += f" Q={shape.q_max} L={shape.conj_taps}"
+    if shape.include_dc:
+        text += " +dc"
     return ComplexityReport(
         n_params_real=poly_count_params(shape),
         n_mults=poly_count_mults(shape),
-        model_descriptor=shape.descriptor(),
+        model_descriptor=text,
     )
 
 
@@ -73,6 +84,56 @@ def nn_count(hidden_layers: int, width: int) -> ComplexityReport:
         n_mults=nn_count_mults(hidden_layers, width),
         model_descriptor=f"nn_K{hidden_layers}_N{width}",
     )
+
+
+_NN_SLUG = re.compile(r"nn_K([0-9]+)_N([0-9]+)")
+_FIELD = re.compile(r"([A-Z])=([0-9]+)|\+dc")
+_FIELDS = {"poly": ("P", "M", "Q", "L", "+dc"), "nn": ("K", "N")}
+
+
+def parse_descriptor(text: str) -> tuple[str, PolyShape | tuple[int, int], ComplexityReport]:
+    """Read descriptor text as ("poly", PolyShape, report) or ("nn", (K, N), report).
+
+    The grammar is ``poly P=<p> [M=<taps>] [Q=<q> L=<taps>] [+dc]`` (M
+    defaults to 1) and ``nn K=<k> N=<n>``, fields in any order, each at most
+    once; ``nn_K<k>_N<n>`` is the network's spelling in sweep.csv. The report
+    is the one poly_count or nn_count gives, so its text names the row.
+
+    Raises:
+        ConfigurationError: on anything else, including a non-string.
+    """
+    if not isinstance(text, str):
+        raise ConfigurationError(f"descriptor must be a string, got {type(text).__name__}")
+    slug = _NN_SLUG.fullmatch(text.strip())
+    if slug:
+        kind, fields = "nn", {"K": slug[1], "N": slug[2]}
+    else:
+        kind, *parts = text.split() or [""]
+        if kind not in _FIELDS:
+            raise ConfigurationError(f"descriptor kind must be 'poly' or 'nn': {text!r}")
+        fields = {}
+        for part in parts:
+            match = _FIELD.fullmatch(part)
+            key = (match[1] or match[0]) if match else None
+            if key not in _FIELDS[kind] or key in fields:
+                raise ConfigurationError(f"bad field {part!r} in descriptor {text!r}")
+            fields[key] = match[2]
+    try:
+        if kind == "nn":
+            k, n = int(fields["K"]), int(fields["N"])
+            return "nn", (k, n), nn_count(k, n)
+        shape = PolyShape(
+            p_max=int(fields["P"]),
+            main_taps=int(fields.get("M", 1)),
+            q_max=int(fields.get("Q", 0)),
+            conj_taps=int(fields.get("L", 0)),
+            include_dc="+dc" in fields,
+        )
+    except KeyError as exc:
+        raise ConfigurationError(f"descriptor {text!r} lacks field {exc}") from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"bad descriptor {text!r}: {exc}") from None
+    return "poly", shape, poly_count(shape)
 
 
 class _MultiplyCounter:
@@ -160,14 +221,12 @@ def count_poly_multiplies(model: MemoryPolyModel, samples) -> tuple[np.ndarray, 
 def count_nn_multiplies(net: DenseNet, samples) -> tuple[np.ndarray, int]:
     """Run the dense network neuron by neuron, counting real multiplies.
 
-    The fixed identity bypass is added without multiplication, matching the
+    The identity bypass is added without multiplication, matching the
     closed-form count.
     """
     x = np.asarray(samples, dtype=np.complex128)
     if x.ndim != 1 or x.size == 0:
         raise ConfigurationError("need a non-empty 1-D sample sequence")
-    if not np.array_equal(net.linear_bypass, np.eye(2)):
-        raise ConfigurationError("instrumented forward assumes the identity bypass")
     counter = _MultiplyCounter()
     out = np.empty_like(x)
 

@@ -156,7 +156,7 @@ def nn_forward_fixed(
         bq = quantize(b, fmt, stats)
         pre = quantize(wq @ h + bq[:, None], fmt, stats)
         h = pre if i == len(net.weights) - 1 else np.maximum(pre, 0.0)
-    z = quantize(h + net.linear_bypass @ xq2, fmt, stats)
+    z = quantize(h + xq2, fmt, stats)
     return IqSignal(z[0] + 1j * z[1], x.sample_rate_hz)
 
 

@@ -17,13 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexity import ComplexityReport, nn_count, poly_count
+from .complexity import ComplexityReport, parse_descriptor
 from .errors import AlignmentError, ConfigurationError
 from .fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
 from .mempoly import (
     IlaConfig,
     MemoryPolyModel,
-    PolyShape,
     fit_ila,
     poly_predistort,
     rescale_cascade_gain,
@@ -43,19 +42,13 @@ __all__ = [
     "POLY_FIXED_BACKOFF",
     "ExperimentSpec",
     "DpdReport",
-    "parse_descriptor",
     "descriptor_slug",
     "run_sweep",
     "emit_psd_overlay",
 ]
 
 # The four headline design points: two nets, two polynomials.
-DEFAULT_SWEEP = [
-    {"type": "nn", "K": 1, "N": 6},
-    {"type": "nn", "K": 1, "N": 14},
-    {"type": "poly", "P": 7, "taps": 1},
-    {"type": "poly", "P": 11, "taps": 2},
-]
+DEFAULT_SWEEP = ["nn K=1 N=6", "nn K=1 N=14", "poly P=7 M=1", "poly P=11 M=2"]
 
 # Cascade-gain backoff applied to fitted polynomials whenever a fixed-point
 # evaluation is requested: the fitted linear coefficient sits a few percent
@@ -71,74 +64,6 @@ SWEEP_COLUMNS = (
 )
 
 
-def parse_descriptor(desc) -> tuple[str, object]:
-    """Normalize a model descriptor to ("poly", PolyShape) or ("nn", (K, N)).
-
-    Accepts dicts ({"type": "poly", "P": 7, "taps": 1, "Q": 0, "L": 0} or
-    {"type": "nn", "K": 1, "N": 14}) and the text forms the models print
-    ("poly P=7 M=1 Q=3 L=1", "nn_K1_N14").
-    """
-    kind, params, _ = _parse_descriptor(desc)
-    return kind, params
-
-
-def _parse_descriptor(desc) -> tuple[str, object, ComplexityReport]:
-    """parse_descriptor's result plus the complexity report that names the row."""
-    if isinstance(desc, str):
-        return _parse_descriptor_text(desc)
-    if not isinstance(desc, dict):
-        raise ConfigurationError(f"descriptor must be a dict or string, got {type(desc).__name__}")
-    kind = desc.get("type")
-    if kind == "poly":
-        try:
-            shape = PolyShape(
-                p_max=int(desc["P"]),
-                main_taps=int(desc.get("taps", 1)),
-                q_max=int(desc.get("Q", 0)),
-                conj_taps=int(desc.get("L", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad poly descriptor {desc!r}: {exc}") from exc
-        return "poly", shape, poly_count(shape)
-    if kind == "nn":
-        try:
-            k, n = int(desc["K"]), int(desc["N"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad nn descriptor {desc!r}: {exc}") from exc
-        if k < 1 or n < 1:
-            raise ConfigurationError(f"nn descriptor needs K >= 1 and N >= 1, got K={k}, N={n}")
-        return "nn", (k, n), nn_count(k, n)
-    raise ConfigurationError(f"descriptor type must be 'poly' or 'nn', got {kind!r}")
-
-
-def _parse_descriptor_text(text: str) -> tuple[str, object, ComplexityReport]:
-    t = text.strip()
-    if t.startswith("nn"):
-        body = t[2:].replace("_", " ").strip()
-        fields = dict(
-            part.split("=", 1) if "=" in part else (part[0], part[1:])
-            for part in body.split()
-        )
-        return _parse_descriptor({"type": "nn", "K": fields.get("K"), "N": fields.get("N")})
-    if t.startswith("poly"):
-        fields = {}
-        for part in t[4:].split():
-            if "=" not in part:
-                raise ConfigurationError(f"cannot parse descriptor field {part!r} in {text!r}")
-            key, val = part.split("=", 1)
-            fields[key] = val
-        return _parse_descriptor(
-            {
-                "type": "poly",
-                "P": fields.get("P"),
-                "taps": fields.get("M", 1),
-                "Q": fields.get("Q", 0),
-                "L": fields.get("L", 0),
-            }
-        )
-    raise ConfigurationError(f"cannot parse descriptor {text!r}")
-
-
 def descriptor_slug(descriptor: str) -> str:
     """Directory-safe form of a descriptor string."""
     return descriptor.replace("=", "").replace(" ", "_").replace("+", "")
@@ -150,7 +75,7 @@ class ExperimentSpec:
 
     pa_profile_path: str = "default"
     waveform: OfdmConfig = field(default_factory=lambda: OfdmConfig(seed=1))
-    dpd_list: list = field(default_factory=lambda: [dict(d) for d in DEFAULT_SWEEP])
+    dpd_list: list[str] = field(default_factory=lambda: list(DEFAULT_SWEEP))
     train: TrainConfig = field(default_factory=TrainConfig)
     fixed_point: FixedFormat | None = None
     output_dir: str = "sweep_out"
@@ -160,6 +85,9 @@ class ExperimentSpec:
             raise ConfigurationError("dpd_list must not be empty")
         for d in self.dpd_list:
             parse_descriptor(d)
+        if self.waveform.n_symbols != OfdmConfig.n_symbols:
+            raise ConfigurationError("waveform.n_symbols is not a spec setting; "
+                                     "train.train_symbols/val_symbols size the frames")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -189,9 +117,6 @@ class ExperimentSpec:
                         pa_path = str(base_dir / p)
                 kwargs["pa_profile_path"] = pa_path
             if "waveform" in raw:
-                if "n_symbols" in raw["waveform"]:
-                    raise ConfigurationError("waveform.n_symbols is not a spec key; "
-                                             "train.train_symbols/val_symbols size the frames")
                 kwargs["waveform"] = OfdmConfig(**raw["waveform"])
             if "dpd_list" in raw:
                 kwargs["dpd_list"] = raw["dpd_list"]
@@ -347,7 +272,7 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
 
     reports: list[DpdReport] = []
     for desc in spec.dpd_list:
-        kind, params, report = _parse_descriptor(desc)
+        kind, params, report = parse_descriptor(desc)
         try:
             reports.extend(
                 _run_descriptor(kind, params, report, spec, x_train, x_val, val_cfg, ref_grid)

@@ -66,14 +66,6 @@ class PolyShape:
     def n_basis_columns(self) -> int:
         return self.n_complex_coeffs + (1 if self.include_dc else 0)
 
-    def descriptor(self) -> str:
-        text = f"poly P={self.p_max} M={self.main_taps}"
-        if self.q_max:
-            text += f" Q={self.q_max} L={self.conj_taps}"
-        if self.include_dc:
-            text += " +dc"
-        return text
-
 
 @dataclass
 class MemoryPolyModel:

@@ -1,17 +1,18 @@
-"""Small dense real-valued networks with a linear bypass.
+"""Small dense real-valued networks with an identity bypass.
 
 A complex baseband sample is split into its real and imaginary parts, pushed
 through K ReLU hidden layers of width N, and reassembled at a 2-wide linear
-output. A fixed 2x2 bypass (identity by default) carries the linear portion
-of the signal around the hidden stack, so a freshly zeroed network is exactly
-the identity map and the hidden layers only have to learn the nonlinearity.
+output. A fixed identity bypass adds the input to that output, carrying the
+linear portion of the signal around the hidden stack, so a freshly zeroed
+network is exactly the identity map and the hidden layers only have to learn
+the nonlinearity.
 The same architecture serves as the amplifier behavioral model and as the
 predistorter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +35,17 @@ __all__ = [
 
 @dataclass
 class DenseNet:
-    """Weights of a K-hidden-layer, width-N dense network with linear bypass.
+    """Weights of a K-hidden-layer, width-N dense network with identity bypass.
 
     ``weights`` holds W1 (N, 2), the hidden W2..WK (N, N), and the output
     W_{K+1} (2, N); ``biases`` match the output dimension of each weight.
-    ``linear_bypass`` is a 2x2 matrix added at the output; it defaults to the
-    identity and is not a trainable parameter.
+    The input is added to the output unscaled; the bypass has no weights.
     """
 
     hidden_layers: int
     width: int
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    linear_bypass: np.ndarray = field(default_factory=lambda: np.eye(2))
 
     def __post_init__(self):
         k, n = self.hidden_layers, self.width
@@ -58,19 +57,16 @@ class DenseNet:
             )
         self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
-        self.linear_bypass = np.asarray(self.linear_bypass, dtype=np.float64)
         shapes = [(n, 2)] + [(n, n)] * (k - 1) + [(2, n)]
         for i, (w, b, expect) in enumerate(zip(self.weights, self.biases, shapes)):
             if w.shape != expect:
                 raise ConfigurationError(f"weight {i} has shape {w.shape}, expected {expect}")
             if b.shape != (expect[0],):
                 raise ConfigurationError(f"bias {i} has shape {b.shape}, expected ({expect[0]},)")
-        if self.linear_bypass.shape != (2, 2):
-            raise ConfigurationError(f"bypass must be 2x2, got {self.linear_bypass.shape}")
 
     @classmethod
     def zeros(cls, hidden_layers: int, width: int) -> "DenseNet":
-        """All-zero trainables with an identity bypass: the exact identity map."""
+        """All-zero trainables: with the bypass, the exact identity map."""
         k, n = hidden_layers, width
         shapes = [(n, 2)] + [(n, n)] * (k - 1) + [(2, n)]
         return cls(
@@ -86,11 +82,7 @@ class DenseNet:
             width=self.width,
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            linear_bypass=self.linear_bypass.copy(),
         )
-
-    def descriptor(self) -> str:
-        return f"nn_K{self.hidden_layers}_N{self.width}"
 
 
 @dataclass
@@ -103,7 +95,7 @@ class NnGradients:
 
 
 def glorot_net(hidden_layers: int, width: int, seed=0) -> DenseNet:
-    """Seeded uniform Glorot-style initialization; biases zero, bypass identity."""
+    """Seeded uniform Glorot-style initialization; biases zero."""
     net = DenseNet.zeros(hidden_layers, width)
     rng = np.random.default_rng(seed)
     for i, w in enumerate(net.weights):
@@ -126,7 +118,7 @@ def _forward_cached(net: DenseNet, x2: np.ndarray):
         pres.append(pre)
         h = np.maximum(pre, 0.0)
         acts_last = h
-    z = net.weights[-1] @ acts_last + net.biases[-1][:, None] + net.linear_bypass @ x2
+    z = net.weights[-1] @ acts_last + net.biases[-1][:, None] + x2
     return z, pres
 
 
@@ -143,7 +135,7 @@ def _backward_from_output(net: DenseNet, x2: np.ndarray, pres: list, dz: np.ndar
         grad_w[i] = dpre @ acts[i].T
         grad_b[i] = dpre.sum(axis=1)
         upstream = net.weights[i].T @ dpre
-    dx = upstream + net.linear_bypass.T @ dz
+    dx = upstream + dz
     return grad_w, grad_b, dx
 
 
@@ -205,17 +197,18 @@ def nn_count_params(hidden_layers: int, width: int) -> int:
     return 2 * n + n + (k - 1) * (n * n + n) + 2 * n + 2
 
 
+_BYPASS = np.eye(2)
+
+
 def save_net(net: DenseNet, path) -> None:
-    """Write a net as text: `K,N` header, weight rows, bias rows, bypass rows.
+    """Write a net as text: `K,N` header, bypass rows, weight rows, bias rows.
 
     Weight rows are `layer,row,col,value` (4 fields) and bias rows are
-    `layer,row,value` (3 fields); layers are numbered from 1. The bypass is
-    stored explicitly as weight rows of layer 0.
+    `layer,row,value` (3 fields); layers are numbered from 1. The identity
+    bypass is written as the four weight rows of layer 0.
     """
     lines = [f"{net.hidden_layers},{net.width}"]
-    for r in range(2):
-        for c in range(2):
-            lines.append(f"0,{r},{c},{_fmt(net.linear_bypass[r, c])}")
+    lines += [f"0,{r},{c},{_fmt(_BYPASS[r, c])}" for r in range(2) for c in range(2)]
     for i, w in enumerate(net.weights, start=1):
         for r in range(w.shape[0]):
             for c in range(w.shape[1]):
@@ -231,7 +224,8 @@ def load_net(path) -> DenseNet:
     """Read a net written by save_net.
 
     Raises:
-        FormatError: on malformed headers or rows, naming the line number.
+        FormatError: on malformed headers or rows, naming the line number;
+            a layer-0 row must hold its identity-bypass value.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
@@ -244,7 +238,6 @@ def load_net(path) -> DenseNet:
     except ValueError as exc:
         raise FormatError(f"{path}:1: bad header {lines[0]!r}: {exc}") from None
     net = DenseNet.zeros(k, n)
-    seen_bypass = False
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         try:
@@ -258,10 +251,8 @@ def load_net(path) -> DenseNet:
             if len(index) == 1:
                 net.biases[layer - 1][index[0]] = value
             elif layer == 0:
-                if not seen_bypass:
-                    net.linear_bypass = np.zeros((2, 2))
-                    seen_bypass = True
-                net.linear_bypass[tuple(index)] = value
+                if value != _BYPASS[tuple(index)]:
+                    raise ValueError("the bypass is fixed at the identity")
             else:
                 net.weights[layer - 1][tuple(index)] = value
         except (ValueError, IndexError) as exc:

@@ -13,9 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpdkit.complexity import count_nn_multiplies, count_poly_multiplies, nn_count, poly_count
+from dpdkit.complexity import (
+    count_nn_multiplies, count_poly_multiplies, nn_count, parse_descriptor, poly_count
+)
 from dpdkit.fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
-from dpdkit.harness import DEFAULT_SWEEP, ExperimentSpec, parse_descriptor, run_sweep
+from dpdkit.harness import DEFAULT_SWEEP, ExperimentSpec, run_sweep
 from dpdkit.mempoly import IlaConfig, MemoryPolyModel, PolyShape, fit_ila, poly_predistort, rescale_cascade_gain
 from dpdkit.metrics import aclr_db_gated, evm_percent
 from dpdkit.nn import (
@@ -77,7 +79,7 @@ def fitted_polys(frames):
     fits = {}
     for shape in (PolyShape(7, 1), PolyShape(11, 2)):
         pa = load_default_pa()
-        fits[shape.descriptor()] = fit_ila(pa, IlaConfig(shape), x_train)
+        fits[poly_count(shape).model_descriptor] = fit_ila(pa, IlaConfig(shape), x_train)
     return fits
 
 
@@ -281,9 +283,9 @@ def test_5_reproducibility_and_round_trip(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
     spec = ExperimentSpec(
-        waveform=OfdmConfig(n_symbols=1, seed=1),
+        waveform=OfdmConfig(seed=1),
         train=TrainConfig(outer_iterations=0, epochs_per_iteration=(), train_symbols=1, val_symbols=1),
-        dpd_list=[{"type": "poly", "P": 3, "taps": 1}],
+        dpd_list=["poly P=3 M=1"],
         fixed_point=Q15,
         output_dir=str(tmp_path / "run"),
     )
@@ -345,7 +347,7 @@ def test_7_counters_agree_with_formulas(capsys):
         0.3 * (rng.standard_normal(64) + 1j * rng.standard_normal(64)), 61.44e6
     )
     for desc in DEFAULT_SWEEP:
-        kind, params = parse_descriptor(desc)
+        kind, params, _ = parse_descriptor(desc)
         if kind == "poly":
             expected = poly_count(params).n_mults
             model = MemoryPolyModel.identity(params)

@@ -152,9 +152,3 @@ class TestInstrumentedNn:
         out, per_sample = count_nn_multiplies(net, x)
         assert per_sample == nn_count(2, 6).n_mults
         assert np.array_equal(out, x)
-
-    def test_non_identity_bypass_rejected(self):
-        net = DenseNet.zeros(1, 4)
-        net.linear_bypass = np.array([[0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(ConfigurationError):
-            count_nn_multiplies(net, short_frame(24, n=4))

@@ -1,6 +1,7 @@
 """Sweep harness and CLI: descriptor parsing, orchestration, artifacts."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpdkit.cli import main
-from dpdkit.complexity import nn_count
+from dpdkit.complexity import nn_count, parse_descriptor, poly_count
 from dpdkit.errors import AlignmentError, ConfigurationError
 from dpdkit.fixedpoint import FixedFormat
 from dpdkit.harness import (
@@ -16,7 +17,6 @@ from dpdkit.harness import (
     ExperimentSpec,
     descriptor_slug,
     emit_psd_overlay,
-    parse_descriptor,
     run_sweep,
 )
 from dpdkit.mempoly import PolyShape, load_poly_model
@@ -27,7 +27,7 @@ from dpdkit.pa import load_default_pa
 from dpdkit.signals import IqSignal
 from dpdkit.training import TrainConfig
 
-SMALL_WAVE = OfdmConfig(n_symbols=1, seed=1)
+SMALL_WAVE = OfdmConfig(seed=1)
 SMALL_TRAIN = TrainConfig(train_symbols=1, val_symbols=1)
 PASSTHROUGH = TrainConfig(
     outer_iterations=0, epochs_per_iteration=(), train_symbols=1, val_symbols=1
@@ -38,7 +38,7 @@ def small_spec(tmp_path, **overrides) -> ExperimentSpec:
     base = dict(
         waveform=SMALL_WAVE,
         train=SMALL_TRAIN,
-        dpd_list=[{"type": "poly", "P": 7, "taps": 1}],
+        dpd_list=["poly P=7 M=1"],
         output_dir=str(tmp_path / "out"),
     )
     base.update(overrides)
@@ -55,26 +55,30 @@ def baseline_metrics() -> tuple[float, float]:
 
 class TestParseDescriptor:
     def test_poly_dict(self):
-        kind, shape = parse_descriptor({"type": "poly", "P": 7, "taps": 2, "Q": 3, "L": 1})
+        kind, shape, report = parse_descriptor("poly L=1 Q=3 M=2 P=7")
         assert kind == "poly"
         assert shape == PolyShape(7, 2, 3, 1)
+        assert report == poly_count(shape)
 
     def test_poly_dict_defaults(self):
-        _, shape = parse_descriptor({"type": "poly", "P": 9})
+        _, shape, _ = parse_descriptor("poly P=9")
         assert shape == PolyShape(9, 1)
 
     def test_nn_dict(self):
-        assert parse_descriptor({"type": "nn", "K": 2, "N": 8}) == ("nn", (2, 8))
+        kind, params, report = parse_descriptor("nn K=2 N=8")
+        assert (kind, params) == ("nn", (2, 8))
+        assert report == nn_count(2, 8)
 
     def test_text_forms(self):
         assert parse_descriptor("poly P=11 M=2")[1] == PolyShape(11, 2)
         assert parse_descriptor("poly P=7 M=2 Q=3 L=1")[1] == PolyShape(7, 2, 3, 1)
-        assert parse_descriptor("nn_K1_N14") == ("nn", (1, 14))
-        assert parse_descriptor("nn K=2 N=8") == ("nn", (2, 8))
+        assert parse_descriptor("poly P=3 M=1 +dc")[1] == PolyShape(3, 1, include_dc=True)
+        assert parse_descriptor("nn_K1_N14")[:2] == ("nn", (1, 14))
+        assert parse_descriptor("nn K=2 N=8")[:2] == ("nn", (2, 8))
 
     def test_descriptor_string_round_trips(self):
         for shape in [PolyShape(7, 1), PolyShape(13, 4), PolyShape(5, 2, 5, 2)]:
-            assert parse_descriptor(shape.descriptor())[1] == shape
+            assert parse_descriptor(poly_count(shape).model_descriptor)[1] == shape
 
     @given(
         p_max=st.integers(0, 20).map(lambda i: 2 * i + 1),
@@ -83,22 +87,28 @@ class TestParseDescriptor:
             st.just((0, 0)),
             st.tuples(st.integers(0, 10).map(lambda i: 2 * i + 1), st.integers(1, 8)),
         ),
+        include_dc=st.booleans(),
     )
-    def test_poly_descriptor_text_round_trips(self, p_max, main_taps, conj):
-        shape = PolyShape(p_max, main_taps, *conj)
-        assert parse_descriptor(shape.descriptor()) == ("poly", shape)
+    def test_poly_descriptor_text_round_trips(self, p_max, main_taps, conj, include_dc):
+        shape = PolyShape(p_max, main_taps, *conj, include_dc=include_dc)
+        report = poly_count(shape)
+        assert parse_descriptor(report.model_descriptor) == ("poly", shape, report)
 
     @given(k=st.integers(1, 16), n=st.integers(1, 512))
     def test_nn_descriptor_text_round_trips(self, k, n):
-        assert parse_descriptor(nn_count(k, n).model_descriptor) == ("nn", (k, n))
+        report = nn_count(k, n)
+        assert parse_descriptor(report.model_descriptor) == ("nn", (k, n), report)
 
     def test_malformed_rejected(self):
         for bad in [
-            {"type": "fir", "taps": 3},
-            {"type": "poly", "taps": 1},
-            {"type": "nn", "K": 0, "N": 4},
-            {"type": "nn", "K": 1},
+            "fir taps=3",
+            "poly M=1",
+            "nn K=0 N=4",
+            "nn K=1",
             "spline order=3",
+            "poly P=7 M=1 Z=3",
+            "nnet K=1 N=2",
+            {"type": "poly", "P": 7, "taps": 1},
             42,
         ]:
             with pytest.raises(ConfigurationError):
@@ -117,12 +127,17 @@ class TestExperimentSpec:
         assert spec.fixed_point is None
 
     def test_empty_dpd_list_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec(dpd_list=[])
+        for bad in (
+            dict(dpd_list=[]),
+            # train.train_symbols/val_symbols size the frames
+            dict(waveform=OfdmConfig(n_symbols=5, seed=1)),
+        ):
+            with pytest.raises(ConfigurationError):
+                ExperimentSpec(**bad)
 
     def test_bad_descriptor_rejected_up_front(self):
         with pytest.raises(ConfigurationError):
-            ExperimentSpec(dpd_list=[{"type": "poly", "P": 6, "taps": 1}])
+            ExperimentSpec(dpd_list=["poly P=6 M=1"])
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -135,7 +150,7 @@ class TestExperimentSpec:
                 {
                     "waveform": {"seed": 5},
                     "train": {"outer_iterations": 1, "epochs_per_iteration": [4], "seed": 3},
-                    "dpd_list": [{"type": "nn", "K": 1, "N": 6}],
+                    "dpd_list": ["nn K=1 N=6"],
                     "fixed_point": {"total_bits": 12, "frac_bits": 11},
                     "output_dir": "results",
                 }
@@ -160,12 +175,19 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError):
             ExperimentSpec.from_json(spec_file)
 
+    def test_benchmark_workload_specs_load(self):
+        # the benchmark runs these specs; a grammar or spec-key change must fail here first
+        workloads = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.json"))
+        assert workloads
+        for path in workloads:
+            assert ExperimentSpec.from_json(path).dpd_list
+
 
 class TestRunSweep:
     def test_passthrough_rows_equal_no_dpd_baseline(self, tmp_path):
         spec = small_spec(
             tmp_path,
-            dpd_list=[{"type": "poly", "P": 7, "taps": 1}, {"type": "nn", "K": 1, "N": 6}],
+            dpd_list=["poly P=7 M=1", "nn K=1 N=6"],
             train=PASSTHROUGH,
         )
         rows = run_sweep(spec)
@@ -220,7 +242,7 @@ class TestRunSweep:
     def test_nn_row_trains_and_persists(self, tmp_path):
         spec = small_spec(
             tmp_path,
-            dpd_list=[{"type": "nn", "K": 1, "N": 4}],
+            dpd_list=["nn K=1 N=4"],
             train=TrainConfig(
                 outer_iterations=1,
                 epochs_per_iteration=(30,),
@@ -241,7 +263,7 @@ class TestRunSweep:
         for seed in (0, 5):
             spec = small_spec(
                 tmp_path,
-                dpd_list=[{"type": "nn", "K": 1, "N": 4}],
+                dpd_list=["nn K=1 N=4"],
                 train=TrainConfig(
                     outer_iterations=1,
                     epochs_per_iteration=(1,),
@@ -259,7 +281,7 @@ class TestRunSweep:
     def test_row_failure_is_captured_and_sweep_continues(self, tmp_path):
         spec = small_spec(
             tmp_path,
-            dpd_list=[{"type": "poly", "P": 5, "taps": 1}, {"type": "nn", "K": 1, "N": 4}],
+            dpd_list=["poly P=5 M=1", "nn K=1 N=4"],
             train=TrainConfig(
                 outer_iterations=1,
                 epochs_per_iteration=(1,),
@@ -339,7 +361,7 @@ class TestCli:
     def test_train_single_descriptor(self, tmp_path):
         out = tmp_path / "run"
         code = main(
-            ["train", "--dpd", "poly P=3 M=1", "--wave-seed", "1", "--out", str(out),
+            ["sweep", "--dpd", "poly P=3 M=1", "--wave-seed", "1", "--out", str(out),
              "--iterations", "1"]
         )
         assert code == 0
@@ -357,7 +379,7 @@ class TestCli:
         for argv in (
             ["sweep", "--iterations", "2", "--epochs", "a,5"],
             ["sweep", "--symbols", "3"],
-            ["train", "--dpd", "poly P=3 M=1", "--symbols", "3"],
+            ["sweep", "--dpd", "poly P=3 M=1", "--symbols", "3"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -387,6 +409,7 @@ class TestCli:
             {"seed": "x"},
             {"train": {"seed": "x"}},
             {"waveform": {"n_symbols": 2}},  # train.train_symbols/val_symbols size the frames
+            {"dpd_list": [{"type": "poly", "P": 7, "taps": 1}]},  # descriptors are text
             [],
         ]
         for raw in bad_specs:
@@ -406,7 +429,7 @@ class TestCli:
                         "train_symbols": 1,
                         "val_symbols": 1,
                     },
-                    "dpd_list": [{"type": "nn", "K": 1, "N": 4}],
+                    "dpd_list": ["nn K=1 N=4"],
                     "output_dir": str(tmp_path / "run"),
                 }
             )
@@ -421,7 +444,7 @@ class TestCli:
                 {
                     "waveform": {"seed": 1},
                     "train": {"train_symbols": 1, "val_symbols": 1},
-                    "dpd_list": [{"type": "poly", "P": 9, "taps": 1}],
+                    "dpd_list": ["poly P=9 M=1"],
                     "output_dir": str(tmp_path / "run"),
                 }
             )

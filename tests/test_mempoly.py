@@ -1,7 +1,12 @@
 """Tests for the memory-polynomial model, basis, LS solver, and ILA fit."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpdkit import IqSignal
 from dpdkit.errors import ConditioningError, ConfigurationError, FormatError
@@ -13,11 +18,28 @@ from dpdkit.mempoly import (
     fit_ila,
     load_poly_model,
     poly_predistort,
+    rescale_cascade_gain,
     save_poly_model,
     solve_regularized_ls,
 )
 
 RATE = 61.44e6
+
+POLY_SHAPES = st.tuples(
+    st.integers(0, 6).map(lambda i: 2 * i + 1),
+    st.integers(1, 4),
+    st.one_of(
+        st.just((0, 0)),
+        st.tuples(st.integers(0, 3).map(lambda i: 2 * i + 1), st.integers(1, 3)),
+    ),
+    st.booleans(),
+).map(lambda t: PolyShape(t[0], t[1], *t[2], include_dc=t[3]))
+
+
+def seeded_model(shape: PolyShape, seed: int) -> MemoryPolyModel:
+    rng = np.random.default_rng(seed)
+    n = shape.n_basis_columns
+    return MemoryPolyModel.from_coefficients(shape, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def random_signal(n, seed, scale=0.3):
@@ -49,10 +71,6 @@ class TestPolyShape:
             PolyShape(p_max=3, main_taps=1, q_max=3, conj_taps=0)
         with pytest.raises(ConfigurationError):
             PolyShape(p_max=3, main_taps=1, q_max=0, conj_taps=1)
-
-    def test_descriptor_mentions_structure(self):
-        d = PolyShape(p_max=7, main_taps=2).descriptor()
-        assert "7" in d and "2" in d
 
 
 class TestBasis:
@@ -140,6 +158,19 @@ class TestModel:
                 idx += 1
         expect += theta[idx]
         np.testing.assert_allclose(out.samples, expect, rtol=1e-12, atol=1e-15)
+
+    @given(
+        shape=POLY_SHAPES,
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(0.05, 20.0),
+        b=st.floats(0.05, 20.0),
+    )
+    def test_rescale_composes_multiplicatively(self, shape, seed, a, b):
+        model = seeded_model(shape, seed)
+        twice = rescale_cascade_gain(rescale_cascade_gain(model, a), b)
+        once = rescale_cascade_gain(model, a * b)
+        np.testing.assert_allclose(twice.coefficient_vector(), once.coefficient_vector(),
+                                   rtol=1e-12, atol=0)
 
 
 class TestSolver:
@@ -249,6 +280,18 @@ class TestModelIo:
         np.testing.assert_array_equal(back.alpha, model.alpha)
         np.testing.assert_array_equal(back.beta, model.beta)
         assert back.dc == model.dc
+
+    @given(shape=POLY_SHAPES, data=st.data())
+    def test_round_trip_bitwise_over_shapes(self, shape, data):
+        parts = st.floats(allow_nan=False, allow_infinity=False)
+        theta = [complex(data.draw(parts), data.draw(parts)) for _ in range(shape.n_basis_columns)]
+        model = MemoryPolyModel.from_coefficients(shape, theta)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "model.txt")
+            save_poly_model(model, path)
+            back = load_poly_model(path)
+        assert back.shape == shape
+        np.testing.assert_array_equal(back.coefficient_vector(), model.coefficient_vector())
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"

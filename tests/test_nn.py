@@ -1,7 +1,12 @@
 """Tests for the dense-network forward/backward math and complexity counts."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpdkit import IqSignal
 from dpdkit.errors import ConfigurationError, FormatError
@@ -79,11 +84,12 @@ class TestForward:
         net = DenseNet.zeros(1, 1)
         net.weights[0] = np.array([[1.0, 0.0]])
         net.weights[1] = np.array([[1.0], [0.0]])
-        net.linear_bypass = np.zeros((2, 2))
         sig = random_signal(64, seed=1)
         out = nn_forward(net, sig)
-        np.testing.assert_allclose(out.samples.real, np.maximum(sig.samples.real, 0.0))
-        np.testing.assert_array_equal(out.samples.imag, np.zeros(64))
+        # the identity bypass adds the input to the one-ReLU output
+        re = sig.samples.real
+        np.testing.assert_allclose(out.samples.real, np.maximum(re, 0.0) + re)
+        np.testing.assert_array_equal(out.samples.imag, sig.samples.imag)
 
     def test_matches_per_neuron_oracle(self):
         net = random_net(2, 4, seed=7)
@@ -106,7 +112,7 @@ class TestForward:
                 acc = net.biases[-1][row]
                 for col in range(len(h)):
                     acc += net.weights[-1][row, col] * h[col]
-                acc += sum(net.linear_bypass[row, col] * [s.real, s.imag][col] for col in range(2))
+                acc += [s.real, s.imag][row]  # identity bypass
                 z.append(acc)
             result[idx] = z[0] + 1j * z[1]
         np.testing.assert_allclose(out.samples, result, atol=1e-12)
@@ -239,24 +245,27 @@ class TestComplexityCounts:
 class TestNetIo:
     def test_round_trip_bitwise(self, tmp_path):
         net = random_net(2, 3, seed=60)
-        net.linear_bypass = np.array([[0.5, -0.25], [1.5, 2.0]])
         path = tmp_path / "net.txt"
         save_net(net, path)
         back = load_net(path)
+        # the identity bypass is still written as the four layer-0 rows
+        assert path.read_text().splitlines()[1:5] == ["0,0,0,1.0", "0,0,1,0.0", "0,1,0,0.0", "0,1,1,1.0"]
         assert back.hidden_layers == 2 and back.width == 3
         for a, b in zip(back.weights, net.weights):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(back.biases, net.biases):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(back.linear_bypass, net.linear_bypass)
 
-    def test_zero_bypass_survives_round_trip(self, tmp_path):
-        net = DenseNet.zeros(1, 2)
-        net.linear_bypass = np.zeros((2, 2))
-        path = tmp_path / "net.txt"
-        save_net(net, path)
-        back = load_net(path)
-        np.testing.assert_array_equal(back.linear_bypass, np.zeros((2, 2)))
+    @given(k=st.integers(1, 3), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_bitwise_over_shapes(self, k, n, seed):
+        net = random_net(k, n, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.txt"
+            save_net(net, path)
+            back = load_net(path)
+        assert (back.hidden_layers, back.width) == (k, n)
+        for a, b in zip(back.weights + back.biases, net.weights + net.biases):
+            np.testing.assert_array_equal(a, b)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -268,6 +277,8 @@ class TestNetIo:
             "1,0,-1,9.0",
             "1,-1,9.0",
             "3,0,0,1.0",  # the K=1 net has layers 0..2
+            "0,0,0,0.5",  # the bypass is the identity
+            "0,0,1,1.0",
         ]
         for row in bad_rows:
             path.write_text(f"1,2\n0,0,0,1.0\n{row}\n")
