@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mempoly import MemoryPolyModel, PolyShape
-from .nn import DenseNet, nn_count_mults, nn_count_params
+from .nn import DenseNet
 
 __all__ = [
     "ComplexityReport",
@@ -32,6 +32,8 @@ __all__ = [
     "poly_count_mults",
     "poly_count_params",
     "nn_count",
+    "nn_count_mults",
+    "nn_count_params",
     "parse_descriptor",
     "count_poly_multiplies",
     "count_nn_multiplies",
@@ -76,6 +78,22 @@ def poly_count(shape: PolyShape) -> ComplexityReport:
         n_mults=poly_count_mults(shape),
         model_descriptor=text,
     )
+
+
+def nn_count_mults(hidden_layers: int, width: int) -> int:
+    """Real multiplications per sample; the identity bypass costs none."""
+    k, n = hidden_layers, width
+    if k < 1 or n < 1:
+        raise ConfigurationError(f"need K >= 1 and N >= 1, got K={k}, N={n}")
+    return 4 * n + (k - 1) * n * n
+
+
+def nn_count_params(hidden_layers: int, width: int) -> int:
+    """Real trainable parameters; the fixed bypass is excluded."""
+    k, n = hidden_layers, width
+    if k < 1 or n < 1:
+        raise ConfigurationError(f"need K >= 1 and N >= 1, got K={k}, N={n}")
+    return 2 * n + n + (k - 1) * (n * n + n) + 2 * n + 2
 
 
 def nn_count(hidden_layers: int, width: int) -> ComplexityReport:

@@ -12,6 +12,7 @@ are bitwise deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,28 +30,25 @@ __all__ = [
     "poly_forward_fixed",
 ]
 
-_ROUNDINGS = ("round_half_even", "truncate")
-_OVERFLOWS = ("saturate", "wrap")
-
 
 @dataclass(frozen=True)
 class FixedFormat:
-    """Two's-complement format: 1 sign/integer region, frac_bits fraction."""
+    """Two's-complement format: 1 sign/integer region, frac_bits fraction.
+
+    Values round half to even onto the code grid and saturate at its ends.
+    """
 
     total_bits: int = 16
     frac_bits: int = 15
-    rounding: str = "round_half_even"
-    overflow: str = "saturate"
 
     def __post_init__(self):
+        # operator.index rejects a fractional bit count, which would give a non-dyadic grid
+        for n in (self.total_bits, self.frac_bits):
+            operator.index(n)
         if not 0 < self.frac_bits < self.total_bits:
             raise ConfigurationError(
                 f"need 0 < frac_bits < total_bits, got {self.frac_bits}/{self.total_bits}"
             )
-        if self.rounding not in _ROUNDINGS:
-            raise ConfigurationError(f"rounding must be one of {_ROUNDINGS}")
-        if self.overflow not in _OVERFLOWS:
-            raise ConfigurationError(f"overflow must be one of {_OVERFLOWS}")
 
     @property
     def lsb(self) -> float:
@@ -96,22 +94,13 @@ class FixedPointStats:
 
 def _quantize_real(x: np.ndarray, fmt: FixedFormat, stats: FixedPointStats | None) -> np.ndarray:
     scale = 2.0**fmt.frac_bits
-    scaled = x * scale
-    if fmt.rounding == "round_half_even":
-        codes = np.rint(scaled)
-    else:
-        codes = np.floor(scaled)
+    codes = np.rint(x * scale)
     lo = -(2.0 ** (fmt.total_bits - 1))
     hi = 2.0 ** (fmt.total_bits - 1) - 1
     out_of_range = (codes < lo) | (codes > hi)
     if stats is not None:
         stats.sat_events += int(np.count_nonzero(out_of_range))
-    if fmt.overflow == "saturate":
-        codes = np.clip(codes, lo, hi)
-    else:
-        span = 2.0**fmt.total_bits
-        codes = lo + np.mod(codes - lo, span)
-    return codes / scale
+    return np.clip(codes, lo, hi) / scale
 
 
 def quantize(x, fmt: FixedFormat | None = None, stats: FixedPointStats | None = None):

@@ -83,8 +83,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.dpd_list:
             raise ConfigurationError("dpd_list must not be empty")
+        # two texts naming one design point would fit twice into one row directory
+        seen = {}
         for d in self.dpd_list:
-            parse_descriptor(d)
+            name = parse_descriptor(d)[2].model_descriptor
+            if name in seen:
+                raise ConfigurationError(f"descriptors {seen[name]!r} and {d!r} "
+                                         f"both name the design point {name!r}")
+            seen[name] = d
         if self.waveform.n_symbols != OfdmConfig.n_symbols:
             raise ConfigurationError("waveform.n_symbols is not a spec setting; "
                                      "train.train_symbols/val_symbols size the frames")

@@ -176,22 +176,15 @@ def rescale_cascade_gain(model: MemoryPolyModel, gain: float) -> MemoryPolyModel
     return MemoryPolyModel(s, alpha, beta, model.dc)
 
 
-def solve_regularized_ls(
-    A: np.ndarray, b: np.ndarray, regularization: float | None = None
-) -> np.ndarray:
+def solve_regularized_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve min ||A theta - b||^2 + lam ||theta||^2 by QR on the stacked matrix.
 
-    The default lam is 1e-8 times the mean column energy of A.  Rank
-    deficiency that survives the regularization raises ConditioningError
-    with a condition-number estimate.
+    lam is 1e-8 times the mean column energy of A.  Rank deficiency that
+    survives the regularization raises ConditioningError with a
+    condition-number estimate.
     """
     n_cols = A.shape[1]
-    if regularization is None:
-        lam = 1e-8 * float(np.mean(np.sum(np.abs(A) ** 2, axis=0)))
-    else:
-        lam = float(regularization)
-        if lam < 0:
-            raise ConfigurationError(f"regularization must be >= 0, got {lam}")
+    lam = 1e-8 * float(np.mean(np.sum(np.abs(A) ** 2, axis=0)))
     stacked = np.vstack([A, np.sqrt(lam) * np.eye(n_cols, dtype=A.dtype)])
     rhs = np.concatenate([b, np.zeros(n_cols, dtype=b.dtype)])
     theta, _, rank, _ = scipy.linalg.lstsq(stacked, rhs, lapack_driver="gelsy")
@@ -209,7 +202,6 @@ class IlaConfig:
 
     shape: PolyShape
     n_iterations: int = 2
-    regularization: float | None = None
 
     def __post_init__(self):
         if self.n_iterations < 1:
@@ -256,7 +248,7 @@ def fit_ila(pa, cfg: IlaConfig, x_train: IqSignal) -> IlaResult:
         g = estimate_gain(x_hat, y)
         A = build_basis(y.samples / g, cfg.shape)
         b = x_hat.samples
-        theta = solve_regularized_ls(A, b, cfg.regularization)
+        theta = solve_regularized_ls(A, b)
         residuals.append(float(np.linalg.norm(A @ theta - b) / np.linalg.norm(b)))
         model = MemoryPolyModel.from_coefficients(cfg.shape, theta)
     return IlaResult(model, residuals)

@@ -64,11 +64,11 @@ def _welch_linear(signal: IqSignal, segment_len: int, overlap: float) -> tuple[n
     return freqs, psd
 
 
-def default_segment_len(n_samples: int, preferred: int = 1024) -> int:
-    """Largest power of two <= n_samples, capped at `preferred`."""
+def default_segment_len(n_samples: int) -> int:
+    """Largest power of two <= n_samples, capped at 1024."""
     if n_samples < 2:
         raise ConfigurationError("need at least 2 samples for a PSD")
-    return min(preferred, 1 << (int(n_samples).bit_length() - 1))
+    return min(1024, 1 << (int(n_samples).bit_length() - 1))
 
 
 def psd_welch(
@@ -167,11 +167,11 @@ def aclr_db_gated(
     return float(10.0 * np.log10(p_adjacent / p_channel))
 
 
-def evm_percent(reference: SymbolGrid, received: SymbolGrid, remove_gain: bool = True) -> float:
+def evm_percent(reference: SymbolGrid, received: SymbolGrid) -> float:
     """Error vector magnitude, 100 * ||received - reference|| / ||reference||.
 
     A single complex scalar gain is fitted to the received grid and removed
-    first (disable with remove_gain=False to measure raw offsets).
+    first.
 
     Raises:
         ConfigurationError: on shape mismatch.
@@ -186,9 +186,8 @@ def evm_percent(reference: SymbolGrid, received: SymbolGrid, remove_gain: bool =
     denom = np.vdot(s, s)
     if denom == 0:
         raise MetricError("EVM is undefined for a zero-power reference")
-    if remove_gain:
-        g = np.vdot(s, r) / denom
-        if g == 0:
-            raise MetricError("fitted gain is zero; EVM undefined")
-        r = r / g
+    g = np.vdot(s, r) / denom
+    if g == 0:
+        raise MetricError("fitted gain is zero; EVM undefined")
+    r = r / g
     return float(100.0 * np.linalg.norm(r - s) / np.linalg.norm(s))

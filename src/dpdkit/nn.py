@@ -26,8 +26,6 @@ __all__ = [
     "nn_forward",
     "nn_backward",
     "nn_backward_through_frozen",
-    "nn_count_mults",
-    "nn_count_params",
     "save_net",
     "load_net",
 ]
@@ -179,22 +177,6 @@ def nn_backward_through_frozen(dpd: DenseNet, pa_model: DenseNet, x: IqSignal) -
     _, _, du = _backward_from_output(pa_model, u, pa_pres, dz)
     gw, gb, _ = _backward_from_output(dpd, x2, dpd_pres, du)
     return NnGradients(weights=gw, biases=gb, loss=loss)
-
-
-def nn_count_mults(hidden_layers: int, width: int) -> int:
-    """Real multiplications per sample; the identity bypass costs none."""
-    k, n = hidden_layers, width
-    if k < 1 or n < 1:
-        raise ConfigurationError(f"need K >= 1 and N >= 1, got K={k}, N={n}")
-    return 4 * n + (k - 1) * n * n
-
-
-def nn_count_params(hidden_layers: int, width: int) -> int:
-    """Real trainable parameters; the fixed bypass is excluded."""
-    k, n = hidden_layers, width
-    if k < 1 or n < 1:
-        raise ConfigurationError(f"need K >= 1 and N >= 1, got K={k}, N={n}")
-    return 2 * n + n + (k - 1) * (n * n + n) + 2 * n + 2
 
 
 _BYPASS = np.eye(2)

@@ -11,6 +11,7 @@ it without side-band information.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,9 @@ class OfdmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # operator.index rejects a float or string count before any frame is built
+        for n in (self.n_subcarriers, self.n_symbols, self.oversampling_factor, self.seed):
+            operator.index(n)
         if self.n_subcarriers < 1:
             raise ConfigurationError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}")
         if not self.subcarrier_spacing_hz > 0:

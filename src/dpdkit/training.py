@@ -40,15 +40,17 @@ __all__ = [
     "run_full_training",
 ]
 
+#: Adam's moment decay rates and denominator guard (the Kingma & Ba defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     outer_iterations: int = 2
     epochs_per_iteration: tuple[int, ...] = (20, 5)
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 1024
     train_symbols: int = 10
     val_symbols: int = 10
@@ -56,6 +58,10 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "epochs_per_iteration", tuple(self.epochs_per_iteration))
+        # operator.index rejects a float or string count here, not inside a sweep row
+        for n in (self.outer_iterations, self.batch_size, self.train_symbols,
+                  self.val_symbols, self.seed, *self.epochs_per_iteration):
+            operator.index(n)
         # 0 is allowed: the sweep harness treats it as "no training at all"
         # and reports the untouched passthrough baseline
         if self.outer_iterations < 0:
@@ -67,16 +73,11 @@ class TrainConfig:
             )
         if any(e < 1 for e in self.epochs_per_iteration):
             raise ConfigurationError("every epoch count must be positive")
-        if self.learning_rate <= 0 or self.adam_eps <= 0:
-            raise ConfigurationError("learning_rate and adam_eps must be positive")
-        for name in ("adam_beta1", "adam_beta2"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigurationError(f"{name} must lie in (0, 1), got {v}")
+        if self.learning_rate <= 0:
+            raise ConfigurationError("learning_rate must be positive")
         if self.batch_size < 1 or self.train_symbols < 1 or self.val_symbols < 1:
             raise ConfigurationError("batch_size and symbol counts must be positive")
-        # operator.index rejects a float or string seed here, not at the first shuffle
-        if operator.index(self.seed) < 0:
+        if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
@@ -140,7 +141,7 @@ def adam_step(net: DenseNet, grads: NnGradients, state: AdamState, cfg: TrainCon
             raise DivergenceError("non-finite gradient; aborting the training phase")
     state.step += 1
     t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     for params, grad_list, m_list, v_list in (
@@ -152,7 +153,7 @@ def adam_step(net: DenseNet, grads: NnGradients, state: AdamState, cfg: TrainCon
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.adam_eps)
+            p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> float:

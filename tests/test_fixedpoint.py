@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpdkit.errors import ConfigurationError
 from dpdkit.fixedpoint import (
@@ -18,6 +20,24 @@ from dpdkit.signals import IqSignal
 
 Q15 = FixedFormat()
 LSB = 2.0**-15
+
+FORMATS = st.integers(2, 24).flatmap(
+    lambda total: st.builds(FixedFormat, st.just(total), st.integers(1, total - 1))
+)
+# finite values, most of them outside small formats' ranges
+VALUES = st.lists(
+    st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1,
+    max_size=64,
+)
+
+
+def out_of_range_count(v: np.ndarray, fmt: FixedFormat) -> int:
+    """Components whose nearest code lies off the grid: a tie above the top
+    rounds up to the even code past it, a tie below the bottom to the
+    bottom code itself."""
+    half = fmt.lsb / 2
+    return int(np.count_nonzero((v >= fmt.max_value + half) | (v < fmt.min_value - half)))
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +64,6 @@ class TestFixedFormat:
             FixedFormat(total_bits=16, frac_bits=16)
         with pytest.raises(ConfigurationError):
             FixedFormat(total_bits=16, frac_bits=0)
-        with pytest.raises(ConfigurationError):
-            FixedFormat(rounding="nearest")
-        with pytest.raises(ConfigurationError):
-            FixedFormat(overflow="error")
 
 
 class TestQuantize:
@@ -81,17 +97,6 @@ class TestQuantize:
         assert quantize(2.5 * LSB, Q15) == 2 * LSB
         assert quantize(-0.5 * LSB, Q15) == 0.0
 
-    def test_truncate_rounds_toward_minus_inf(self):
-        fmt = FixedFormat(rounding="truncate")
-        assert quantize(0.9 * LSB, fmt) == 0.0
-        assert quantize(-0.1 * LSB, fmt) == -LSB
-
-    def test_wrap_overflow(self):
-        fmt = FixedFormat(overflow="wrap")
-        # one code above max wraps to the minimum, two's-complement style
-        assert quantize(1.0, fmt) == -1.0
-        assert quantize(-1.0 - LSB, fmt) == 1.0 - LSB
-
     def test_complex_components_quantized_independently(self):
         stats = FixedPointStats()
         z = quantize(1.25 - 2.0j, Q15, stats)
@@ -101,6 +106,24 @@ class TestQuantize:
     def test_shape_preserved(self):
         v = np.zeros((3, 5))
         assert quantize(v, Q15).shape == (3, 5)
+
+    @given(fmt=FORMATS, values=VALUES)
+    def test_idempotent_monotone_and_in_range_over_formats(self, fmt, values):
+        v = np.sort(np.array(values))
+        with np.errstate(over="ignore"):  # the largest floats scale to inf, then saturate
+            q = quantize(v, fmt)
+        assert np.array_equal(quantize(q, fmt), q)
+        assert np.all(np.diff(q) >= 0)
+        assert np.all((q >= fmt.min_value) & (q <= fmt.max_value))
+
+    @given(fmt=FORMATS, re=VALUES, im=VALUES)
+    def test_sat_events_count_out_of_range_components(self, fmt, re, im):
+        n = min(len(re), len(im))
+        re, im = np.array(re[:n]), np.array(im[:n])
+        stats = FixedPointStats()
+        with np.errstate(over="ignore"):
+            quantize(re + 1j * im, fmt, stats)
+        assert stats.sat_events == out_of_range_count(re, fmt) + out_of_range_count(im, fmt)
 
 
 class TestStats:

@@ -1,6 +1,7 @@
 """Sweep harness and CLI: descriptor parsing, orchestration, artifacts."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,13 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError):
             ExperimentSpec(dpd_list=["poly P=6 M=1"])
 
+    def test_repeated_design_point_rejected(self):
+        # both rows would fit the same model into one row directory
+        for first, second in (("poly P=3", "poly P=3 M=1"), ("nn K=1 N=6", "nn_K1_N6")):
+            with pytest.raises(ConfigurationError) as info:
+                ExperimentSpec(dpd_list=[first, "poly P=5 M=1", second])
+            assert repr(first) in str(info.value) and repr(second) in str(info.value)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(seed=-1)
@@ -181,6 +189,14 @@ class TestExperimentSpec:
         assert workloads
         for path in workloads:
             assert ExperimentSpec.from_json(path).dpd_list
+
+    def test_readme_spec_example_loads(self):
+        # a spec key removed from the code must not live on in the docs
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        examples = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert examples
+        for text in examples:
+            assert ExperimentSpec.from_dict(json.loads(text)).dpd_list
 
 
 class TestRunSweep:
@@ -410,6 +426,18 @@ class TestCli:
             {"train": {"seed": "x"}},
             {"waveform": {"n_symbols": 2}},  # train.train_symbols/val_symbols size the frames
             {"dpd_list": [{"type": "poly", "P": 7, "taps": 1}]},  # descriptors are text
+            {"dpd_list": ["poly P=3", "poly P=3 M=1"]},  # one design point twice
+            # counts and seeds are integers
+            {"train": {"val_symbols": 2.0}},
+            {"train": {"batch_size": 512.5}},
+            {"train": {"epochs_per_iteration": [2.5, 1]}},
+            {"waveform": {"n_subcarriers": 600.5}},
+            {"waveform": {"oversampling_factor": 4.0}},
+            {"waveform": {"seed": 1.5}},
+            {"fixed_point": {"frac_bits": 14.5}},
+            # fixed settings, not spec keys
+            {"train": {"adam_beta1": 0.5}},
+            {"fixed_point": {"rounding": "truncate"}},
             [],
         ]
         for raw in bad_specs:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dpdkit import IqSignal, OfdmConfig, SymbolGrid, demodulate_ofdm, generate_ofdm
+from dpdkit import IqSignal, OfdmConfig, demodulate_ofdm, generate_ofdm
 from dpdkit.errors import ConfigurationError, MetricError
 from dpdkit.metrics import aclr_db, aclr_db_gated, evm_percent, psd_welch
 
@@ -118,12 +118,6 @@ class TestEvm:
             IqSignal(g * self.x.samples, self.x.sample_rate_hz), self.cfg
         )
         assert evm_percent(self.grid, received) < 1e-9
-
-    def test_strict_mode_scales_exactly_with_gain_error(self):
-        g = 1.05
-        scaled = SymbolGrid(symbols=g * self.grid.symbols)
-        value = evm_percent(self.grid, scaled, remove_gain=False)
-        assert value == pytest.approx(100.0 * abs(g - 1.0), rel=1e-12)
 
     def test_cubic_distortion_matches_independent_dft_oracle(self):
         c3 = -0.08 + 0.04j

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpdkit import IqSignal
+from dpdkit.complexity import nn_count_mults, nn_count_params
 from dpdkit.errors import ConfigurationError, FormatError
 from dpdkit.nn import (
     DenseNet,
@@ -16,8 +17,6 @@ from dpdkit.nn import (
     load_net,
     nn_backward,
     nn_backward_through_frozen,
-    nn_count_mults,
-    nn_count_params,
     nn_forward,
     save_net,
 )
