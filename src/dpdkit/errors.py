@@ -1,12 +1,33 @@
 """Exception types shared across the toolkit."""
 
+import operator
+
 
 class DpdError(Exception):
     """Base class for all toolkit errors."""
 
 
 class ConfigurationError(DpdError):
-    """A configuration value is out of range or inconsistent."""
+    """A configuration value is out of range or inconsistent.
+
+    ``field`` names the one setting at fault, when there is one; the message
+    then starts with that name.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def _require_integer(field: str, value) -> None:
+    """Reject a count given as a float or a string, naming its field.
+
+    operator.index accepts Python and NumPy integers only, so 2.0 fails too.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{field} must be an integer, got {value!r}", field) from None
 
 
 class FramingError(DpdError):

@@ -12,12 +12,11 @@ are bitwise deterministic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _require_integer
 from .mempoly import MemoryPolyModel, _delayed
 from .nn import DenseNet
 from .signals import IqSignal
@@ -31,6 +30,10 @@ __all__ = [
 ]
 
 
+#: Widest word float64 emulates exactly: its top code 2**53 - 1 has 53 significant bits.
+MAX_TOTAL_BITS = 54
+
+
 @dataclass(frozen=True)
 class FixedFormat:
     """Two's-complement format: 1 sign/integer region, frac_bits fraction.
@@ -42,12 +45,18 @@ class FixedFormat:
     frac_bits: int = 15
 
     def __post_init__(self):
-        # operator.index rejects a fractional bit count, which would give a non-dyadic grid
-        for n in (self.total_bits, self.frac_bits):
-            operator.index(n)
+        # a fractional bit count would give a non-dyadic grid
+        for name in ("total_bits", "frac_bits"):
+            _require_integer(name, getattr(self, name))
         if not 0 < self.frac_bits < self.total_bits:
             raise ConfigurationError(
                 f"need 0 < frac_bits < total_bits, got {self.frac_bits}/{self.total_bits}"
+            )
+        if self.total_bits > MAX_TOTAL_BITS:
+            raise ConfigurationError(
+                f"total_bits must be <= {MAX_TOTAL_BITS} for exact float64 emulation, "
+                f"got {self.total_bits}",
+                "total_bits",
             )
 
     @property

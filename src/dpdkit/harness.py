@@ -112,7 +112,7 @@ class ExperimentSpec:
         extra = set(raw) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigurationError(f"unknown spec keys: {sorted(extra)}")
-        # the constructors raise TypeError or ValueError on unknown keys and bad types
+        # Path() and the spec's own checks raise TypeError on a wrong-typed top-level value
         try:
             kwargs = {}
             if "pa_profile_path" in raw:
@@ -123,13 +123,13 @@ class ExperimentSpec:
                         pa_path = str(base_dir / p)
                 kwargs["pa_profile_path"] = pa_path
             if "waveform" in raw:
-                kwargs["waveform"] = OfdmConfig(**raw["waveform"])
+                kwargs["waveform"] = _section("waveform", OfdmConfig, raw["waveform"])
             if "dpd_list" in raw:
                 kwargs["dpd_list"] = raw["dpd_list"]
             if "train" in raw:
-                kwargs["train"] = TrainConfig(**raw["train"])
+                kwargs["train"] = _section("train", TrainConfig, raw["train"])
             if raw.get("fixed_point") is not None:
-                kwargs["fixed_point"] = FixedFormat(**raw["fixed_point"])
+                kwargs["fixed_point"] = _section("fixed_point", FixedFormat, raw["fixed_point"])
             if "output_dir" in raw:
                 out = Path(raw["output_dir"])
                 if base_dir is not None and not out.is_absolute():
@@ -138,6 +138,18 @@ class ExperimentSpec:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad spec value: {exc}") from exc
+
+
+def _section(key: str, config_type, raw):
+    """Build one spec section; an error names the field as ``key.field``, or else the section."""
+    try:
+        return config_type(**raw)
+    except ConfigurationError as exc:
+        if exc.field is None:
+            raise
+        raise ConfigurationError(f"bad spec value: {key}.{exc}", f"{key}.{exc.field}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad spec value in {key}: {exc}") from exc
 
 
 @dataclass

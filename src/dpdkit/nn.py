@@ -22,6 +22,7 @@ from .signals import IqSignal, _fmt
 __all__ = [
     "DenseNet",
     "NnGradients",
+    "NnWorkspace",
     "glorot_net",
     "nn_forward",
     "nn_backward",
@@ -29,6 +30,25 @@ __all__ = [
     "save_net",
     "load_net",
 ]
+
+
+#: Columns per block when nn_forward runs a long signal, so the per-layer
+#: buffers stay cache-sized instead of growing with the frame.
+FORWARD_BLOCK = 8192
+
+
+def _weight_shapes(hidden_layers: int, width: int) -> list[tuple[int, int]]:
+    return [(width, 2)] + [(width, width)] * (hidden_layers - 1) + [(2, width)]
+
+
+def _pack(tensors: list) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy tensors into one new float64 vector; return it and a view of it per tensor."""
+    flat = np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64)
+    views, start = [], 0
+    for t in tensors:
+        views.append(flat[start : start + np.size(t)].reshape(np.shape(t)))
+        start += np.size(t)
+    return flat, views
 
 
 @dataclass
@@ -55,21 +75,21 @@ class DenseNet:
             )
         self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
-        shapes = [(n, 2)] + [(n, n)] * (k - 1) + [(2, n)]
-        for i, (w, b, expect) in enumerate(zip(self.weights, self.biases, shapes)):
+        for i, (w, b, expect) in enumerate(zip(self.weights, self.biases, _weight_shapes(k, n))):
             if w.shape != expect:
                 raise ConfigurationError(f"weight {i} has shape {w.shape}, expected {expect}")
             if b.shape != (expect[0],):
                 raise ConfigurationError(f"bias {i} has shape {b.shape}, expected ({expect[0]},)")
+        self._flat = None
+        self._flat_views: list[np.ndarray] = []
 
     @classmethod
     def zeros(cls, hidden_layers: int, width: int) -> "DenseNet":
         """All-zero trainables: with the bypass, the exact identity map."""
-        k, n = hidden_layers, width
-        shapes = [(n, 2)] + [(n, n)] * (k - 1) + [(2, n)]
+        shapes = _weight_shapes(hidden_layers, width)
         return cls(
-            hidden_layers=k,
-            width=n,
+            hidden_layers=hidden_layers,
+            width=width,
             weights=[np.zeros(s) for s in shapes],
             biases=[np.zeros(s[0]) for s in shapes],
         )
@@ -82,14 +102,42 @@ class DenseNet:
             biases=[b.copy() for b in self.biases],
         )
 
+    def flat_params(self) -> np.ndarray:
+        """One float64 vector holding every trainable: the weights, then the biases.
+
+        ``weights`` and ``biases`` are views into it, so an in-place update of
+        the vector updates the net. The first call, and the first after any
+        tensor was replaced, copies the current values into a new vector and
+        rebinds both lists to its views.
+        """
+        tensors = self.weights + self.biases
+        if len(tensors) != len(self._flat_views) or any(
+            t is not v for t, v in zip(tensors, self._flat_views)
+        ):
+            self._flat, self._flat_views = _pack(tensors)
+            split = self.hidden_layers + 1
+            self.weights, self.biases = self._flat_views[:split], self._flat_views[split:]
+        return self._flat
+
 
 @dataclass
 class NnGradients:
-    """Loss value plus gradients shaped like a network's trainable tensors."""
+    """Loss value plus gradients shaped like a network's trainable tensors.
+
+    ``flat`` holds every entry in the layout of ``DenseNet.flat_params``
+    (weights, then biases), and ``weights`` and ``biases`` are views into it.
+    Given only the lists, the constructor copies them into a new ``flat``.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     loss: float
+    flat: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat, views = _pack(self.weights + self.biases)
+            self.weights, self.biases = views[: len(self.weights)], views[len(self.weights) :]
 
 
 def glorot_net(hidden_layers: int, width: int, seed=0) -> DenseNet:
@@ -103,80 +151,183 @@ def glorot_net(hidden_layers: int, width: int, seed=0) -> DenseNet:
     return net
 
 
-def _split(x: np.ndarray) -> np.ndarray:
-    return np.stack([x.real, x.imag], axis=0)
+class _Pass:
+    """One net's buffers over n columns.
+
+    ``acts`` holds each hidden layer's pre-activation, overwritten in place by
+    its ReLU output; the backward pass keeps those outputs instead of
+    recomputing them. ``mask`` and the two ``up`` buffers (which the backward
+    pass alternates between) are per-layer scratch, and ``z`` is the (2, n)
+    output.
+    """
+
+    def __init__(self, hidden_layers: int, width: int, n: int):
+        self.acts = [np.empty((width, n)) for _ in range(hidden_layers)]
+        self.mask = np.empty((width, n), dtype=bool)
+        self.up = (np.empty((width, n)), np.empty((width, n)))
+        self.z = np.empty((2, n))
 
 
-def _forward_cached(net: DenseNet, x2: np.ndarray):
-    """Run the stacked (2, n) input through the net, keeping pre-activations."""
-    pres = []
+class _Columns:
+    """Every buffer one call needs at batch width n, for one or two nets."""
+
+    def __init__(self, n: int, shapes: tuple[tuple[int, int], ...]):
+        self.shapes = shapes
+        self.x2 = np.empty((2, n))
+        self.t2 = np.empty((2, n))
+        self.sq = np.empty((2, n))
+        self.dx = np.empty((2, n))
+        self.passes = [_Pass(k, width, n) for k, width in shapes]
+
+
+class NnWorkspace:
+    """Buffers that repeated nn_backward / nn_backward_through_frozen calls reuse.
+
+    Column buffers are kept per batch width, so a trailing partial minibatch
+    does not evict the full-width ones; one gradient vector serves the net
+    shape of the latest call. A workspace serves one caller at a time:
+    gradients returned from a call given this workspace are views into it,
+    valid until the next call.
+    """
+
+    def __init__(self):
+        self._columns: dict[int, _Columns] = {}
+        self._grads_shape: tuple[int, int] | None = None
+        self._grads: NnGradients | None = None
+
+    def _columns_for(self, n: int, *nets: DenseNet) -> _Columns:
+        shapes = tuple((net.hidden_layers, net.width) for net in nets)
+        cols = self._columns.get(n)
+        if cols is None or cols.shapes != shapes:
+            cols = self._columns[n] = _Columns(n, shapes)
+        return cols
+
+    def _gradients_for(self, net: DenseNet, loss: float) -> NnGradients:
+        shape = (net.hidden_layers, net.width)
+        if self._grads_shape != shape:
+            self._grads_shape = shape
+            # a flat vector with the net's layout; every call overwrites the copied values
+            self._grads = NnGradients(net.weights, net.biases, 0.0)
+        g = self._grads
+        return NnGradients(weights=g.weights, biases=g.biases, loss=loss, flat=g.flat)
+
+
+def _split_into(x2: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    x2[0] = samples.real
+    x2[1] = samples.imag
+    return x2
+
+
+def _forward(net: DenseNet, x2: np.ndarray, p: _Pass) -> np.ndarray:
+    """Run the (2, n) input through the net into p's buffers; return p.z."""
     h = x2
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        pre = w @ h + b[:, None]
-        pres.append(pre)
-        h = np.maximum(pre, 0.0)
-        acts_last = h
-    z = net.weights[-1] @ acts_last + net.biases[-1][:, None] + x2
-    return z, pres
+    for w, b, act in zip(net.weights[:-1], net.biases[:-1], p.acts):
+        np.matmul(w, h, out=act)
+        act += b[:, None]
+        np.maximum(act, 0.0, out=act)
+        h = act
+    np.matmul(net.weights[-1], h, out=p.z)
+    p.z += net.biases[-1][:, None]
+    p.z += x2
+    return p.z
 
 
-def _backward_from_output(net: DenseNet, x2: np.ndarray, pres: list, dz: np.ndarray):
-    """Gradients of all trainables plus the input gradient, given dLoss/dz."""
-    acts = [x2] + [np.maximum(p, 0.0) for p in pres]
-    grad_w = [None] * len(net.weights)
-    grad_b = [None] * len(net.biases)
-    grad_w[-1] = dz @ acts[-1].T
-    grad_b[-1] = dz.sum(axis=1)
-    upstream = net.weights[-1].T @ dz
-    for i in range(len(pres) - 1, -1, -1):
-        dpre = upstream * (pres[i] > 0.0)
-        grad_w[i] = dpre @ acts[i].T
-        grad_b[i] = dpre.sum(axis=1)
-        upstream = net.weights[i].T @ dpre
-    dx = upstream + dz
-    return grad_w, grad_b, dx
+def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, dz: np.ndarray, *, grads=None, dx=None):
+    """Back-propagate dLoss/dz through the pass _forward recorded in p.
+
+    Writes the trainables' gradients into ``grads`` and the input gradient
+    into ``dx``, each only when given. A unit's mask is ``act > 0``, which
+    equals ``pre > 0`` (ReLU is positive exactly where its input is, and a
+    NaN fails both); the mask multiplies rather than selects, so a NaN
+    upstream gradient survives a closed unit.
+    """
+    inputs = [x2] + p.acts
+    if grads is not None:
+        np.matmul(dz, inputs[-1].T, out=grads.weights[-1])
+        np.sum(dz, axis=1, out=grads.biases[-1])
+    up, spare = p.up
+    np.matmul(net.weights[-1].T, dz, out=up)
+    for i in range(net.hidden_layers - 1, -1, -1):
+        np.greater(p.acts[i], 0.0, out=p.mask)
+        np.multiply(up, p.mask, out=up)
+        if grads is not None:
+            np.matmul(up, inputs[i].T, out=grads.weights[i])
+            np.sum(up, axis=1, out=grads.biases[i])
+        if i > 0:
+            np.matmul(net.weights[i].T, up, out=spare)
+            up, spare = spare, up
+        elif dx is not None:
+            np.matmul(net.weights[0].T, up, out=dx)
+            dx += dz
+
+
+def _loss_and_dz(z: np.ndarray, target2: np.ndarray, sq: np.ndarray) -> float:
+    """Mean squared error of z against target2; leaves dLoss/dz in z."""
+    np.subtract(z, target2, out=z)
+    loss = float(np.mean(np.square(z, out=sq)))
+    np.divide(z, z.shape[1], out=z)
+    return loss
 
 
 def nn_forward(net: DenseNet, x: IqSignal) -> IqSignal:
     """Apply the network sample-wise to a complex signal."""
-    z, _ = _forward_cached(net, _split(x.samples))
-    return IqSignal(z[0] + 1j * z[1], x.sample_rate_hz)
+    n = len(x)
+    out = np.empty(n, dtype=np.complex128)
+    ws = NnWorkspace()
+    for start in range(0, n, FORWARD_BLOCK):
+        block = x.samples[start : start + FORWARD_BLOCK]
+        cols = ws._columns_for(block.size, net)
+        z = _forward(net, _split_into(cols.x2, block), cols.passes[0])
+        out[start : start + block.size] = z[0] + 1j * z[1]
+    return IqSignal(out, x.sample_rate_hz)
 
 
-def nn_backward(net: DenseNet, x: IqSignal, target: IqSignal) -> NnGradients:
+def nn_backward(
+    net: DenseNet, x: IqSignal, target: IqSignal, *, workspace: NnWorkspace | None = None
+) -> NnGradients:
     """MSE loss against a target signal and its exact gradients.
 
     The loss is the mean over samples and over the two real output channels
     of the squared error; the ReLU subgradient at exactly zero is taken as 0.
+    Without a workspace the call allocates its own buffers. With one, the
+    returned gradients are views into the workspace's buffers and are
+    overwritten by its next call.
     """
     if len(x) != len(target):
         raise ConfigurationError(f"length mismatch: {len(x)} vs {len(target)}")
-    x2 = _split(x.samples)
-    t2 = _split(target.samples)
-    z, pres = _forward_cached(net, x2)
-    err = z - t2
-    loss = float(np.mean(err**2))
-    dz = err / err.shape[1]
-    gw, gb, _ = _backward_from_output(net, x2, pres, dz)
-    return NnGradients(weights=gw, biases=gb, loss=loss)
+    ws = workspace if workspace is not None else NnWorkspace()
+    cols = ws._columns_for(len(x), net)
+    (p,) = cols.passes
+    x2 = _split_into(cols.x2, x.samples)
+    z = _forward(net, x2, p)
+    loss = _loss_and_dz(z, _split_into(cols.t2, target.samples), cols.sq)
+    grads = ws._gradients_for(net, loss)
+    _backward(net, x2, p, z, grads=grads)
+    return grads
 
 
-def nn_backward_through_frozen(dpd: DenseNet, pa_model: DenseNet, x: IqSignal) -> NnGradients:
+def nn_backward_through_frozen(
+    dpd: DenseNet, pa_model: DenseNet, x: IqSignal, *, workspace: NnWorkspace | None = None
+) -> NnGradients:
     """Gradients for the predistorter through a frozen amplifier model.
 
     The cascade pa_model(dpd(x)) is trained toward the unit-gain target x;
     only the predistorter's gradients are produced, the amplifier model's
-    weights receive none.
+    weights receive none. Without a workspace the call allocates its own
+    buffers. With one, the returned gradients are views into the
+    workspace's buffers and are overwritten by its next call.
     """
-    x2 = _split(x.samples)
-    u, dpd_pres = _forward_cached(dpd, x2)
-    z, pa_pres = _forward_cached(pa_model, u)
-    err = z - x2
-    loss = float(np.mean(err**2))
-    dz = err / err.shape[1]
-    _, _, du = _backward_from_output(pa_model, u, pa_pres, dz)
-    gw, gb, _ = _backward_from_output(dpd, x2, dpd_pres, du)
-    return NnGradients(weights=gw, biases=gb, loss=loss)
+    ws = workspace if workspace is not None else NnWorkspace()
+    cols = ws._columns_for(len(x), dpd, pa_model)
+    dpd_pass, pa_pass = cols.passes
+    x2 = _split_into(cols.x2, x.samples)
+    u = _forward(dpd, x2, dpd_pass)
+    z = _forward(pa_model, u, pa_pass)
+    loss = _loss_and_dz(z, x2, cols.sq)
+    _backward(pa_model, u, pa_pass, z, dx=cols.dx)
+    grads = ws._gradients_for(dpd, loss)
+    _backward(dpd, x2, dpd_pass, cols.dx, grads=grads)
+    return grads
 
 
 _BYPASS = np.eye(2)

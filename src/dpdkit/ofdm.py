@@ -11,12 +11,11 @@ it without side-band information.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FramingError
+from .errors import ConfigurationError, FramingError, _require_integer
 from .signals import IqSignal
 
 
@@ -59,9 +58,9 @@ class OfdmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # operator.index rejects a float or string count before any frame is built
-        for n in (self.n_subcarriers, self.n_symbols, self.oversampling_factor, self.seed):
-            operator.index(n)
+        # a float or string count fails before any frame is built
+        for name in ("n_subcarriers", "n_symbols", "oversampling_factor", "seed"):
+            _require_integer(name, getattr(self, name))
         if self.n_subcarriers < 1:
             raise ConfigurationError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}")
         if not self.subcarrier_spacing_hz > 0:

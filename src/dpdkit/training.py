@@ -10,15 +10,15 @@ signal pairs, never coefficients.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, _require_integer
 from .nn import (
     DenseNet,
     NnGradients,
+    NnWorkspace,
     glorot_net,
     nn_backward,
     nn_backward_through_frozen,
@@ -58,10 +58,11 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "epochs_per_iteration", tuple(self.epochs_per_iteration))
-        # operator.index rejects a float or string count here, not inside a sweep row
-        for n in (self.outer_iterations, self.batch_size, self.train_symbols,
-                  self.val_symbols, self.seed, *self.epochs_per_iteration):
-            operator.index(n)
+        # a float or string count fails here, not inside a sweep row
+        for name in ("outer_iterations", "batch_size", "train_symbols", "val_symbols", "seed"):
+            _require_integer(name, getattr(self, name))
+        for e in self.epochs_per_iteration:
+            _require_integer("epochs_per_iteration", e)
         # 0 is allowed: the sweep harness treats it as "no training at all"
         # and reports the untouched passthrough baseline
         if self.outer_iterations < 0:
@@ -114,20 +115,17 @@ class TrainLog:
 
 @dataclass
 class AdamState:
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    """Adam's first and second moments, flat in the layout of ``DenseNet.flat_params``."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def fresh(cls, net: DenseNet) -> "AdamState":
-        return cls(
-            m_weights=[np.zeros_like(w) for w in net.weights],
-            m_biases=[np.zeros_like(b) for b in net.biases],
-            v_weights=[np.zeros_like(w) for w in net.weights],
-            v_biases=[np.zeros_like(b) for b in net.biases],
-        )
+        """Zero moments for ``net``, which is packed onto its flat parameter vector."""
+        size = net.flat_params().size
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(net: DenseNet, grads: NnGradients, state: AdamState, cfg: TrainConfig) -> None:
@@ -136,24 +134,20 @@ def adam_step(net: DenseNet, grads: NnGradients, state: AdamState, cfg: TrainCon
     Raises:
         DivergenceError: if any gradient entry is non-finite.
     """
-    for g in grads.weights + grads.biases:
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient; aborting the training phase")
+    g = grads.flat
+    if not np.isfinite(g).all():
+        raise DivergenceError("non-finite gradient; aborting the training phase")
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    for params, grad_list, m_list, v_list in (
-        (net.weights, grads.weights, state.m_weights, state.v_weights),
-        (net.biases, grads.biases, state.m_biases, state.v_biases),
-    ):
-        for p, g, m, v in zip(params, grad_list, m_list, v_list):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+    m, v, params = state.m, state.v, net.flat_params()
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    params -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -208,12 +202,14 @@ def train_pa_nn(
         epochs = cfg.epochs_per_iteration[0]
     log = log if log is not None else TrainLog()
     rng = np.random.default_rng([cfg.seed, 10 + iteration, 0])
+    workspace = NnWorkspace()
 
     def step(batch):
         return nn_backward(
             net,
             IqSignal(x_hat.samples[batch], x_hat.sample_rate_hz),
             IqSignal(y_norm.samples[batch], y_norm.sample_rate_hz),
+            workspace=workspace,
         )
 
     def evaluate():
@@ -249,10 +245,11 @@ def train_dpd_nn(
         epochs = cfg.epochs_per_iteration[0]
     log = log if log is not None else TrainLog()
     rng = np.random.default_rng([cfg.seed, 10 + iteration, 1])
+    workspace = NnWorkspace()
 
     def step(batch):
         return nn_backward_through_frozen(
-            dpd, pa_model, IqSignal(x.samples[batch], x.sample_rate_hz)
+            dpd, pa_model, IqSignal(x.samples[batch], x.sample_rate_hz), workspace=workspace
         )
 
     def evaluate():

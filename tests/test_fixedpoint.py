@@ -64,6 +64,13 @@ class TestFixedFormat:
             FixedFormat(total_bits=16, frac_bits=16)
         with pytest.raises(ConfigurationError):
             FixedFormat(total_bits=16, frac_bits=0)
+        # float64 cannot hold the top code of a wider word, so it would not saturate
+        for total_bits in (55, 64):
+            with pytest.raises(ConfigurationError):
+                FixedFormat(total_bits=total_bits, frac_bits=total_bits - 1)
+        stats = FixedPointStats()
+        widest = FixedFormat(total_bits=54, frac_bits=53)
+        assert quantize(1.0, widest, stats) == 1.0 - 2.0**-53 and stats.sat_events == 1
 
 
 class TestQuantize:

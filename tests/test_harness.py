@@ -414,7 +414,7 @@ class TestCli:
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert main(["sweep", "--spec", str(tmp_path / "nope.json")]) == 2
 
-    def test_bad_spec_contents_exit_2(self, tmp_path):
+    def test_bad_spec_contents_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "exp.json"
         bad_specs = [
             {"dpd_list": []},
@@ -423,26 +423,35 @@ class TestCli:
             {"train": {"epochs_per_iteration": 5}},
             {"seed": 3},  # the seed lives under train
             {"seed": "x"},
-            {"train": {"seed": "x"}},
             {"waveform": {"n_symbols": 2}},  # train.train_symbols/val_symbols size the frames
             {"dpd_list": [{"type": "poly", "P": 7, "taps": 1}]},  # descriptors are text
             {"dpd_list": ["poly P=3", "poly P=3 M=1"]},  # one design point twice
-            # counts and seeds are integers
-            {"train": {"val_symbols": 2.0}},
-            {"train": {"batch_size": 512.5}},
-            {"train": {"epochs_per_iteration": [2.5, 1]}},
-            {"waveform": {"n_subcarriers": 600.5}},
-            {"waveform": {"oversampling_factor": 4.0}},
-            {"waveform": {"seed": 1.5}},
-            {"fixed_point": {"frac_bits": 14.5}},
             # fixed settings, not spec keys
             {"train": {"adam_beta1": 0.5}},
             {"fixed_point": {"rounding": "truncate"}},
             [],
         ]
+        # counts, seeds and bit widths are integers; the error names the field
+        named = {
+            "train.seed": {"train": {"seed": "x"}},
+            "train.val_symbols": {"train": {"val_symbols": 2.0}},
+            "train.batch_size": {"train": {"batch_size": 512.5}},
+            "train.epochs_per_iteration": {"train": {"epochs_per_iteration": [2.5, 1]}},
+            "waveform.n_subcarriers": {"waveform": {"n_subcarriers": 600.5}},
+            "waveform.oversampling_factor": {"waveform": {"oversampling_factor": 4.0}},
+            "waveform.seed": {"waveform": {"seed": 1.5}},
+            "fixed_point.frac_bits": {"fixed_point": {"frac_bits": 14.5}},
+            # float64 cannot emulate a word wider than 54 bits exactly
+            "fixed_point.total_bits": {"fixed_point": {"total_bits": 60, "frac_bits": 59}},
+        }
         for raw in bad_specs:
             spec.write_text(json.dumps(raw))
             assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
+        capsys.readouterr()
+        for field, raw in named.items():
+            spec.write_text(json.dumps(raw))
+            assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
+            assert field in capsys.readouterr().err
 
     def test_failed_row_exits_1(self, tmp_path):
         spec = tmp_path / "exp.json"

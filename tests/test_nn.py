@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpdkit import IqSignal
+from dpdkit import IqSignal, OfdmConfig, generate_ofdm
 from dpdkit.complexity import nn_count_mults, nn_count_params
 from dpdkit.errors import ConfigurationError, FormatError
 from dpdkit.nn import (
     DenseNet,
+    NnWorkspace,
     glorot_net,
     load_net,
     nn_backward,
@@ -70,6 +71,66 @@ def assert_gradients_close(analytic_w, analytic_b, fd_w, fd_b, rel=1e-5):
     for a, f in zip(analytic_w + analytic_b, fd_w + fd_b):
         denom = np.maximum(np.abs(f), 1e-8)
         assert np.max(np.abs(a - f) / denom) < rel
+
+
+def _reference_split(x):
+    return np.stack([x.real, x.imag], axis=0)
+
+
+def _reference_forward_cached(net, x2):
+    """The allocating forward the buffered kernel must reproduce bit for bit."""
+    pres = []
+    h = x2
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pre = w @ h + b[:, None]
+        pres.append(pre)
+        h = np.maximum(pre, 0.0)
+    z = net.weights[-1] @ h + net.biases[-1][:, None] + x2
+    return z, pres
+
+
+def _reference_backward_from_output(net, x2, pres, dz):
+    """The allocating backward: every trainable's gradient and the input gradient."""
+    acts = [x2] + [np.maximum(p, 0.0) for p in pres]
+    grad_w = [None] * len(net.weights)
+    grad_b = [None] * len(net.biases)
+    grad_w[-1] = dz @ acts[-1].T
+    grad_b[-1] = dz.sum(axis=1)
+    upstream = net.weights[-1].T @ dz
+    for i in range(len(pres) - 1, -1, -1):
+        dpre = upstream * (pres[i] > 0.0)
+        grad_w[i] = dpre @ acts[i].T
+        grad_b[i] = dpre.sum(axis=1)
+        upstream = net.weights[i].T @ dpre
+    return grad_w, grad_b, upstream + dz
+
+
+def reference_forward(net, x):
+    z, _ = _reference_forward_cached(net, _reference_split(x.samples))
+    return z[0] + 1j * z[1]
+
+
+def reference_backward(net, x, target):
+    x2 = _reference_split(x.samples)
+    z, pres = _reference_forward_cached(net, x2)
+    err = z - _reference_split(target.samples)
+    gw, gb, _ = _reference_backward_from_output(net, x2, pres, err / err.shape[1])
+    return float(np.mean(err**2)), gw, gb
+
+
+def reference_backward_through_frozen(dpd, pa_model, x):
+    x2 = _reference_split(x.samples)
+    u, dpd_pres = _reference_forward_cached(dpd, x2)
+    z, pa_pres = _reference_forward_cached(pa_model, u)
+    err = z - x2
+    _, _, du = _reference_backward_from_output(pa_model, u, pa_pres, err / err.shape[1])
+    gw, gb, _ = _reference_backward_from_output(dpd, x2, dpd_pres, du)
+    return float(np.mean(err**2)), gw, gb
+
+
+def assert_same_bytes(actual, expected):
+    for a, e in zip(actual, expected, strict=True):
+        assert a.shape == e.shape and a.tobytes() == e.tobytes()
 
 
 class TestForward:
@@ -221,6 +282,80 @@ class TestFrozenComposition:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(pa.biases, before_b):
             np.testing.assert_array_equal(a, b)
+
+
+class TestKernelOracle:
+    """The buffered kernels reproduce the allocating formulas above byte for byte."""
+
+    SHAPES = [(1, 6), (1, 14), (2, 24), (2, 32)]
+    WIDTHS = [1024, 960, 1, 1024]
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return generate_ofdm(OfdmConfig(n_symbols=10, seed=1))[1]
+
+    def test_full_frame_forward_matches_reference(self, frame):
+        # 40,960 samples span five forward blocks; the odd length ends on a partial one
+        odd = IqSignal(frame.samples[:12345], RATE)
+        for k, n in self.SHAPES:
+            net = random_net(k, n, seed=60 + n)
+            for sig in (frame, odd):
+                assert_same_bytes([nn_forward(net, sig).samples], [reference_forward(net, sig)])
+
+    def test_one_workspace_matches_reference_across_shapes_and_widths(self, frame):
+        workspace = NnWorkspace()
+        pa_model = random_net(2, 24, seed=70)
+        for k, n in self.SHAPES:
+            net = random_net(k, n, seed=71 + n)
+            for offset, width in enumerate(self.WIDTHS):
+                x = IqSignal(frame.samples[offset : offset + width], RATE)
+                target = IqSignal(0.9 * frame.samples[offset + 3 : offset + 3 + width], RATE)
+                # compare each call before the next: its gradients alias the workspace
+                for call, reference in (
+                    (lambda: nn_backward(net, x, target, workspace=workspace),
+                     lambda: reference_backward(net, x, target)),
+                    (lambda: nn_backward_through_frozen(net, pa_model, x, workspace=workspace),
+                     lambda: reference_backward_through_frozen(net, pa_model, x)),
+                ):
+                    got, (loss, gw, gb) = call(), reference()
+                    assert got.loss == loss
+                    assert_same_bytes(got.weights + got.biases, gw + gb)
+
+    def test_nan_reaches_every_gradient_like_the_reference(self):
+        # a NaN sample reaches closed ReLUs through their mask: multiplying by
+        # the 0/1 mask keeps it, where selecting with np.where would zero it
+        net = random_net(2, 5, seed=80)
+        x = random_signal(64, seed=81)
+        x.samples[17] = np.nan
+        got = nn_backward(net, x, random_signal(64, seed=82), workspace=NnWorkspace())
+        _, gw, gb = reference_backward(net, x, random_signal(64, seed=82))
+        for a, e in zip(got.weights + got.biases, gw + gb):
+            assert np.isnan(a).all()
+            np.testing.assert_array_equal(a, e)
+
+    def test_gradients_are_views_of_one_flat_vector(self):
+        net = random_net(2, 4, seed=83)
+        grads = nn_backward(net, random_signal(16, 84), random_signal(16, 85))
+        offset = 0
+        for g in grads.weights + grads.biases:
+            np.testing.assert_array_equal(g.ravel(), grads.flat[offset : offset + g.size])
+            assert np.shares_memory(g, grads.flat)
+            offset += g.size
+        assert offset == grads.flat.size == nn_count_params(2, 4)
+
+    def test_flat_params_packs_once_and_repacks_after_replacement(self):
+        net = random_net(1, 3, seed=86)
+        values = [t.copy() for t in net.weights + net.biases]
+        flat = net.flat_params()
+        assert net.flat_params() is flat
+        assert_same_bytes(net.weights + net.biases, values)
+        flat += 1.0
+        np.testing.assert_array_equal(net.biases[0], values[2] + 1.0)
+        net.biases[0] = np.zeros(3)
+        repacked = net.flat_params()
+        assert repacked is not flat
+        np.testing.assert_array_equal(net.biases[0], np.zeros(3))
+        assert np.shares_memory(net.biases[0], repacked)
 
 
 class TestComplexityCounts:

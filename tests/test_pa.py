@@ -1,7 +1,12 @@
 """Tests for the simulated power amplifier and its profile file format."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpdkit import IqSignal, OfdmConfig, demodulate_ofdm, generate_ofdm
 from dpdkit.errors import FormatError, InputRangeError
@@ -155,6 +160,33 @@ class TestProfileIo:
         assert back.nominal_gain == 0.9 + 0.1j
         assert back.noise_stddev == 2e-4
         assert back.seed == 11
+
+    @given(
+        p_max=st.sampled_from([1, 3, 5, 7, 9]),
+        taps=st.integers(1, 3),
+        coefficients=st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                              min_size=15, max_size=15),
+        limit=st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
+        gain=st.complex_numbers(allow_nan=False, allow_infinity=False).filter(lambda g: g != 0),
+        noise=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_round_trip_bitwise_over_profiles(self, p_max, taps, coefficients, limit, gain,
+                                              noise, seed):
+        core = MemoryPolyModel.identity(PolyShape(p_max=p_max, main_taps=taps))
+        core.alpha[:] = np.reshape(coefficients[: core.alpha.size], core.alpha.shape)
+        pa = SimulatedPa(core=core, saturation_output_limit=limit, nominal_gain=gain,
+                         noise_stddev=noise, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "profile.txt"
+            save_pa_profile(pa, path)
+            back = load_pa_profile(path)
+        assert back.core.shape == core.shape
+        assert back.core.alpha.tobytes() == core.alpha.tobytes()
+        for a, b in ((back.saturation_output_limit, limit), (back.nominal_gain, pa.nominal_gain),
+                     (back.noise_stddev, noise)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert back.seed == seed
 
     def test_malformed_coefficient_row(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,7 +1,12 @@
 """Tests for the IqSignal container, PAPR, gain estimation and CSV I/O."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpdkit import (
     ConfigurationError,
@@ -90,6 +95,20 @@ class TestSignalCsv:
         assert np.array_equal(back.samples, sig.samples)
         assert back.sample_rate_hz == sig.sample_rate_hz
         assert meta["label"] == "unit"
+
+    @given(
+        samples=st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=40),
+        rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_round_trip_is_bitwise_over_samples_and_rates(self, samples, rate):
+        sig = IqSignal(np.array(samples, dtype=np.complex128), rate)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "sig.csv")
+            write_signal_csv(sig, path)
+            back, meta = read_signal_csv(path)
+        assert back.samples.tobytes() == sig.samples.tobytes()
+        assert back.sample_rate_hz == sig.sample_rate_hz and meta == {}
 
     def test_missing_sidecar_rejected(self, tmp_path):
         from dpdkit import FormatError

@@ -24,7 +24,15 @@ from dpdkit import (
 )
 from dpdkit.errors import ConfigurationError, DivergenceError
 from dpdkit.nn import DenseNet, NnGradients
-from dpdkit.training import ADAM_EPS, AdamState, adam_step, train_dpd_nn, train_pa_nn
+from dpdkit.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    adam_step,
+    train_dpd_nn,
+    train_pa_nn,
+)
 
 WAVEFORM = OfdmConfig(n_subcarriers=600, n_symbols=10, constellation="qam16", seed=1)
 VAL_WAVEFORM = OfdmConfig(n_subcarriers=600, n_symbols=10, constellation="qam16", seed=2)
@@ -126,6 +134,30 @@ class TestAdamStep:
         delta = np.abs(self.net.weights[0] - before)
         np.testing.assert_allclose(delta, self.cfg.learning_rate, rtol=0.01)
 
+    def test_matches_per_tensor_reference_bitwise(self):
+        # the update each tensor got before the moments and parameters went flat
+        net = glorot_net(2, 5, seed=8)
+        params = [t.copy() for t in net.weights + net.biases]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        state = AdamState.fresh(net)
+        rng = np.random.default_rng(9)
+        for t in range(1, 6):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            adam_step(net, NnGradients(grads[:3], grads[3:], 0.0), state, self.cfg)
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi *= ADAM_BETA1
+                mi += (1 - ADAM_BETA1) * g
+                vi *= ADAM_BETA2
+                vi += (1 - ADAM_BETA2) * g * g
+                p -= self.cfg.learning_rate * (mi / (1.0 - ADAM_BETA1**t)) / (
+                    np.sqrt(vi / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
+                )
+            for a, b in zip(net.weights + net.biases, params):
+                assert a.tobytes() == b.tobytes()
+            assert state.m.tobytes() == np.concatenate([x.ravel() for x in m]).tobytes()
+            assert state.v.tobytes() == np.concatenate([x.ravel() for x in v]).tobytes()
+
     def test_nonfinite_gradient_raises(self):
         grads = self.zero_grads()
         grads.weights[0][0, 0] = np.nan
@@ -192,6 +224,27 @@ class TestTrainPaNn:
         for a, b in zip(logs[0].records, logs[1].records):
             assert a == b
 
+    def test_partial_last_batch_reruns_bitwise(self, pa_pairs):
+        # 40,960 samples in batches of 1000 end on a 960-sample batch each epoch
+        assert len(pa_pairs[0]) % 1000 == 960
+        runs = []
+        for _ in range(2):
+            cfg = TrainConfig(seed=4, batch_size=1000)
+            net, log = train_pa_nn(pa_pairs, glorot_net(2, 8, seed=[cfg.seed, 0]), cfg, epochs=2)
+            runs.append((net, log))
+        (net_a, log_a), (net_b, log_b) = runs
+        assert log_a.records == log_b.records
+        for a, b in zip(net_a.weights + net_a.biases, net_b.weights + net_b.biases):
+            assert a.tobytes() == b.tobytes()
+
+    def test_nan_in_a_minibatch_raises_divergence(self, pa_pairs):
+        x, y = pa_pairs
+        poisoned = y.samples.copy()
+        poisoned[123] = np.nan
+        with pytest.raises(DivergenceError):
+            train_pa_nn((x, IqSignal(poisoned, y.sample_rate_hz)), glorot_net(1, 4, seed=0),
+                        TrainConfig(seed=0), epochs=1)
+
     def test_pair_length_mismatch_rejected(self, frame):
         short = IqSignal(frame.samples[:-1], frame.sample_rate_hz)
         with pytest.raises(ConfigurationError):
@@ -213,6 +266,13 @@ class TestTrainDpdNn:
         dpd = glorot_net(1, 14, seed=[cfg.seed, 5])
         dpd, log = train_dpd_nn(dpd, learned_pa_model, frame, cfg, epochs=20)
         assert log.records[-1].train_mse < 0.1 * log.records[0].train_mse
+
+    def test_nan_in_a_minibatch_raises_divergence(self, frame, learned_pa_model):
+        poisoned = frame.samples.copy()
+        poisoned[4321] = np.nan
+        with pytest.raises(DivergenceError):
+            train_dpd_nn(glorot_net(1, 6, seed=11), learned_pa_model,
+                         IqSignal(poisoned, frame.sample_rate_hz), TrainConfig(seed=0), epochs=1)
 
     def test_frozen_model_is_bitwise_untouched(self, frame, learned_pa_model):
         before_w = [w.copy() for w in learned_pa_model.weights]
