@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import math
+import numbers
 import operator
 
 
@@ -28,6 +30,18 @@ def _require_integer(field: str, value) -> None:
         operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{field} must be an integer, got {value!r}", field) from None
+
+
+def _require_real(field: str, value) -> None:
+    """Reject a real setting given as a string, a bool or a NaN/inf, naming its field.
+
+    JSON reads NaN, Infinity and true into values that slip past a ``> 0``
+    check or fail later with a message that does not name the field.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{field} must be a real number, got {value!r}", field)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{field} must be finite, got {value!r}", field)
 
 
 class FramingError(DpdError):

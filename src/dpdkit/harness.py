@@ -81,6 +81,11 @@ class ExperimentSpec:
     output_dir: str = "sweep_out"
 
     def __post_init__(self):
+        # a bare string would otherwise be read one character per descriptor
+        if not isinstance(self.dpd_list, list) or not all(isinstance(d, str) for d in self.dpd_list):
+            raise ConfigurationError(
+                f"dpd_list must be a list of descriptor strings, got {self.dpd_list!r}", "dpd_list"
+            )
         if not self.dpd_list:
             raise ConfigurationError("dpd_list must not be empty")
         # two texts naming one design point would fit twice into one row directory

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 from .errors import ConfigurationError, MetricError
 from .ofdm import SymbolGrid
@@ -30,6 +30,28 @@ class PsdEstimate:
     power_db: np.ndarray
 
 
+def _welch(x: np.ndarray, fs: float, nperseg: int, noverlap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided Welch density with a periodic Hann window, mean over segments.
+
+    The arithmetic is scipy.signal.welch's (scipy 1.17, detrend=False,
+    scaling="density") operation for operation, so the bytes match it: the
+    window's scale uses Python's sequential sum, and the periodograms are the
+    columns of an (nperseg, p) array so the mean reduces along the same
+    contiguous axis.
+    """
+    t = 1 / fs
+    # scipy adds 0.5*cos(0*phi) == 0.5 to zeros, then 0.5*cos(phi): the same bits
+    w = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)))[:-1]
+    w = w * (1 / np.sqrt(sum(w**2) / t))
+    hop = nperseg - noverlap
+    p = (len(x) - noverlap) // hop
+    spec = np.empty((nperseg, p), dtype=complex)
+    for k in range(p):
+        spec[:, k] = scipy.fft.fft(x[k * hop : k * hop + nperseg] * w)
+    psd = (spec.real**2 + spec.imag**2).mean(axis=-1)
+    return scipy.fft.fftfreq(nperseg, t), psd
+
+
 def _welch_linear(signal: IqSignal, segment_len: int, overlap: float) -> tuple[np.ndarray, np.ndarray]:
     """Averaged Hann-window periodogram, fftshifted, Parseval-renormalized.
 
@@ -44,16 +66,8 @@ def _welch_linear(signal: IqSignal, segment_len: int, overlap: float) -> tuple[n
         raise ConfigurationError(f"segment_len {segment_len} exceeds signal length {n}")
     if not 0 <= overlap < 1:
         raise ConfigurationError(f"overlap must be in [0, 1), got {overlap}")
-    freqs, psd = scipy.signal.welch(
-        signal.samples,
-        fs=signal.sample_rate_hz,
-        window="hann",
-        nperseg=segment_len,
-        noverlap=int(segment_len * overlap),
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
+    freqs, psd = _welch(signal.samples, signal.sample_rate_hz, segment_len,
+                        int(segment_len * overlap))
     freqs = np.fft.fftshift(freqs)
     psd = np.fft.fftshift(psd)
     df = signal.sample_rate_hz / segment_len
@@ -62,6 +76,12 @@ def _welch_linear(signal: IqSignal, segment_len: int, overlap: float) -> tuple[n
     if total > 0:
         psd = psd * (mean_power / total)
     return freqs, psd
+
+
+def _require_finite(signal: IqSignal) -> None:
+    """Reject NaN/inf samples, which would turn every bin and the ACLR into nan."""
+    if not np.isfinite(signal.samples).all():
+        raise MetricError("signal holds non-finite samples; the PSD is undefined")
 
 
 def default_segment_len(n_samples: int) -> int:
@@ -87,10 +107,12 @@ def psd_welch(
             "none" keeps absolute density in dB.
 
     Raises:
-        MetricError: for an all-zero signal under peak normalization.
+        MetricError: for a signal with NaN/inf samples, or an all-zero signal
+            under peak normalization.
     """
     if normalize not in ("peak", "none"):
         raise ConfigurationError(f"normalize must be 'peak' or 'none', got {normalize!r}")
+    _require_finite(signal)
     freqs, psd = _welch_linear(signal, segment_len, overlap)
     peak = float(np.max(psd))
     if normalize == "peak":
@@ -118,7 +140,8 @@ def aclr_db(
     Raises:
         ConfigurationError: if the sample rate does not exceed the channel
             bandwidth.
-        MetricError: if the channel power is zero.
+        MetricError: if the signal holds NaN/inf samples or the channel
+            power is zero.
     """
     return aclr_db_gated(signal, len(signal), channel_bw_hz, segment_len, overlap)
 
@@ -141,7 +164,8 @@ def aclr_db_gated(
     Raises:
         ConfigurationError: if the record is not a whole number of blocks
             or the sample rate does not exceed the channel bandwidth.
-        MetricError: if the pooled channel power is zero.
+        MetricError: if the signal holds NaN/inf samples or the pooled
+            channel power is zero.
     """
     if block_len <= 0 or len(signal) % block_len != 0:
         raise ConfigurationError(
@@ -151,6 +175,7 @@ def aclr_db_gated(
         raise ConfigurationError(
             f"sample rate {signal.sample_rate_hz} Hz must exceed channel bandwidth {channel_bw_hz} Hz"
         )
+    _require_finite(signal)
     if segment_len is None:
         segment_len = default_segment_len(block_len)
     half = channel_bw_hz / 2.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FramingError, _require_integer
+from .errors import ConfigurationError, FramingError, _require_integer, _require_real
 from .signals import IqSignal
 
 
@@ -61,10 +61,14 @@ class OfdmConfig:
         # a float or string count fails before any frame is built
         for name in ("n_subcarriers", "n_symbols", "oversampling_factor", "seed"):
             _require_integer(name, getattr(self, name))
+        _require_real("subcarrier_spacing_hz", self.subcarrier_spacing_hz)
         if self.n_subcarriers < 1:
             raise ConfigurationError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}")
         if not self.subcarrier_spacing_hz > 0:
-            raise ConfigurationError("subcarrier_spacing_hz must be positive")
+            raise ConfigurationError(
+                f"subcarrier_spacing_hz must be positive, got {self.subcarrier_spacing_hz}",
+                "subcarrier_spacing_hz",
+            )
         if self.n_symbols < 1:
             raise ConfigurationError(f"n_symbols must be >= 1, got {self.n_symbols}")
         if self.constellation not in CONSTELLATIONS:

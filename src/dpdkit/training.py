@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, _require_integer
+from .errors import ConfigurationError, DivergenceError, _require_integer, _require_real
 from .nn import (
     DenseNet,
     NnGradients,
@@ -63,6 +63,7 @@ class TrainConfig:
             _require_integer(name, getattr(self, name))
         for e in self.epochs_per_iteration:
             _require_integer("epochs_per_iteration", e)
+        _require_real("learning_rate", self.learning_rate)
         # 0 is allowed: the sweep harness treats it as "no training at all"
         # and reports the untouched passthrough baseline
         if self.outer_iterations < 0:
@@ -75,7 +76,8 @@ class TrainConfig:
         if any(e < 1 for e in self.epochs_per_iteration):
             raise ConfigurationError("every epoch count must be positive")
         if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}",
+                                     "learning_rate")
         if self.batch_size < 1 or self.train_symbols < 1 or self.val_symbols < 1:
             raise ConfigurationError("batch_size and symbol counts must be positive")
         if self.seed < 0:

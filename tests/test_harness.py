@@ -147,6 +147,12 @@ class TestExperimentSpec:
                 ExperimentSpec(dpd_list=[first, "poly P=5 M=1", second])
             assert repr(first) in str(info.value) and repr(second) in str(info.value)
 
+    def test_dpd_list_must_be_a_list_of_strings(self):
+        # a bare string used to be read one character per descriptor
+        for bad in ("poly P=3", ("poly P=3",), ["poly P=3", 7], [{"type": "poly", "P": 3}]):
+            with pytest.raises(ConfigurationError, match="list of descriptor strings"):
+                ExperimentSpec(dpd_list=bad)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(seed=-1)
@@ -431,24 +437,34 @@ class TestCli:
             {"fixed_point": {"rounding": "truncate"}},
             [],
         ]
-        # counts, seeds and bit widths are integers; the error names the field
-        named = {
-            "train.seed": {"train": {"seed": "x"}},
-            "train.val_symbols": {"train": {"val_symbols": 2.0}},
-            "train.batch_size": {"train": {"batch_size": 512.5}},
-            "train.epochs_per_iteration": {"train": {"epochs_per_iteration": [2.5, 1]}},
-            "waveform.n_subcarriers": {"waveform": {"n_subcarriers": 600.5}},
-            "waveform.oversampling_factor": {"waveform": {"oversampling_factor": 4.0}},
-            "waveform.seed": {"waveform": {"seed": 1.5}},
-            "fixed_point.frac_bits": {"fixed_point": {"frac_bits": 14.5}},
+        # counts, seeds and bit widths are integers, rates and spacings finite
+        # reals; the error names the field
+        named = [
+            ("train.seed", {"train": {"seed": "x"}}),
+            ("train.val_symbols", {"train": {"val_symbols": 2.0}}),
+            ("train.batch_size", {"train": {"batch_size": 512.5}}),
+            ("train.epochs_per_iteration", {"train": {"epochs_per_iteration": [2.5, 1]}}),
+            ("waveform.n_subcarriers", {"waveform": {"n_subcarriers": 600.5}}),
+            ("waveform.oversampling_factor", {"waveform": {"oversampling_factor": 4.0}}),
+            ("waveform.seed", {"waveform": {"seed": 1.5}}),
+            ("fixed_point.frac_bits", {"fixed_point": {"frac_bits": 14.5}}),
             # float64 cannot emulate a word wider than 54 bits exactly
-            "fixed_point.total_bits": {"fixed_point": {"total_bits": 60, "frac_bits": 59}},
-        }
+            ("fixed_point.total_bits", {"fixed_point": {"total_bits": 60, "frac_bits": 59}}),
+            ("train.learning_rate", {"train": {"learning_rate": "x"}}),
+            ("train.learning_rate", {"train": {"learning_rate": float("nan")}}),
+            ("train.learning_rate", {"train": {"learning_rate": float("inf")}}),
+            ("train.learning_rate", {"train": {"learning_rate": True}}),
+            ("train.learning_rate", {"train": {"learning_rate": 0}}),
+            ("waveform.subcarrier_spacing_hz", {"waveform": {"subcarrier_spacing_hz": "x"}}),
+            ("waveform.subcarrier_spacing_hz", {"waveform": {"subcarrier_spacing_hz": float("nan")}}),
+            ("waveform.subcarrier_spacing_hz", {"waveform": {"subcarrier_spacing_hz": -15e3}}),
+            ("list of descriptor strings", {"dpd_list": "poly P=3"}),
+        ]
         for raw in bad_specs:
             spec.write_text(json.dumps(raw))
             assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
         capsys.readouterr()
-        for field, raw in named.items():
+        for field, raw in named:
             spec.write_text(json.dumps(raw))
             assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
             assert field in capsys.readouterr().err

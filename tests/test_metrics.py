@@ -1,13 +1,72 @@
 """Tests for PSD, ACLR, and EVM measurements."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import dpdkit
 from dpdkit import IqSignal, OfdmConfig, demodulate_ofdm, generate_ofdm
 from dpdkit.errors import ConfigurationError, MetricError
-from dpdkit.metrics import aclr_db, aclr_db_gated, evm_percent, psd_welch
+from dpdkit.metrics import _welch, aclr_db, aclr_db_gated, evm_percent, psd_welch
 
 RATE = 61.44e6
+
+
+def _scipy_welch(x, fs, nperseg, noverlap):
+    return scipy.signal.welch(x, fs, window="hann", nperseg=nperseg, noverlap=noverlap,
+                              detrend=False, return_onesided=False, scaling="density")
+
+
+def _assert_same_bytes(x, fs, nperseg, noverlap):
+    f_ref, p_ref = _scipy_welch(x, fs, nperseg, noverlap)
+    f, p = _welch(x, fs, nperseg, noverlap)
+    assert f.dtype == f_ref.dtype and p.dtype == p_ref.dtype
+    assert f.tobytes() == f_ref.tobytes()
+    assert p.tobytes() == p_ref.tobytes()
+
+
+class TestWelchOracle:
+    """_welch must reproduce scipy.signal.welch byte for byte."""
+
+    @pytest.mark.parametrize("overlap", [0, 0.5, 0.75])
+    @pytest.mark.parametrize("nperseg", [2, 64, 1024])
+    @pytest.mark.parametrize("n", [None, 4096, 5000, 40960])
+    def test_bitwise_over_grid(self, n, nperseg, overlap):
+        n = nperseg if n is None else n
+        rng = np.random.default_rng(n + nperseg)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        _assert_same_bytes(x, RATE, nperseg, int(nperseg * overlap))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=hnp.arrays(np.complex128, st.integers(2, 600),
+                     elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                                 allow_infinity=False)),
+        log2_nperseg=st.integers(1, 9),
+        overlap=st.sampled_from([0, 0.25, 0.5, 0.75]),
+        fs=st.floats(1.0, 1e9),
+    )
+    def test_bitwise_on_any_finite_signal(self, x, log2_nperseg, overlap, fs):
+        nperseg = min(1 << log2_nperseg, 1 << (len(x).bit_length() - 1))
+        _assert_same_bytes(x, fs, nperseg, int(nperseg * overlap))
+
+    def test_cli_import_leaves_scipy_signal_out(self):
+        # scipy.signal costs every run ~0.45 s and ~41 MB of imports it does not need
+        src = str(Path(dpdkit.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys, dpdkit.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestPsd:
@@ -57,6 +116,14 @@ class TestPsd:
         with pytest.raises(MetricError):
             psd_welch(sig, normalize="peak")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_sample_rejected(self, bad):
+        samples = np.ones(2048, dtype=complex)
+        samples[700] = bad
+        for normalize in ("peak", "none"):
+            with pytest.raises(MetricError, match="non-finite"):
+                psd_welch(IqSignal(samples, RATE), normalize=normalize)
+
 
 class TestAclr:
     def test_scale_invariant(self):
@@ -80,6 +147,18 @@ class TestAclr:
         sig = IqSignal(np.zeros(4096, dtype=complex), RATE)
         with pytest.raises(MetricError):
             aclr_db(sig)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 0)])
+    def test_non_finite_sample_rejected(self, bad):
+        cfg = OfdmConfig(n_subcarriers=600, n_symbols=2, seed=5)
+        _, x = generate_ofdm(cfg)
+        samples = x.samples.copy()
+        samples[-1] = bad  # the last block only: the check covers the whole record
+        sig = IqSignal(samples, x.sample_rate_hz)
+        with pytest.raises(MetricError, match="non-finite"):
+            aclr_db(sig)
+        with pytest.raises(MetricError, match="non-finite"):
+            aclr_db_gated(sig, cfg.dft_size)
 
 
 class TestGatedAclr:
