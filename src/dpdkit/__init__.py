@@ -17,8 +17,6 @@ from .errors import (
     MetricError,
 )
 from .mempoly import (
-    IlaConfig,
-    IlaResult,
     MemoryPolyModel,
     PolyShape,
     fit_ila,
@@ -32,12 +30,8 @@ from .complexity import (
     count_nn_multiplies,
     count_poly_multiplies,
     nn_count,
-    nn_count_mults,
-    nn_count_params,
     parse_descriptor,
     poly_count,
-    poly_count_mults,
-    poly_count_params,
 )
 from .fixedpoint import (
     FixedFormat,
@@ -54,7 +48,7 @@ from .harness import (
     emit_psd_overlay,
     run_sweep,
 )
-from .metrics import PsdEstimate, aclr_db, aclr_db_gated, evm_percent, psd_welch
+from .metrics import PsdEstimate, aclr_db_gated, evm_percent, psd_welch
 from .nn import (
     DenseNet,
     glorot_net,
@@ -100,8 +94,6 @@ __all__ = [
     "FixedPointStats",
     "FormatError",
     "FramingError",
-    "IlaConfig",
-    "IlaResult",
     "InputRangeError",
     "IqSignal",
     "MemoryPolyModel",
@@ -114,7 +106,6 @@ __all__ = [
     "TrainConfig",
     "TrainLog",
     "TrainRecord",
-    "aclr_db",
     "aclr_db_gated",
     "adam_step",
     "demodulate_ofdm",
@@ -134,15 +125,11 @@ __all__ = [
     "nn_backward",
     "nn_backward_through_frozen",
     "nn_count",
-    "nn_count_mults",
-    "nn_count_params",
     "nn_forward",
     "nn_forward_fixed",
     "papr_db",
     "parse_descriptor",
     "poly_count",
-    "poly_count_mults",
-    "poly_count_params",
     "poly_forward_fixed",
     "poly_predistort",
     "psd_welch",

@@ -29,11 +29,7 @@ from .nn import DenseNet
 __all__ = [
     "ComplexityReport",
     "poly_count",
-    "poly_count_mults",
-    "poly_count_params",
     "nn_count",
-    "nn_count_mults",
-    "nn_count_params",
     "parse_descriptor",
     "count_poly_multiplies",
     "count_nn_multiplies",
@@ -56,51 +52,33 @@ def _envelope_chain_mults(p_max: int) -> int:
     return sum((p + 5) // 2 for p in range(3, p_max + 1, 2))
 
 
-def poly_count_params(shape: PolyShape) -> int:
-    """Real-valued coefficient count; the DC term is excluded by convention."""
-    return 2 * shape.n_complex_coeffs
-
-
-def poly_count_mults(shape: PolyShape) -> int:
-    """Real multiplications per output sample of the memory polynomial."""
-    coefficient = 3 * shape.n_complex_coeffs
-    return coefficient + _envelope_chain_mults(shape.p_max) + _envelope_chain_mults(shape.q_max)
-
-
 def poly_count(shape: PolyShape) -> ComplexityReport:
+    """Real coefficients (DC excluded by convention), real multiplies per sample, descriptor."""
     text = f"poly P={shape.p_max} M={shape.main_taps}"
     if shape.q_max:
         text += f" Q={shape.q_max} L={shape.conj_taps}"
     if shape.include_dc:
         text += " +dc"
+    envelopes = _envelope_chain_mults(shape.p_max) + _envelope_chain_mults(shape.q_max)
     return ComplexityReport(
-        n_params_real=poly_count_params(shape),
-        n_mults=poly_count_mults(shape),
+        n_params_real=2 * shape.n_complex_coeffs,
+        n_mults=3 * shape.n_complex_coeffs + envelopes,
         model_descriptor=text,
     )
 
 
-def nn_count_mults(hidden_layers: int, width: int) -> int:
-    """Real multiplications per sample; the identity bypass costs none."""
-    k, n = hidden_layers, width
-    if k < 1 or n < 1:
-        raise ConfigurationError(f"need K >= 1 and N >= 1, got K={k}, N={n}")
-    return 4 * n + (k - 1) * n * n
-
-
-def nn_count_params(hidden_layers: int, width: int) -> int:
-    """Real trainable parameters; the fixed bypass is excluded."""
-    k, n = hidden_layers, width
-    if k < 1 or n < 1:
-        raise ConfigurationError(f"need K >= 1 and N >= 1, got K={k}, N={n}")
-    return 2 * n + n + (k - 1) * (n * n + n) + 2 * n + 2
-
-
 def nn_count(hidden_layers: int, width: int) -> ComplexityReport:
+    """Real trainable parameters, real multiplies per sample, descriptor.
+
+    The fixed identity bypass is neither a parameter nor a multiply.
+    """
+    k, n = hidden_layers, width
+    if k < 1 or n < 1:
+        raise ConfigurationError(f"need K >= 1 and N >= 1, got K={k}, N={n}")
     return ComplexityReport(
-        n_params_real=nn_count_params(hidden_layers, width),
-        n_mults=nn_count_mults(hidden_layers, width),
-        model_descriptor=f"nn_K{hidden_layers}_N{width}",
+        n_params_real=2 * n + n + (k - 1) * (n * n + n) + 2 * n + 2,
+        n_mults=4 * n + (k - 1) * n * n,
+        model_descriptor=f"nn_K{k}_N{n}",
     )
 
 

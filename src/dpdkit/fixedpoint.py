@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, _require_integer
+from .errors import ConfigurationError, InputRangeError, _require_integer
 from .mempoly import MemoryPolyModel, _delayed
 from .nn import DenseNet
-from .signals import IqSignal
+from .signals import IqSignal, _require_finite
 
 __all__ = [
     "FixedFormat",
@@ -144,7 +144,11 @@ def nn_forward_fixed(
     tree output; ReLU is a sign select. The bypass is wiring into the output
     adder, not a stored coefficient — it multiplies nothing in the count and
     is applied exactly here, with only a final range check on the sum.
+
+    Raises:
+        InputRangeError: if the signal holds NaN/inf samples.
     """
+    _require_finite(x, InputRangeError)
     fmt = fmt or FixedFormat()
     x2 = np.stack([x.samples.real, x.samples.imag])
     h = quantize(x2, fmt, stats)
@@ -171,7 +175,11 @@ def poly_forward_fixed(
     component — the stream whose zeros feed the underflow tally. Complex FIR
     tap products stay exact at double width with one rounding at each branch
     accumulator, and branch outputs are summed in-format.
+
+    Raises:
+        InputRangeError: if the signal holds NaN/inf samples.
     """
+    _require_finite(x, InputRangeError)
     fmt = fmt or FixedFormat()
     s = model.shape
     xq = quantize(x.samples, fmt, stats)

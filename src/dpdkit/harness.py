@@ -20,22 +20,13 @@ import numpy as np
 from .complexity import ComplexityReport, parse_descriptor
 from .errors import AlignmentError, ConfigurationError
 from .fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
-from .mempoly import (
-    IlaConfig,
-    MemoryPolyModel,
-    fit_ila,
-    poly_predistort,
-    rescale_cascade_gain,
-    save_poly_model,
-)
+from .mempoly import fit_ila, poly_predistort, rescale_cascade_gain, save_poly_model
 from .metrics import aclr_db_gated, evm_percent, psd_welch
-from .nn import DenseNet, nn_forward, save_net
+from .nn import nn_forward, save_net
 from .ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
 from .pa import load_default_pa, load_pa_profile
 from .signals import IqSignal, _fmt
-from .training import (
-    DEFAULT_PA_MODEL_SHAPE, TrainConfig, TrainLog, _frame_configs, run_full_training
-)
+from .training import DEFAULT_PA_MODEL_SHAPE, TrainConfig, _frame_configs, run_full_training
 
 __all__ = [
     "DEFAULT_SWEEP",
@@ -210,12 +201,7 @@ def _fit(kind, params, pa, spec: ExperimentSpec, x_train, row_dir: Path):
     is created only after the fit succeeds: a failed row leaves no directory.
     """
     if kind == "poly":
-        if spec.train.outer_iterations == 0:
-            model, residuals = MemoryPolyModel.identity(params), []
-        else:
-            cfg = IlaConfig(params, n_iterations=spec.train.outer_iterations)
-            result = fit_ila(pa, cfg, x_train)
-            model, residuals = result.model, result.residuals
+        model, residuals = fit_ila(pa, params, x_train, spec.train.outer_iterations)
         if spec.fixed_point is not None:
             model = rescale_cascade_gain(model, POLY_FIXED_BACKOFF)
         row_dir.mkdir(parents=True, exist_ok=True)
@@ -224,12 +210,9 @@ def _fit(kind, params, pa, spec: ExperimentSpec, x_train, row_dir: Path):
         lines += [f"{i + 1},{_fmt(r)}" for i, r in enumerate(residuals)]
         (row_dir / "trainlog.csv").write_text("\n".join(lines) + "\n")
         return model, poly_predistort, poly_forward_fixed
-    if spec.train.outer_iterations == 0:
-        net, log = DenseNet.zeros(*params), TrainLog()
-    else:
-        net, log = run_full_training(
-            pa, shapes=(params, DEFAULT_PA_MODEL_SHAPE), cfg=spec.train, waveform=spec.waveform
-        )
+    net, log = run_full_training(
+        pa, shapes=(params, DEFAULT_PA_MODEL_SHAPE), cfg=spec.train, waveform=spec.waveform
+    )
     row_dir.mkdir(parents=True, exist_ok=True)
     save_net(net, str(row_dir / "model.txt"))
     log.to_csv(str(row_dir / "trainlog.csv"))
@@ -238,7 +221,7 @@ def _fit(kind, params, pa, spec: ExperimentSpec, x_train, row_dir: Path):
 
 def _evaluate(pa, predistorted: IqSignal, val_cfg: OfdmConfig, ref_grid) -> tuple[float, float, IqSignal]:
     y = pa.apply(predistorted)
-    aclr = aclr_db_gated(y, val_cfg.dft_size)
+    aclr = aclr_db_gated(y, val_cfg)
     evm = evm_percent(ref_grid, demodulate_ofdm(y, val_cfg))
     return aclr, evm, y
 

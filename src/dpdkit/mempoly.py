@@ -15,13 +15,15 @@ the same way, then the DC column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConditioningError, ConfigurationError, FormatError
-from .signals import IqSignal, _fmt, estimate_gain
+from .errors import (
+    ConditioningError, ConfigurationError, FormatError, InputRangeError, _require_integer
+)
+from .signals import IqSignal, _fmt, _require_finite, estimate_gain
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,12 @@ def _apply(model: MemoryPolyModel, x: np.ndarray) -> np.ndarray:
 
 
 def poly_predistort(model: MemoryPolyModel, signal: IqSignal) -> IqSignal:
-    """Run a signal through the memory polynomial."""
+    """Run a signal through the memory polynomial.
+
+    Raises:
+        InputRangeError: if the signal holds NaN/inf samples.
+    """
+    _require_finite(signal, InputRangeError)
     return IqSignal(_apply(model, signal.samples), signal.sample_rate_hz)
 
 
@@ -196,27 +203,9 @@ def solve_regularized_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return theta
 
 
-@dataclass(frozen=True)
-class IlaConfig:
-    """Indirect-learning fit settings."""
-
-    shape: PolyShape
-    n_iterations: int = 2
-
-    def __post_init__(self):
-        if self.n_iterations < 1:
-            raise ConfigurationError(f"n_iterations must be >= 1, got {self.n_iterations}")
-
-
-@dataclass
-class IlaResult:
-    """Outcome of fit_ila: the fitted predistorter and per-iteration LS residuals."""
-
-    model: MemoryPolyModel
-    residuals: list[float] = field(default_factory=list)
-
-
-def fit_ila(pa, cfg: IlaConfig, x_train: IqSignal) -> IlaResult:
+def fit_ila(
+    pa, shape: PolyShape, x_train: IqSignal, n_iterations: int
+) -> tuple[MemoryPolyModel, list[float]]:
     """Fit a memory-polynomial predistorter by indirect learning.
 
     Each iteration transmits the current predistorter output through the PA,
@@ -227,31 +216,36 @@ def fit_ila(pa, cfg: IlaConfig, x_train: IqSignal) -> IlaResult:
 
     Args:
         pa: anything exposing apply(IqSignal) -> IqSignal (e.g. SimulatedPa).
-        cfg: fit settings.
+        shape: the predistorter's structure.
         x_train: training signal; must be at least 10 samples per coefficient.
+        n_iterations: ILA iterations; 0 returns the identity model without
+            touching ``pa``.
 
     Returns:
-        IlaResult with the final model and the relative LS residual
+        (model, residuals): the final model and the relative LS residual
         ||A theta - b|| / ||b|| of each iteration.
     """
-    n_cols = cfg.shape.n_basis_columns
-    if len(x_train) < 10 * n_cols:
+    _require_integer("n_iterations", n_iterations)
+    if n_iterations < 0:
+        raise ConfigurationError(f"n_iterations must be >= 0, got {n_iterations}")
+    n_cols = shape.n_basis_columns
+    if n_iterations and len(x_train) < 10 * n_cols:
         raise ConfigurationError(
             f"training signal has {len(x_train)} samples; "
             f"need at least {10 * n_cols} for {n_cols} coefficients"
         )
-    model = MemoryPolyModel.identity(cfg.shape)
+    model = MemoryPolyModel.identity(shape)
     residuals: list[float] = []
-    for _ in range(cfg.n_iterations):
+    for _ in range(n_iterations):
         x_hat = poly_predistort(model, x_train)
         y = pa.apply(x_hat)
         g = estimate_gain(x_hat, y)
-        A = build_basis(y.samples / g, cfg.shape)
+        A = build_basis(y.samples / g, shape)
         b = x_hat.samples
         theta = solve_regularized_ls(A, b)
         residuals.append(float(np.linalg.norm(A @ theta - b) / np.linalg.norm(b)))
-        model = MemoryPolyModel.from_coefficients(cfg.shape, theta)
-    return IlaResult(model, residuals)
+        model = MemoryPolyModel.from_coefficients(shape, theta)
+    return model, residuals
 
 
 def save_poly_model(model: MemoryPolyModel, path: str) -> None:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError
-from .signals import IqSignal, _fmt
+from .errors import ConfigurationError, FormatError, InputRangeError
+from .signals import IqSignal, _fmt, _require_finite
 
 __all__ = [
     "DenseNet",
@@ -270,7 +270,12 @@ def _loss_and_dz(z: np.ndarray, target2: np.ndarray, sq: np.ndarray) -> float:
 
 
 def nn_forward(net: DenseNet, x: IqSignal) -> IqSignal:
-    """Apply the network sample-wise to a complex signal."""
+    """Apply the network sample-wise to a complex signal.
+
+    Raises:
+        InputRangeError: if the signal holds NaN/inf samples.
+    """
+    _require_finite(x, InputRangeError)
     n = len(x)
     out = np.empty(n, dtype=np.complex128)
     ws = NnWorkspace()

@@ -100,6 +100,11 @@ class OfdmConfig:
         return self.n_subcarriers * self.subcarrier_spacing_hz
 
     @property
+    def channel_bandwidth_hz(self) -> float:
+        """ACLR channel: the occupied band is 90% of it (LTE's transmission-bandwidth rule)."""
+        return self.occupied_bandwidth_hz / 0.9
+
+    @property
     def n_samples(self) -> int:
         return self.n_symbols * self.dft_size
 

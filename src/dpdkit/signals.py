@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, MetricError
+from .errors import ConfigurationError, DpdError, FormatError, MetricError
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,12 @@ class IqSignal:
 
     def mean_power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2))
+
+
+def _require_finite(signal: IqSignal, error: type[DpdError]) -> None:
+    """Raise ``error`` if any sample is NaN/inf, which would pass through every stage as nan."""
+    if not np.isfinite(signal.samples).all():
+        raise error("signal holds non-finite samples")
 
 
 def papr_db(signal: IqSignal) -> float:

@@ -64,8 +64,7 @@ class TrainConfig:
         for e in self.epochs_per_iteration:
             _require_integer("epochs_per_iteration", e)
         _require_real("learning_rate", self.learning_rate)
-        # 0 is allowed: the sweep harness treats it as "no training at all"
-        # and reports the untouched passthrough baseline
+        # 0 is allowed: run_full_training then returns the passthrough net
         if self.outer_iterations < 0:
             raise ConfigurationError(f"outer_iterations must be >= 0, got {self.outer_iterations}")
         if len(self.epochs_per_iteration) != self.outer_iterations:
@@ -295,11 +294,14 @@ def run_full_training(
     ``waveform`` defaults to ``OfdmConfig(seed=1)``; ``cfg`` sets its symbol counts.
     Iteration 1 transmits the raw frame; later iterations transmit the
     current predistorter's output, so the model sees the amplifier in the
-    region the predistorter actually drives.
+    region the predistorter actually drives. With zero outer iterations the
+    predistorter is the passthrough ``DenseNet.zeros`` and no frame is built.
     """
     if cfg is None:
         cfg = TrainConfig()
     dpd_shape, model_shape = shapes or (DEFAULT_DPD_SHAPE, DEFAULT_PA_MODEL_SHAPE)
+    if cfg.outer_iterations == 0:
+        return DenseNet.zeros(*dpd_shape), TrainLog()
     train_cfg, val_cfg = _frame_configs(waveform or OfdmConfig(seed=1), cfg)
     _, x_train = generate_ofdm(train_cfg)
     _, x_val = generate_ofdm(val_cfg)

@@ -18,7 +18,7 @@ from dpdkit.complexity import (
 )
 from dpdkit.fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
 from dpdkit.harness import DEFAULT_SWEEP, ExperimentSpec, run_sweep
-from dpdkit.mempoly import IlaConfig, MemoryPolyModel, PolyShape, fit_ila, poly_predistort, rescale_cascade_gain
+from dpdkit.mempoly import MemoryPolyModel, PolyShape, fit_ila, poly_predistort, rescale_cascade_gain
 from dpdkit.metrics import aclr_db_gated, evm_percent
 from dpdkit.nn import (
     DenseNet,
@@ -49,7 +49,7 @@ def baseline(frames):
     """ACLR/EVM of the bare amplifier on the held-out frame."""
     _, x_val, ref_grid = frames
     y = load_default_pa().apply(x_val)
-    aclr = aclr_db_gated(y, VAL_WAVE.dft_size)
+    aclr = aclr_db_gated(y, VAL_WAVE)
     evm = evm_percent(ref_grid, demodulate_ofdm(y, VAL_WAVE))
     return aclr, evm
 
@@ -77,14 +77,14 @@ def fitted_polys(frames):
     fits = {}
     for shape in (PolyShape(7, 1), PolyShape(11, 2)):
         pa = load_default_pa()
-        fits[poly_count(shape).model_descriptor] = fit_ila(pa, IlaConfig(shape), x_train)
+        fits[poly_count(shape).model_descriptor], _ = fit_ila(pa, shape, x_train, 2)
     return fits
 
 
 def _evaluate(predistorted: IqSignal, ref_grid) -> tuple[float, float]:
     y = load_default_pa().apply(predistorted)
     return (
-        aclr_db_gated(y, VAL_WAVE.dft_size),
+        aclr_db_gated(y, VAL_WAVE),
         evm_percent(ref_grid, demodulate_ofdm(y, VAL_WAVE)),
     )
 
@@ -223,7 +223,7 @@ def test_3_linearization_quality(capsys, frames, baseline, trained_nets, fitted_
     assert aclr_nn == pytest.approx(-37.84, abs=1.0)
     assert evm_nn < evm0
 
-    model = fitted_polys["poly P=7 M=1"].model
+    model = fitted_polys["poly P=7 M=1"]
     aclr_poly, evm_poly = _evaluate(poly_predistort(model, x_val), ref_grid)
     assert aclr_poly <= aclr0 - 15.0  # measured: about 17.6 dB better
     assert evm_poly < 0.5
@@ -231,13 +231,13 @@ def test_3_linearization_quality(capsys, frames, baseline, trained_nets, fitted_
     rng = np.random.default_rng(3)
     raw = 0.25 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
     probe = IqSignal(raw * (0.9 / np.abs(raw).max()), 61.44e6)
-    result = fit_ila(_InverseOfCubic(), IlaConfig(PolyShape(7, 1), n_iterations=2), probe)
-    assert result.residuals[-1] < 1e-6
+    _, residuals = fit_ila(_InverseOfCubic(), PolyShape(7, 1), probe, 2)
+    assert residuals[-1] < 1e-6
 
     with capsys.disabled():
         print(
             f"PASS 3/7 — net {aclr_nn:.2f} dB / poly {aclr_poly:.2f} dB vs bare {aclr0:.2f} dB;"
-            f" in-class inverse residual {result.residuals[-1]:.1e}"
+            f" in-class inverse residual {residuals[-1]:.1e}"
         )
 
 
@@ -306,7 +306,7 @@ def test_6_fixed_point_fidelity(capsys, frames, trained_nets, fitted_polys):
     for width in (6, 14):
         cases.append((trained_nets[width][0], "nn"))
     for desc in ("poly P=7 M=1", "poly P=11 M=2"):
-        backed_off = rescale_cascade_gain(fitted_polys[desc].model, 0.95)
+        backed_off = rescale_cascade_gain(fitted_polys[desc], 0.95)
         cases.append((backed_off, "poly"))
 
     for model, kind in cases:
@@ -329,7 +329,7 @@ def test_6_fixed_point_fidelity(capsys, frames, trained_nets, fitted_polys):
     # at low drive the 11th-order branch starves: |x|^10 underflows the grid
     low = IqSignal(x_val.samples * (0.3 / np.abs(x_val.samples).max()), x_val.sample_rate_hz)
     starved = FixedPointStats()
-    eleventh = rescale_cascade_gain(fitted_polys["poly P=11 M=2"].model, 0.95)
+    eleventh = rescale_cascade_gain(fitted_polys["poly P=11 M=2"], 0.95)
     poly_forward_fixed(eleventh, low, Q15, starved)
     assert starved.underflow_pct("p11") > 50.0  # measured: 100 %
     assert starved.underflow_pct("p1") == 0.0

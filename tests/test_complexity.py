@@ -9,8 +9,6 @@ from dpdkit.complexity import (
     count_poly_multiplies,
     nn_count,
     poly_count,
-    poly_count_mults,
-    poly_count_params,
 )
 from dpdkit.errors import ConfigurationError
 from dpdkit.mempoly import MemoryPolyModel, PolyShape, poly_predistort
@@ -54,13 +52,13 @@ class TestPolyCount:
     def test_dc_excluded_from_params(self):
         plain = PolyShape(7, 2)
         with_dc = PolyShape(7, 2, include_dc=True)
-        assert poly_count_params(with_dc) == poly_count_params(plain)
-        assert poly_count_mults(with_dc) == poly_count_mults(plain)
+        assert poly_count(with_dc).n_params_real == poly_count(plain).n_params_real
+        assert poly_count(with_dc).n_mults == poly_count(plain).n_mults
 
     def test_conjugate_branch_adds_its_own_chain(self):
         # the conjugate branch pays for coefficients AND its envelope powers
-        base = poly_count_mults(PolyShape(7, 2))
-        both = poly_count_mults(PolyShape(7, 2, 5, 1))
+        base = poly_count(PolyShape(7, 2)).n_mults
+        both = poly_count(PolyShape(7, 2, 5, 1)).n_mults
         # q in {3, 5}: chains (3+5)/2 + (5+5)/2 = 9, coefficients 3 * 3 taps... q
         # has 3 orders x 1 tap = 3 coeffs -> 9 mults, plus chains 4 + 5 = 9
         assert both == base + 9 + 9
@@ -100,7 +98,7 @@ class TestInstrumentedPoly:
                 shape = PolyShape(p, taps)
                 model = random_model(shape, seed=p * 10 + taps)
                 _, per_sample = count_poly_multiplies(model, x)
-                assert per_sample == poly_count_mults(shape)
+                assert per_sample == poly_count(shape).n_mults
 
     def test_counts_match_formula_with_conjugate_and_dc(self):
         x = short_frame(12, n=16)
@@ -112,7 +110,7 @@ class TestInstrumentedPoly:
         ]:
             model = random_model(shape, seed=shape.p_max)
             _, per_sample = count_poly_multiplies(model, x)
-            assert per_sample == poly_count_mults(shape)
+            assert per_sample == poly_count(shape).n_mults
 
     def test_output_matches_vectorized_predistort(self):
         x = short_frame(13)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpdkit.errors import ConfigurationError
+from dpdkit.errors import ConfigurationError, InputRangeError
 from dpdkit.fixedpoint import (
     FixedFormat,
     FixedPointStats,
@@ -253,3 +253,23 @@ class TestPolyForwardFixed:
         a = poly_forward_fixed(model, frame, Q15).samples
         b = poly_forward_fixed(model, frame, Q15).samples
         assert np.array_equal(a, b)
+
+
+class TestNonFiniteInput:
+    """A NaN/inf sample stops at each forward instead of leaving it as nan."""
+
+    FORWARDS = {
+        "poly_predistort": lambda x: poly_predistort(MemoryPolyModel.identity(PolyShape(3, 1)), x),
+        "nn_forward": lambda x: nn_forward(DenseNet.zeros(1, 4), x),
+        "poly_forward_fixed": lambda x: poly_forward_fixed(
+            MemoryPolyModel.identity(PolyShape(3, 1)), x, Q15, FixedPointStats()),
+        "nn_forward_fixed": lambda x: nn_forward_fixed(DenseNet.zeros(1, 4), x, Q15, FixedPointStats()),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, -np.inf), complex(np.nan, 0.1)])
+    @pytest.mark.parametrize("name", sorted(FORWARDS))
+    def test_forward_rejects(self, name, bad):
+        samples = np.full(64, 0.1 + 0.1j)
+        samples[17] = bad
+        with pytest.raises(InputRangeError, match="non-finite"):
+            self.FORWARDS[name](IqSignal(samples, 61.44e6))

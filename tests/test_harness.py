@@ -51,7 +51,7 @@ def baseline_metrics() -> tuple[float, float]:
     val_cfg = OfdmConfig(n_symbols=1, seed=2)
     ref, x_val = generate_ofdm(val_cfg)
     y = load_default_pa().apply(x_val)
-    return aclr_db_gated(y, val_cfg.dft_size), evm_percent(ref, demodulate_ofdm(y, val_cfg))
+    return aclr_db_gated(y, val_cfg), evm_percent(ref, demodulate_ofdm(y, val_cfg))
 
 
 class TestParseDescriptor:
@@ -221,6 +221,17 @@ class TestRunSweep:
             assert row.evm_pct == evm0
         assert rows[0].n_params_real == 8 and rows[0].n_mults == 27
         assert rows[1].n_params_real == 32 and rows[1].n_mults == 24
+
+    def test_passthrough_aclr_does_not_depend_on_spacing(self, tmp_path):
+        # the ACLR channel scales with the waveform, so a wider spacing moves nothing
+        rows = []
+        for spacing in (15e3, 30e3):
+            spec = small_spec(tmp_path / str(spacing), train=PASSTHROUGH,
+                              waveform=OfdmConfig(subcarrier_spacing_hz=spacing, seed=1))
+            rows.append(run_sweep(spec)[0])
+        assert [r.status for r in rows] == ["ok", "ok"]
+        assert rows[1].aclr_db == pytest.approx(rows[0].aclr_db, abs=1e-9)
+        assert rows[1].evm_pct == pytest.approx(rows[0].evm_pct, abs=1e-9)
 
     def test_ila_row_beats_passthrough(self, tmp_path):
         rows = run_sweep(small_spec(tmp_path))
@@ -396,6 +407,23 @@ class TestCli:
         assert main(["psd", "--out", str(overlay), f"base={sig}", str(sig)]) == 0
         lines = overlay.read_text().splitlines()
         assert lines[0] == "freq_hz,base_db,frame_db"
+
+    def test_psd_verb_on_a_short_frame(self, tmp_path):
+        sig = tmp_path / "short.csv"
+        assert main(["generate", "--subcarriers", "100", "--symbols", "1", "--out", str(sig)]) == 0
+        overlay = tmp_path / "psd.csv"
+        assert main(["psd", "--out", str(overlay), str(sig)]) == 0
+        lines = overlay.read_text().splitlines()
+        assert lines[0] == "freq_hz,power_db"
+        assert len(lines) == 1 + 512
+
+    def test_small_waveform_sweep_rows_ok(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["sweep", "--subcarriers", "100", "--iterations", "0", "--out", str(out)]
+        assert main(argv) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(DEFAULT_SWEEP)
+        assert all(row.endswith(",ok") for row in rows)
 
     def test_bad_flags_exit_2(self):
         for argv in (

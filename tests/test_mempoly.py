@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dpdkit import IqSignal
 from dpdkit.errors import ConditioningError, ConfigurationError, FormatError
 from dpdkit.mempoly import (
-    IlaConfig,
     MemoryPolyModel,
     PolyShape,
     build_basis,
@@ -248,29 +247,45 @@ class InverseOfCubicPa:
         return IqSignal(out, signal.sample_rate_hz)
 
 
+class UntouchablePa:
+    def apply(self, signal):
+        raise AssertionError("the amplifier must not be driven")
+
+
 class TestIla:
     def test_pure_gain_pa_yields_identity(self):
         sig = random_signal(2000, seed=31)
-        cfg = IlaConfig(PolyShape(p_max=7, main_taps=2), n_iterations=2)
-        result = fit_ila(PureGainPa(1.7 - 0.4j), cfg, sig)
-        theta = result.model.coefficient_vector()
+        model, residuals = fit_ila(PureGainPa(1.7 - 0.4j), PolyShape(p_max=7, main_taps=2), sig, 2)
+        theta = model.coefficient_vector()
         assert abs(theta[0] - 1.0) < 1e-6
         assert np.max(np.abs(theta[1:])) < 1e-6
-        assert result.residuals[-1] < 1e-7
+        assert residuals[-1] < 1e-7
 
     def test_in_class_postinverse_reached_in_two_iterations(self):
         sig = random_signal(4000, seed=3, scale=0.25)
         sig = IqSignal(sig.samples * (0.9 / np.abs(sig.samples).max()), RATE)
-        cfg = IlaConfig(PolyShape(p_max=7, main_taps=1), n_iterations=2)
-        result = fit_ila(InverseOfCubicPa(), cfg, sig)
-        assert len(result.residuals) == 2
-        assert result.residuals[-1] < 1e-6
+        _, residuals = fit_ila(InverseOfCubicPa(), PolyShape(p_max=7, main_taps=1), sig, 2)
+        assert len(residuals) == 2
+        assert residuals[-1] < 1e-6
+
+    def test_zero_iterations_return_identity_without_touching_pa(self):
+        shape = PolyShape(p_max=7, main_taps=2)
+        # a signal far shorter than the fit needs: no fit runs, so no length check
+        model, residuals = fit_ila(UntouchablePa(), shape, random_signal(3, seed=4), 0)
+        assert residuals == []
+        np.testing.assert_array_equal(
+            model.coefficient_vector(), MemoryPolyModel.identity(shape).coefficient_vector()
+        )
+
+    @pytest.mark.parametrize("bad", [-1, 2.0])
+    def test_bad_iteration_count_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="n_iterations"):
+            fit_ila(UntouchablePa(), PolyShape(p_max=3, main_taps=1), random_signal(300, seed=4), bad)
 
     def test_short_training_signal_rejected(self):
         sig = random_signal(30, seed=2)
-        cfg = IlaConfig(PolyShape(p_max=7, main_taps=1), n_iterations=1)
         with pytest.raises(ConfigurationError):
-            fit_ila(PureGainPa(1.0), cfg, sig)
+            fit_ila(PureGainPa(1.0), PolyShape(p_max=7, main_taps=1), sig, 1)
 
 
 class TestModelIo:

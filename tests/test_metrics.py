@@ -14,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 import dpdkit
 from dpdkit import IqSignal, OfdmConfig, demodulate_ofdm, generate_ofdm
-from dpdkit.errors import ConfigurationError, MetricError
-from dpdkit.metrics import _welch, aclr_db, aclr_db_gated, evm_percent, psd_welch
+from dpdkit.errors import ConfigurationError, FramingError, MetricError
+from dpdkit.metrics import _welch, _welch_linear, aclr_db_gated, evm_percent, psd_welch
 
 RATE = 61.44e6
 
@@ -69,13 +69,23 @@ class TestWelchOracle:
         assert out.strip() == "False"
 
 
+def _aclr_from_psd(signal, waveform):
+    """ACLR integrated from psd_welch over the whole record, with aclr_db_gated's bands."""
+    est = psd_welch(signal)
+    power = 10 ** (est.power_db / 10)
+    f = np.abs(est.freqs_hz)
+    bw = waveform.channel_bandwidth_hz
+    in_channel = f <= bw / 2
+    return 10 * np.log10(power[(f <= 2 * bw) & ~in_channel].sum() / power[in_channel].sum())
+
+
 class TestPsd:
     def test_tone_peaks_at_tone_frequency(self):
         n = 1 << 14
         f0 = 3.6e6
         t = np.arange(n) / RATE
         sig = IqSignal(np.exp(2j * np.pi * f0 * t), RATE)
-        est = psd_welch(sig, normalize="peak")
+        est = psd_welch(sig)
         peak_freq = est.freqs_hz[np.argmax(est.power_db)]
         df = est.freqs_hz[1] - est.freqs_hz[0]
         assert abs(peak_freq - f0) <= df
@@ -84,14 +94,14 @@ class TestPsd:
         rng = np.random.default_rng(12)
         n = 1 << 17
         sig = IqSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), RATE)
-        est = psd_welch(sig, normalize="none")
-        spread = est.power_db.max() - est.power_db.min()
-        assert spread < 3.0
+        _, psd = _welch_linear(sig)
+        spread_db = 10 * np.log10(psd.max() / psd.min())
+        assert spread_db < 3.0
 
     def test_ofdm_plateau_width_matches_occupied_bandwidth(self):
         cfg = OfdmConfig(n_subcarriers=600, n_symbols=10, constellation="qam16", seed=1)
         _, x = generate_ofdm(cfg)
-        est = psd_welch(x, normalize="peak")
+        est = psd_welch(x)
         above = est.freqs_hz[est.power_db > -3.0]
         span = above.max() - above.min()
         df = est.freqs_hz[1] - est.freqs_hz[0]
@@ -100,53 +110,78 @@ class TestPsd:
     def test_integrated_density_recovers_mean_power(self):
         rng = np.random.default_rng(14)
         sig = IqSignal(rng.standard_normal(8192) + 1j * rng.standard_normal(8192), RATE)
-        est = psd_welch(sig, normalize="none")
-        df = est.freqs_hz[1] - est.freqs_hz[0]
-        integrated = np.sum(10 ** (est.power_db / 10)) * df
+        freqs, psd = _welch_linear(sig)
+        integrated = np.sum(psd) * (freqs[1] - freqs[0])
         assert integrated == pytest.approx(sig.mean_power(), rel=1e-9)
 
     def test_peak_normalization_tops_at_zero_db(self):
         rng = np.random.default_rng(15)
         sig = IqSignal(rng.standard_normal(4096) + 1j * rng.standard_normal(4096), RATE)
-        est = psd_welch(sig, normalize="peak")
+        est = psd_welch(sig)
         assert est.power_db.max() == pytest.approx(0.0, abs=1e-12)
+
+    def test_segment_follows_the_signal_length(self):
+        # a one-symbol frame of a 100-subcarrier waveform is 512 samples long
+        cfg = OfdmConfig(n_subcarriers=100)
+        _, x = generate_ofdm(cfg)
+        assert len(x) == 512
+        est = psd_welch(x)
+        assert est.freqs_hz.size == 512
+        assert est.freqs_hz[1] - est.freqs_hz[0] == cfg.subcarrier_spacing_hz
+        assert psd_welch(IqSignal(np.tile(x.samples, 4), x.sample_rate_hz)).freqs_hz.size == 1024
 
     def test_all_zero_signal_rejected_for_peak_mode(self):
         sig = IqSignal(np.zeros(2048, dtype=complex), RATE)
         with pytest.raises(MetricError):
-            psd_welch(sig, normalize="peak")
+            psd_welch(sig)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_sample_rejected(self, bad):
         samples = np.ones(2048, dtype=complex)
         samples[700] = bad
-        for normalize in ("peak", "none"):
-            with pytest.raises(MetricError, match="non-finite"):
-                psd_welch(IqSignal(samples, RATE), normalize=normalize)
+        with pytest.raises(MetricError, match="non-finite"):
+            psd_welch(IqSignal(samples, RATE))
 
 
 class TestAclr:
     def test_scale_invariant(self):
         cfg = OfdmConfig(n_subcarriers=600, n_symbols=2, seed=5)
         _, x = generate_ofdm(cfg)
-        a = aclr_db(x)
-        b = aclr_db(IqSignal(3.7 * x.samples, x.sample_rate_hz))
+        a = aclr_db_gated(x, cfg)
+        b = aclr_db_gated(IqSignal(3.7 * x.samples, x.sample_rate_hz), cfg)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_single_symbol_frame_leakage_is_window_limited(self):
         cfg = OfdmConfig(n_subcarriers=600, n_symbols=1, constellation="qam16", seed=0)
         _, x = generate_ofdm(cfg)
-        assert aclr_db(x) < -50.0
+        assert aclr_db_gated(x, cfg) < -50.0
 
-    def test_sample_rate_must_exceed_bandwidth(self):
-        sig = IqSignal(np.ones(4096, dtype=complex), 8e6)
-        with pytest.raises(ConfigurationError):
-            aclr_db(sig, channel_bw_hz=10e6)
+    def test_rate_must_match_waveform(self):
+        cfg = OfdmConfig(n_symbols=2, seed=5)
+        _, x = generate_ofdm(cfg)
+        for rate in (x.sample_rate_hz / 2, 8e6):
+            with pytest.raises(FramingError, match="sample rate"):
+                aclr_db_gated(IqSignal(x.samples, rate), cfg)
+
+    def test_channel_follows_the_waveform(self):
+        # the occupied band is 90% of the channel: 600 x 15 kHz gives 10 MHz exactly
+        assert OfdmConfig().channel_bandwidth_hz == 10e6
+        assert OfdmConfig(subcarrier_spacing_hz=30e3).channel_bandwidth_hz == 20e6
+        # the spectrum scales with the spacing, so the ACLR does not move
+        values = []
+        for spacing in (15e3, 30e3, 60e3):
+            cfg = OfdmConfig(n_symbols=2, subcarrier_spacing_hz=spacing, seed=5)
+            _, x = generate_ofdm(cfg)
+            y = x.samples * (1 - 0.05 * np.abs(x.samples) ** 2)
+            values.append(aclr_db_gated(IqSignal(y, x.sample_rate_hz), cfg))
+        assert values == pytest.approx([values[0]] * 3, abs=1e-9)
+        assert values[0] < -20.0
 
     def test_zero_power_rejected(self):
-        sig = IqSignal(np.zeros(4096, dtype=complex), RATE)
+        cfg = OfdmConfig(n_symbols=2)
+        sig = IqSignal(np.zeros(cfg.n_samples, dtype=complex), cfg.sample_rate_hz)
         with pytest.raises(MetricError):
-            aclr_db(sig)
+            aclr_db_gated(sig, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 0)])
     def test_non_finite_sample_rejected(self, bad):
@@ -156,30 +191,29 @@ class TestAclr:
         samples[-1] = bad  # the last block only: the check covers the whole record
         sig = IqSignal(samples, x.sample_rate_hz)
         with pytest.raises(MetricError, match="non-finite"):
-            aclr_db(sig)
-        with pytest.raises(MetricError, match="non-finite"):
-            aclr_db_gated(sig, cfg.dft_size)
+            aclr_db_gated(sig, cfg)
 
 
 class TestGatedAclr:
     def test_gated_removes_block_boundary_splatter(self):
         cfg = OfdmConfig(n_subcarriers=600, n_symbols=10, constellation="qam16", seed=1)
         _, x = generate_ofdm(cfg)
-        whole = aclr_db(x)
-        gated = aclr_db_gated(x, cfg.dft_size)
+        whole = _aclr_from_psd(x, cfg)
+        gated = aclr_db_gated(x, cfg)
         assert gated < -50.0
         assert whole > -40.0
 
     def test_single_block_equals_plain_measurement(self):
         cfg = OfdmConfig(n_subcarriers=600, n_symbols=1, constellation="qam16", seed=2)
         _, x = generate_ofdm(cfg)
-        assert aclr_db_gated(x, len(x)) == pytest.approx(aclr_db(x), abs=1e-12)
+        assert aclr_db_gated(x, cfg) == pytest.approx(_aclr_from_psd(x, cfg), abs=1e-12)
 
     def test_partial_block_rejected(self):
         cfg = OfdmConfig(n_subcarriers=600, n_symbols=2, seed=3)
         _, x = generate_ofdm(cfg)
-        with pytest.raises(ConfigurationError):
-            aclr_db_gated(x, cfg.dft_size + 1)
+        partial = IqSignal(x.samples[: cfg.dft_size + 1], x.sample_rate_hz)
+        with pytest.raises(FramingError, match="whole number"):
+            aclr_db_gated(partial, cfg)
 
 
 class TestEvm:

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpdkit import IqSignal, OfdmConfig, generate_ofdm
-from dpdkit.complexity import nn_count_mults, nn_count_params
+from dpdkit.complexity import nn_count
 from dpdkit.errors import ConfigurationError, FormatError
 from dpdkit.nn import (
     DenseNet,
@@ -341,7 +341,7 @@ class TestKernelOracle:
             np.testing.assert_array_equal(g.ravel(), grads.flat[offset : offset + g.size])
             assert np.shares_memory(g, grads.flat)
             offset += g.size
-        assert offset == grads.flat.size == nn_count_params(2, 4)
+        assert offset == grads.flat.size == nn_count(2, 4).n_params_real
 
     def test_flat_params_packs_once_and_repacks_after_replacement(self):
         net = random_net(1, 3, seed=86)
@@ -360,20 +360,20 @@ class TestKernelOracle:
 
 class TestComplexityCounts:
     def test_multiplication_counts(self):
-        assert nn_count_mults(1, 6) == 24
-        assert nn_count_mults(1, 14) == 56
-        assert nn_count_mults(2, 8) == 96
+        assert nn_count(1, 6).n_mults == 24
+        assert nn_count(1, 14).n_mults == 56
+        assert nn_count(2, 8).n_mults == 96
 
     def test_parameter_counts(self):
-        assert nn_count_params(1, 6) == 32
-        assert nn_count_params(1, 14) == 72
-        assert nn_count_params(1, 1) == 7
+        assert nn_count(1, 6).n_params_real == 32
+        assert nn_count(1, 14).n_params_real == 72
+        assert nn_count(1, 1).n_params_real == 7
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
-            nn_count_mults(0, 4)
+            nn_count(0, 4)
         with pytest.raises(ConfigurationError):
-            nn_count_params(1, 0)
+            nn_count(1, 0)
 
 
 class TestNetIo:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dpdkit import IqSignal, OfdmConfig, demodulate_ofdm, generate_ofdm
 from dpdkit.errors import FormatError, InputRangeError
 from dpdkit.mempoly import MemoryPolyModel, PolyShape
-from dpdkit.metrics import aclr_db, aclr_db_gated, evm_percent
+from dpdkit.metrics import aclr_db_gated, evm_percent
 from dpdkit.pa import MAX_DRIVE, SimulatedPa, load_default_pa, load_pa_profile, save_pa_profile
 
 RATE = 61.44e6
@@ -218,13 +218,8 @@ class TestDefaultProfileCalibration:
         self.pa = load_default_pa()
         self.y = self.pa.apply(self.x)
 
-    def test_uncorrected_aclr_in_calibrated_range(self):
-        value = aclr_db(self.y)
-        assert -30.0 < value < -28.0
-        assert value == pytest.approx(-28.542731470218, abs=0.05)
-
     def test_uncorrected_gated_aclr_recorded(self):
-        value = aclr_db_gated(self.y, self.cfg.dft_size)
+        value = aclr_db_gated(self.y, self.cfg)
         assert value == pytest.approx(-30.016206711176, abs=0.05)
 
     def test_uncorrected_evm_matches_recorded_value(self):

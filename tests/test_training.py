@@ -23,6 +23,7 @@ from dpdkit import (
     run_full_training,
 )
 from dpdkit.errors import ConfigurationError, DivergenceError
+from dpdkit import training
 from dpdkit.nn import DenseNet, NnGradients
 from dpdkit.training import (
     ADAM_BETA1,
@@ -306,10 +307,8 @@ class TestRunFullTraining:
         # and the headline outcome: the predistorter helps on held-out data
         _, x_val = generate_ofdm(VAL_WAVEFORM)
         pa = load_default_pa()
-        base = aclr_db_gated(pa.apply(x_val), VAL_WAVEFORM.dft_size)
-        linearized = aclr_db_gated(
-            load_default_pa().apply(nn_forward(dpd, x_val)), VAL_WAVEFORM.dft_size
-        )
+        base = aclr_db_gated(pa.apply(x_val), VAL_WAVEFORM)
+        linearized = aclr_db_gated(load_default_pa().apply(nn_forward(dpd, x_val)), VAL_WAVEFORM)
         assert linearized < base - 5.0
 
     def test_linear_pa_leaves_evm_unchanged(self):
@@ -339,8 +338,24 @@ class TestRunFullTraining:
         ):
             dpd, _ = run_full_training(load_default_pa(), None, cfg)
             y = load_default_pa().apply(nn_forward(dpd, x_val))
-            results.append(aclr_db_gated(y, VAL_WAVEFORM.dft_size))
+            results.append(aclr_db_gated(y, VAL_WAVEFORM))
         assert results[1] <= results[0]
+
+    def test_zero_iterations_return_the_passthrough(self, monkeypatch):
+        class UntouchablePa:
+            def apply(self, signal):
+                raise AssertionError("the amplifier must not be driven")
+
+        def no_frames(cfg):
+            raise AssertionError("no frame is needed")
+
+        monkeypatch.setattr(training, "generate_ofdm", no_frames)
+        cfg = TrainConfig(outer_iterations=0, epochs_per_iteration=())
+        net, log = run_full_training(UntouchablePa(), ((1, 6), (1, 8)), cfg)
+        zero = DenseNet.zeros(1, 6)
+        assert log.records == []
+        for a, b in zip(net.weights + net.biases, zero.weights + zero.biases):
+            assert a.tobytes() == b.tobytes()
 
     def test_rerun_reproduces_weights_bitwise(self):
         cfg = TrainConfig(outer_iterations=1, epochs_per_iteration=(3,), seed=5)
