@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InputRangeError, _require_integer
-from .mempoly import MemoryPolyModel, _delayed
+from .mempoly import MemoryPolyModel
 from .nn import DenseNet
 from .signals import IqSignal, _require_finite
 
@@ -160,6 +160,15 @@ def nn_forward_fixed(
         h = pre if i == len(net.weights) - 1 else np.maximum(pre, 0.0)
     z = quantize(h + xq2, fmt, stats)
     return IqSignal(z[0] + 1j * z[1], x.sample_rate_hz)
+
+
+def _delayed(x: np.ndarray, m: int) -> np.ndarray:
+    """x delayed by m samples, zero before the record start."""
+    if m == 0:
+        return x
+    out = np.zeros_like(x)
+    out[m:] = x[:-m]
+    return out
 
 
 def poly_forward_fixed(

@@ -21,7 +21,7 @@ from .complexity import ComplexityReport, parse_descriptor
 from .errors import AlignmentError, ConfigurationError
 from .fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
 from .mempoly import fit_ila, poly_predistort, rescale_cascade_gain, save_poly_model
-from .metrics import aclr_db_gated, evm_percent, psd_welch
+from .metrics import aclr_db_gated, default_segment_len, evm_percent, psd_welch
 from .nn import nn_forward, save_net
 from .ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
 from .pa import load_default_pa, load_pa_profile
@@ -305,9 +305,12 @@ def emit_psd_overlay(signals: list[tuple[str, IqSignal]], path) -> None:
         raise AlignmentError(f"sample rates differ: {sorted(rates)}")
     estimates = [(name, psd_welch(sig)) for name, sig in signals]
     freqs = estimates[0][1].freqs_hz
-    for _, est in estimates[1:]:
-        if not np.array_equal(est.freqs_hz, freqs):
-            raise AlignmentError("PSD grids do not align")
+    if any(not np.array_equal(est.freqs_hz, freqs) for _, est in estimates[1:]):
+        grids = ", ".join(
+            f"{name} has {len(sig)} samples (Welch segment {default_segment_len(len(sig))})"
+            for name, sig in signals
+        )
+        raise AlignmentError(f"PSD grids do not align: {grids}")
     if len(estimates) == 1:
         header = "freq_hz,power_db"
     else:

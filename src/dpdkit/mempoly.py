@@ -120,31 +120,43 @@ class MemoryPolyModel:
         return np.concatenate(parts)
 
 
-def _delayed(x: np.ndarray, m: int) -> np.ndarray:
-    if m == 0:
-        return x
-    out = np.zeros_like(x)
-    out[m:] = x[:-m]
-    return out
+#: Rows per block when build_basis fills its output, so each block's
+#: column-major scratch stays cache-sized instead of growing with the frame.
+BASIS_BLOCK = 4096
 
 
 def build_basis(x: np.ndarray, shape: PolyShape) -> np.ndarray:
-    """Basis matrix (len(x) rows, shape.n_basis_columns columns), canonical order."""
+    """Basis matrix (len(x) rows, shape.n_basis_columns columns), canonical order.
+
+    Each order's tap-0 column is computed once; the column for tap m is the
+    same column delayed by m samples, with +0+0j before the record start.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    cols = []
+    n = x.size
     # |z|^(p-1) as an integer power of re^2 + im^2 — no square root, matching
     # how a datapath with only multipliers would build it
-    for p in range(1, shape.p_max + 1, 2):
-        for m in range(shape.main_taps):
-            z = _delayed(x, m)
-            cols.append(z * (z.real**2 + z.imag**2) ** ((p - 1) // 2))
-    for q in range(1, shape.q_max + 1, 2):
-        for l in range(shape.conj_taps):
-            z = _delayed(x, l)
-            cols.append(np.conj(z) * (z.real**2 + z.imag**2) ** ((q - 1) // 2))
-    if shape.include_dc:
-        cols.append(np.ones_like(x))
-    return np.stack(cols, axis=1)
+    r2 = x.real**2 + x.imag**2
+    branches = [(x * r2 ** ((p - 1) // 2), shape.main_taps) for p in range(1, shape.p_max + 1, 2)]
+    if shape.q_max:
+        xc = np.conj(x)
+        branches += [(xc * r2 ** ((q - 1) // 2), shape.conj_taps)
+                     for q in range(1, shape.q_max + 1, 2)]
+    out = np.empty((n, shape.n_basis_columns), dtype=np.complex128)
+    scratch = np.empty((shape.n_basis_columns, min(n, BASIS_BLOCK)), dtype=np.complex128)
+    for start in range(0, n, BASIS_BLOCK):
+        stop = min(start + BASIS_BLOCK, n)
+        block = scratch[:, : stop - start]
+        j = 0
+        for col, taps in branches:
+            for m in range(taps):
+                pad = min(max(m - start, 0), stop - start)  # rows before the record start
+                block[j, :pad] = 0
+                block[j, pad:] = col[start + pad - m : stop - m]
+                j += 1
+        if shape.include_dc:
+            block[j] = 1
+        out[start:stop] = block.T
+    return out
 
 
 def _apply(model: MemoryPolyModel, x: np.ndarray) -> np.ndarray:

@@ -417,6 +417,18 @@ class TestCli:
         assert lines[0] == "freq_hz,power_db"
         assert len(lines) == 1 + 512
 
+    def test_psd_verb_names_lengths_when_grids_differ(self, tmp_path, capsys):
+        short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+        for path, symbols in ((short, "1"), (long, "10")):
+            argv = ["generate", "--subcarriers", "100", "--symbols", symbols, "--out", str(path)]
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["psd", "--out", str(tmp_path / "psd.csv"), str(short), str(long)]) == 2
+        err = capsys.readouterr().err
+        assert "PSD grids do not align" in err
+        assert "short has 512 samples (Welch segment 512)" in err
+        assert "long has 5120 samples (Welch segment 1024)" in err
+
     def test_small_waveform_sweep_rows_ok(self, tmp_path):
         out = tmp_path / "out"
         argv = ["sweep", "--subcarriers", "100", "--iterations", "0", "--out", str(out)]

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpdkit import IqSignal
 from dpdkit.errors import ConditioningError, ConfigurationError, FormatError
 from dpdkit.mempoly import (
+    BASIS_BLOCK,
     MemoryPolyModel,
     PolyShape,
     build_basis,
@@ -114,6 +115,90 @@ class TestBasis:
         a = build_basis(x, shape)
         assert a[0, 1] == 0
         assert a[0, 2] == 0 and a[1, 2] == 0
+
+
+def _delayed_reference(x, m):
+    if m == 0:
+        return x
+    out = np.zeros_like(x)
+    out[m:] = x[:-m]
+    return out
+
+
+def stacked_basis_reference(x, shape):
+    """The column-by-column basis: every (order, tap) column from its delayed signal."""
+    x = np.asarray(x, dtype=np.complex128)
+    cols = []
+    for p in range(1, shape.p_max + 1, 2):
+        for m in range(shape.main_taps):
+            z = _delayed_reference(x, m)
+            cols.append(z * (z.real**2 + z.imag**2) ** ((p - 1) // 2))
+    for q in range(1, shape.q_max + 1, 2):
+        for l in range(shape.conj_taps):
+            z = _delayed_reference(x, l)
+            cols.append(np.conj(z) * (z.real**2 + z.imag**2) ** ((q - 1) // 2))
+    if shape.include_dc:
+        cols.append(np.ones_like(x))
+    return np.stack(cols, axis=1)
+
+
+def raw_samples(n, seed):
+    # IqSignal needs one sample at least; the basis builder takes empty arrays too
+    rng = np.random.default_rng(seed)
+    return 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == np.complex128
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+# the benchmark's polynomial grid, the amplifier core, the linear model and a
+# shape with conjugate and DC columns; at lengths 0-2, M=4 and L=2 reach past
+# the start of the signal
+ORACLE_SHAPES = [
+    PolyShape(5, 2),
+    PolyShape(7, 3),
+    PolyShape(9, 2),
+    PolyShape(11, 4),
+    PolyShape(13, 3),
+    PolyShape(9, 3, q_max=5, conj_taps=2),
+    PolyShape(1, 1),
+    PolyShape(5, 2, q_max=3, conj_taps=1, include_dc=True),
+]
+
+
+class TestBasisMatchesStackedColumns:
+    """build_basis gives the column-by-column formula's bytes at every length."""
+
+    @pytest.mark.parametrize("n", [
+        0, 1, 2, BASIS_BLOCK - 1, BASIS_BLOCK, BASIS_BLOCK + 1, 40_960, 81_920,
+    ])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    def test_lengths(self, shape, n):
+        x = raw_samples(n, seed=n)
+        assert_same_bytes(build_basis(x, shape), stacked_basis_reference(x, shape))
+
+    def test_strided_input(self):
+        x = raw_samples(2 * BASIS_BLOCK + 6, seed=12)[::2]
+        shape = ORACLE_SHAPES[-1]
+        assert_same_bytes(build_basis(x, shape), stacked_basis_reference(x, shape))
+
+    def test_python_list(self):
+        x = [0.3 - 0.1j, -0.0 + 0.2j, 0j, -0.5 - 0.0j, 0.25]
+        for shape in ORACLE_SHAPES:
+            assert_same_bytes(build_basis(x, shape), stacked_basis_reference(x, shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=POLY_SHAPES,
+        x=st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                   max_size=40),
+    )
+    def test_drawn_signals(self, shape, x):
+        assert_same_bytes(build_basis(x, shape), stacked_basis_reference(x, shape))
 
 
 class TestModel:
