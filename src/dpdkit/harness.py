@@ -296,10 +296,19 @@ def emit_psd_overlay(signals: list[tuple[str, IqSignal]], path) -> None:
     """Write aligned PSD columns for several same-rate signals.
 
     One signal degenerates to the plain two-column PSD file; several produce
-    `freq_hz,<name1>_db,<name2>_db,...` on a shared frequency grid.
+    `freq_hz,<name1>_db,<name2>_db,...` on a shared frequency grid, so those
+    names must be distinct and hold no comma or line break.
     """
     if not signals:
         raise ConfigurationError("need at least one named signal")
+    if len(signals) > 1:
+        seen = set()
+        for name, _ in signals:
+            if any(c in name for c in ",\r\n"):
+                raise ConfigurationError(f"signal name {name!r} holds a comma or line break")
+            if name in seen:
+                raise ConfigurationError(f"signal name {name!r} is repeated")
+            seen.add(name)
     rates = {float(sig.sample_rate_hz) for _, sig in signals}
     if len(rates) != 1:
         raise AlignmentError(f"sample rates differ: {sorted(rates)}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConditioningError, ConfigurationError, FormatError, InputRangeError, _require_integer
@@ -200,8 +199,11 @@ def solve_regularized_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     lam is 1e-8 times the mean column energy of A.  Rank deficiency that
     survives the regularization raises ConditioningError with a
-    condition-number estimate.
+    condition-number estimate. scipy.linalg is imported here, at the first
+    solve, so that processes that fit no polynomial never load scipy.
     """
+    import scipy.linalg
+
     n_cols = A.shape[1]
     lam = 1e-8 * float(np.mean(np.sum(np.abs(A) ** 2, axis=0)))
     stacked = np.vstack([A, np.sqrt(lam) * np.eye(n_cols, dtype=A.dtype)])

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError, FramingError, MetricError
 from .ofdm import OfdmConfig, SymbolGrid
@@ -34,7 +33,8 @@ def _welch(x: np.ndarray, fs: float, nperseg: int, noverlap: int) -> tuple[np.nd
     scaling="density") operation for operation, so the bytes match it: the
     window's scale uses Python's sequential sum, and the periodograms are the
     columns of an (nperseg, p) array so the mean reduces along the same
-    contiguous axis.
+    contiguous axis. The FFT is numpy.fft, which runs the same pocketfft
+    as scipy.fft, so metrics never imports scipy.
     """
     t = 1 / fs
     # scipy adds 0.5*cos(0*phi) == 0.5 to zeros, then 0.5*cos(phi): the same bits
@@ -44,9 +44,9 @@ def _welch(x: np.ndarray, fs: float, nperseg: int, noverlap: int) -> tuple[np.nd
     p = (len(x) - noverlap) // hop
     spec = np.empty((nperseg, p), dtype=complex)
     for k in range(p):
-        spec[:, k] = scipy.fft.fft(x[k * hop : k * hop + nperseg] * w)
+        spec[:, k] = np.fft.fft(x[k * hop : k * hop + nperseg] * w)
     psd = (spec.real**2 + spec.imag**2).mean(axis=-1)
-    return scipy.fft.fftfreq(nperseg, t), psd
+    return np.fft.fftfreq(nperseg, t), psd
 
 
 def default_segment_len(n_samples: int) -> int:

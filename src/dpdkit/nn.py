@@ -244,7 +244,7 @@ def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, dz: np.ndarray, *, grads=
     inputs = [x2] + p.acts
     if grads is not None:
         np.matmul(dz, inputs[-1].T, out=grads.weights[-1])
-        np.sum(dz, axis=1, out=grads.biases[-1])
+        np.add.reduce(dz, axis=1, out=grads.biases[-1])
     up, spare = p.up
     np.matmul(net.weights[-1].T, dz, out=up)
     for i in range(net.hidden_layers - 1, -1, -1):
@@ -252,7 +252,7 @@ def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, dz: np.ndarray, *, grads=
         np.multiply(up, p.mask, out=up)
         if grads is not None:
             np.matmul(up, inputs[i].T, out=grads.weights[i])
-            np.sum(up, axis=1, out=grads.biases[i])
+            np.add.reduce(up, axis=1, out=grads.biases[i])
         if i > 0:
             np.matmul(net.weights[i].T, up, out=spare)
             up, spare = spare, up
@@ -262,9 +262,14 @@ def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, dz: np.ndarray, *, grads=
 
 
 def _loss_and_dz(z: np.ndarray, target2: np.ndarray, sq: np.ndarray) -> float:
-    """Mean squared error of z against target2; leaves dLoss/dz in z."""
+    """Mean squared error of z against target2; leaves dLoss/dz in z.
+
+    The reductions here and in _backward call np.add.reduce directly, which
+    is the arithmetic of np.mean and np.sum without their Python wrappers.
+    """
     np.subtract(z, target2, out=z)
-    loss = float(np.mean(np.square(z, out=sq)))
+    np.square(z, out=sq)
+    loss = float(np.add.reduce(sq, axis=None) / sq.size)
     np.divide(z, z.shape[1], out=z)
     return loss
 

@@ -1,7 +1,10 @@
 """Sweep harness and CLI: descriptor parsing, orchestration, artifacts."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dpdkit
 from dpdkit.cli import main
 from dpdkit.complexity import nn_count, parse_descriptor, poly_count
 from dpdkit.errors import AlignmentError, ConfigurationError
@@ -429,6 +433,19 @@ class TestCli:
         assert "short has 512 samples (Welch segment 512)" in err
         assert "long has 5120 samples (Welch segment 1024)" in err
 
+    def test_psd_verb_rejects_names_that_break_the_header(self, tmp_path, capsys):
+        sig = tmp_path / "frame.csv"
+        main(["generate", "--symbols", "1", "--wave-seed", "3", "--out", str(sig)])
+        overlay = tmp_path / "psd.csv"
+        for pair, bad in (((f"a,b={sig}", f"c={sig}"), "'a,b'"),
+                          ((f"a\nb={sig}", f"c={sig}"), "'a\\nb'"),
+                          ((f"x={sig}", f"x={sig}"), "'x' is repeated"),
+                          ((str(sig), str(sig)), "'frame' is repeated")):
+            capsys.readouterr()
+            assert main(["psd", "--out", str(overlay), *pair]) == 2
+            assert bad in capsys.readouterr().err
+            assert not overlay.exists()
+
     def test_small_waveform_sweep_rows_ok(self, tmp_path):
         out = tmp_path / "out"
         argv = ["sweep", "--subcarriers", "100", "--iterations", "0", "--out", str(out)]
@@ -456,6 +473,46 @@ class TestCli:
         ):
             path.write_text(text)
             assert main(["report", "--sweep", str(path)]) == 2
+
+    def test_only_a_polynomial_fit_imports_scipy(self, tmp_path):
+        # scipy.fft and scipy.linalg cost every process ~0.35 s and ~33 MB; only
+        # the polynomial least-squares solve needs scipy, and only scipy.linalg
+        script = """
+import json, sys
+from dpdkit.cli import main
+
+def step(argv):
+    code = main(argv) if argv else 0
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return [code, loaded]
+
+steps = [step(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(steps))
+"""
+        nn_sweep = ["--dpd", "nn K=1 N=6", "--iterations", "1", "--epochs", "1"]
+        scipy_free = [
+            [],
+            ["generate", "--symbols", "1", "--wave-seed", "3", "--out", "frame.csv"],
+            ["psd", "--out", "psd.csv", "frame.csv"],
+            ["sweep", *nn_sweep, "--wave-seed", "1", "--out", "nn"],
+            ["report", "--sweep", "nn"],
+        ]
+        poly = ["sweep", "--dpd", "poly P=3", "--iterations", "1", "--wave-seed", "1",
+                "--out", "poly"]
+        src = str(Path(dpdkit.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(scipy_free + [poly])],
+            capture_output=True, text=True, env=env, check=True, cwd=tmp_path,
+        ).stdout
+        steps = json.loads(out.splitlines()[-1])
+        for argv, (code, loaded) in zip(scipy_free, steps):
+            assert (code, loaded) == (0, []), argv
+        code, loaded = steps[-1]
+        assert code == 0
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith(("scipy.fft", "scipy.signal"))]
 
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert main(["sweep", "--spec", str(tmp_path / "nope.json")]) == 2

@@ -1,10 +1,5 @@
 """Tests for PSD, ACLR, and EVM measurements."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.signal
@@ -12,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import dpdkit
 from dpdkit import IqSignal, OfdmConfig, demodulate_ofdm, generate_ofdm
 from dpdkit.errors import ConfigurationError, FramingError, MetricError
 from dpdkit.metrics import _welch, _welch_linear, aclr_db_gated, evm_percent, psd_welch
@@ -37,7 +31,7 @@ class TestWelchOracle:
     """_welch must reproduce scipy.signal.welch byte for byte."""
 
     @pytest.mark.parametrize("overlap", [0, 0.5, 0.75])
-    @pytest.mark.parametrize("nperseg", [2, 64, 1024])
+    @pytest.mark.parametrize("nperseg", [2, 64, 256, 512, 1024])
     @pytest.mark.parametrize("n", [None, 4096, 5000, 40960])
     def test_bitwise_over_grid(self, n, nperseg, overlap):
         n = nperseg if n is None else n
@@ -57,16 +51,6 @@ class TestWelchOracle:
     def test_bitwise_on_any_finite_signal(self, x, log2_nperseg, overlap, fs):
         nperseg = min(1 << log2_nperseg, 1 << (len(x).bit_length() - 1))
         _assert_same_bytes(x, fs, nperseg, int(nperseg * overlap))
-
-    def test_cli_import_leaves_scipy_signal_out(self):
-        # scipy.signal costs every run ~0.45 s and ~41 MB of imports it does not need
-        src = str(Path(dpdkit.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        code = "import sys, dpdkit.cli; print('scipy.signal' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True).stdout
-        assert out.strip() == "False"
 
 
 def _aclr_from_psd(signal, waveform):
