@@ -194,27 +194,65 @@ def rescale_cascade_gain(model: MemoryPolyModel, gain: float) -> MemoryPolyModel
     return MemoryPolyModel(s, alpha, beta, model.dc)
 
 
+def _ridge_stack(A: np.ndarray, root_lam: float, dtype) -> np.ndarray:
+    """The column-major (n + p, p) matrix [A; root_lam * I]."""
+    n, n_cols = A.shape
+    stacked = np.empty((n + n_cols, n_cols), dtype=dtype, order="F")
+    stacked[:n] = A
+    stacked[n:] = 0
+    np.fill_diagonal(stacked[n:], root_lam)
+    return stacked
+
+
 def solve_regularized_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve min ||A theta - b||^2 + lam ||theta||^2 by QR on the stacked matrix.
 
-    lam is 1e-8 times the mean column energy of A.  Rank deficiency that
-    survives the regularization raises ConditioningError with a
-    condition-number estimate. scipy.linalg is imported here, at the first
-    solve, so that processes that fit no polynomial never load scipy.
+    lam is 1e-8 times the mean column energy of A. The stacked system
+    [A; sqrt(lam) I] theta = [b; 0] is built once, column-major, and LAPACK
+    gelsy (complete orthogonal factorization) overwrites it in place, so the
+    solve holds one copy of the basis besides A itself. The call repeats
+    scipy.linalg.lstsq(..., lapack_driver="gelsy") argument for argument, so
+    theta has the same bits; lstsq would copy the stack once more, because it
+    never lets gelsy overwrite its input. scipy.linalg is imported here, at
+    the first solve, so that processes that fit no polynomial never load it.
+
+    Raises:
+        ValueError: if A or b holds NaN/inf (checked before LAPACK runs).
+        ConditioningError: if rank deficiency survives the regularization;
+            it carries the condition number of the stacked matrix.
     """
     import scipy.linalg
 
-    n_cols = A.shape[1]
-    lam = 1e-8 * float(np.mean(np.sum(np.abs(A) ** 2, axis=0)))
-    stacked = np.vstack([A, np.sqrt(lam) * np.eye(n_cols, dtype=A.dtype)])
-    rhs = np.concatenate([b, np.zeros(n_cols, dtype=b.dtype)])
-    theta, _, rank, _ = scipy.linalg.lstsq(stacked, rhs, lapack_driver="gelsy")
+    n, n_cols = A.shape
+    energy = np.abs(A)
+    np.square(energy, out=energy)
+    lam = 1e-8 * float(np.mean(np.sum(energy, axis=0)))
+    del energy
+    # lam is finite exactly when every entry of [A; sqrt(lam) I] is
+    if not (np.isfinite(lam) and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    root_lam = np.sqrt(lam)
+    dtype = np.result_type(A, b, np.float64)
+    stacked = _ridge_stack(A, root_lam, dtype)
+    rhs = np.zeros(n + n_cols, dtype=dtype)
+    rhs[:n] = b
+    gelsy, gelsy_lwork = scipy.linalg.get_lapack_funcs(("gelsy", "gelsy_lwork"), (stacked, rhs))
+    cond = np.finfo(gelsy.dtype).eps
+    work, info = gelsy_lwork(n + n_cols, n_cols, 1, cond)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    jptv = np.zeros((n_cols, 1), dtype=np.int32)
+    _, x, _, rank, info = gelsy(stacked, rhs, jptv, cond, int(work.real),
+                                overwrite_a=True, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gelsy")
     if rank < n_cols:
+        del stacked  # factored in place; the estimate needs the matrix itself
         raise ConditioningError(
             f"basis is rank deficient (rank {rank} < {n_cols})",
-            condition_number=float(np.linalg.cond(stacked)),
+            condition_number=float(np.linalg.cond(_ridge_stack(A, root_lam, dtype))),
         )
-    return theta
+    return x[:n_cols].copy()  # a view would keep all n + p rows of x alive in the model
 
 
 def fit_ila(
@@ -258,6 +296,7 @@ def fit_ila(
         b = x_hat.samples
         theta = solve_regularized_ls(A, b)
         residuals.append(float(np.linalg.norm(A @ theta - b) / np.linalg.norm(b)))
+        del A  # the next iteration's predistort builds a basis of its own
         model = MemoryPolyModel.from_coefficients(shape, theta)
     return model, residuals
 

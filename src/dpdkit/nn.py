@@ -33,7 +33,10 @@ __all__ = [
 
 
 #: Columns per block when nn_forward runs a long signal, so the per-layer
-#: buffers stay cache-sized instead of growing with the frame.
+#: buffers stay cache-sized instead of growing with the frame. The output's
+#: bits depend on this block size: BLAS picks its kernels by matrix width, so
+#: a short last block can round a sample a few ulp away from a whole-frame
+#: matmul (at 8193 or 16385 samples, say). Bytes are defined blockwise.
 FORWARD_BLOCK = 8192
 
 

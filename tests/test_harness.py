@@ -336,6 +336,36 @@ class TestRunSweep:
         text = (tmp_path / "out" / "sweep.csv").read_text()
         assert "error: DivergenceError" in text
 
+    @pytest.mark.parametrize("seed, overdrives", [(0, True), (1, True), (2, False), (5, False)])
+    def test_overdriving_net_is_a_row_error(self, tmp_path, seed, overdrives):
+        # one epoch leaves nn K=1 N=4 driving the amplifier past its limit at
+        # seeds 0 and 1; whatever the schedule, that must stay a row error
+        spec = small_spec(
+            tmp_path,
+            dpd_list=["nn K=1 N=4", "poly P=5 M=1"],
+            train=TrainConfig(
+                outer_iterations=1,
+                epochs_per_iteration=(1,),
+                train_symbols=1,
+                val_symbols=1,
+                seed=seed,
+            ),
+        )
+        rows = run_sweep(spec)
+        row_dir = tmp_path / "out" / "nn_K1_N4"
+        assert rows[1].status == "ok"  # the sweep goes on to the next row
+        assert (row_dir / "model.txt").exists() and (row_dir / "trainlog.csv").exists()
+        if overdrives:
+            assert re.fullmatch(
+                r"error: InputRangeError: input peak \d+\.\d{4} exceeds the allowed drive 1\.5",
+                rows[0].status,
+            )
+            assert not (row_dir / "psd.csv").exists()
+            assert rows[0].status in (tmp_path / "out" / "sweep.csv").read_text()
+        else:
+            assert rows[0].status == "ok"
+            assert (row_dir / "psd.csv").exists()
+
 
 class TestEmitPsdOverlay:
     def test_two_signals_share_a_grid(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the memory-polynomial model, basis, LS solver, and ILA fit."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,123 @@ class TestSolver:
         with pytest.raises(ConditioningError) as info:
             solve_regularized_ls(a, b)
         assert info.value.condition_number > 1e12
+
+
+def lstsq_oracle(a, b):
+    """The ridge solve as scipy.linalg.lstsq computes it on a row-major stack."""
+    import scipy.linalg
+
+    n_cols = a.shape[1]
+    lam = 1e-8 * float(np.mean(np.sum(np.abs(a) ** 2, axis=0)))
+    stacked = np.vstack([a, np.sqrt(lam) * np.eye(n_cols, dtype=a.dtype)])
+    rhs = np.concatenate([b, np.zeros(n_cols, dtype=b.dtype)])
+    return scipy.linalg.lstsq(stacked, rhs, lapack_driver="gelsy")[0], stacked
+
+
+def distorted_fit_problem(shape, n, seed):
+    """A basis of a mildly compressed random signal, and that signal as target."""
+    x = random_signal(n, seed).samples
+    y = x * (1 - 0.1 * np.abs(x) ** 2) + 0.02 * np.roll(x, 1)
+    return build_basis(y, shape), x
+
+
+#: the poly_grid benchmark's six shapes and the default sweep's two
+SOLVER_SHAPES = [
+    PolyShape(5, 2),
+    PolyShape(7, 3),
+    PolyShape(9, 2),
+    PolyShape(11, 4),
+    PolyShape(13, 3),
+    PolyShape(9, 3, 5, 2),
+    PolyShape(7, 1),
+    PolyShape(11, 2),
+]
+
+
+class TestSolverOracle:
+    """solve_regularized_ls factors its own column-major stack in place; it
+    must return lstsq's bytes and keep lstsq's checks."""
+
+    @pytest.mark.parametrize("n", [4096, 4099])
+    @pytest.mark.parametrize("shape", SOLVER_SHAPES, ids=str)
+    def test_same_bytes_as_lstsq(self, shape, n):
+        a, b = distorted_fit_problem(shape, n, seed=shape.n_basis_columns + n)
+        expected, _ = lstsq_oracle(a, b)
+        a_before = a.copy()
+        theta = solve_regularized_ls(a, b)
+        assert theta.dtype == expected.dtype and theta.shape == expected.shape
+        assert theta.tobytes() == expected.tobytes()
+        assert a.tobytes() == a_before.tobytes()  # the caller's basis is not overwritten
+
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_before_lapack(self, monkeypatch, where, bad):
+        import scipy.linalg
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK reached with a non-finite input")
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", no_lapack)
+        a, b = distorted_fit_problem(PolyShape(5, 2), 200, seed=8)
+        if where == "A":
+            a[17, 3] = bad
+        else:
+            b[17] = complex(0.0, bad)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_regularized_ls(a, b)
+
+    def test_zero_column_reports_condition_of_the_unfactored_stack(self):
+        # column energy ~1e-340 underflows, so lam = 0 and the zero column
+        # survives the ridge; the estimate must come from [A; 0], not from
+        # the QR factors LAPACK left in its buffer
+        rng = np.random.default_rng(0)
+        c = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        d = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        a = 1e-170 * np.stack([c, np.zeros(60), d], axis=1)
+        _, stacked = lstsq_oracle(a, d)
+        with pytest.raises(ConditioningError, match="rank 2 < 3") as info:
+            solve_regularized_ls(a, d)
+        assert info.value.condition_number == float(np.linalg.cond(stacked))
+        assert np.isfinite(info.value.condition_number)
+
+
+class TestSolverMemory:
+    """The solve holds one stacked copy of the basis, and fit_ila one basis
+    per iteration; tracemalloc sees numpy's buffers."""
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        import scipy.linalg  # noqa: F401  (its import would count as the solve's)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - base, result
+
+    def test_solve_peak_is_one_basis_copy(self):
+        a, b = distorted_fit_problem(PolyShape(11, 4), 81_920, seed=5)
+        assert a.shape == (81_920, 24)
+        peak, _ = self.traced_peak(solve_regularized_ls, a, b)
+        # the stack is A.nbytes plus 24 rows; a row-major stack copied into
+        # column order, as lstsq does it, reads ~2.08
+        assert peak < 1.25 * a.nbytes
+
+    def test_fit_ila_holds_one_basis_per_iteration(self):
+        from dpdkit.ofdm import OfdmConfig, generate_ofdm
+        from dpdkit.pa import load_default_pa
+
+        shape = PolyShape(11, 4)
+        _, x = generate_ofdm(OfdmConfig(n_symbols=20, seed=1))
+        one_basis = len(x) * shape.n_basis_columns * 16
+        peak, (_, residuals) = self.traced_peak(fit_ila, load_default_pa(), shape, x, 2)
+        assert len(residuals) == 2
+        # basis + stack is ~2.1; keeping iteration 1's basis alive into
+        # iteration 2 reads ~3.2
+        assert peak < 2.5 * one_basis
 
 
 class PureGainPa:

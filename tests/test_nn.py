@@ -12,6 +12,7 @@ from dpdkit import IqSignal, OfdmConfig, generate_ofdm
 from dpdkit.complexity import nn_count
 from dpdkit.errors import ConfigurationError, FormatError
 from dpdkit.nn import (
+    FORWARD_BLOCK,
     DenseNet,
     NnWorkspace,
     glorot_net,
@@ -301,6 +302,17 @@ class TestKernelOracle:
             net = random_net(k, n, seed=60 + n)
             for sig in (frame, odd):
                 assert_same_bytes([nn_forward(net, sig).samples], [reference_forward(net, sig)])
+
+    @pytest.mark.parametrize("n", [8193, 8194, 8199, 16385])
+    def test_forward_matches_reference_one_block_at_a_time(self, frame, n):
+        # at these lengths a short last block rounds some sample differently
+        # from one whole-frame matmul; the blockwise reference is the contract
+        sig = IqSignal(frame.samples[:n], RATE)
+        for k, width in self.SHAPES:
+            net = random_net(k, width, seed=60 + width)
+            blocks = [reference_forward(net, IqSignal(sig.samples[s : s + FORWARD_BLOCK], RATE))
+                      for s in range(0, n, FORWARD_BLOCK)]
+            assert_same_bytes([nn_forward(net, sig).samples], [np.concatenate(blocks)])
 
     def test_one_workspace_matches_reference_across_shapes_and_widths(self, frame):
         workspace = NnWorkspace()
