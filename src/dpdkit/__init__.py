@@ -27,8 +27,6 @@ from .mempoly import (
 )
 from .complexity import (
     ComplexityReport,
-    count_nn_multiplies,
-    count_poly_multiplies,
     nn_count,
     parse_descriptor,
     poly_count,
@@ -62,7 +60,6 @@ from .ofdm import OfdmConfig, SymbolGrid, demodulate_ofdm, generate_ofdm
 from .pa import SimulatedPa, load_default_pa, load_pa_profile, save_pa_profile
 from .signals import IqSignal, estimate_gain, papr_db, read_signal_csv, write_signal_csv
 from .training import (
-    DEFAULT_DPD_SHAPE,
     DEFAULT_PA_MODEL_SHAPE,
     AdamState,
     TrainConfig,
@@ -82,7 +79,6 @@ __all__ = [
     "ComplexityReport",
     "ConditioningError",
     "ConfigurationError",
-    "DEFAULT_DPD_SHAPE",
     "DEFAULT_PA_MODEL_SHAPE",
     "DEFAULT_SWEEP",
     "DenseNet",
@@ -110,8 +106,6 @@ __all__ = [
     "adam_step",
     "demodulate_ofdm",
     "descriptor_slug",
-    "count_nn_multiplies",
-    "count_poly_multiplies",
     "emit_psd_overlay",
     "estimate_gain",
     "evm_percent",

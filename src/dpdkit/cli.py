@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, DpdError, FormatError
@@ -130,15 +130,7 @@ def _spec_from_args(args) -> ExperimentSpec:
 def _cmd_generate(args) -> int:
     cfg = _waveform_from_args(args, OfdmConfig(n_symbols=args.symbols))
     _, signal = generate_ofdm(cfg)
-    meta = {
-        "n_subcarriers": cfg.n_subcarriers,
-        "subcarrier_spacing_hz": cfg.subcarrier_spacing_hz,
-        "n_symbols": cfg.n_symbols,
-        "constellation": cfg.constellation,
-        "oversampling_factor": cfg.oversampling_factor,
-        "seed": cfg.seed,
-    }
-    write_signal_csv(signal, args.out, metadata=meta)
+    write_signal_csv(signal, args.out, metadata=asdict(cfg))
     print(f"wrote {len(signal)} samples at {signal.sample_rate_hz / 1e6:g} MHz, "
           f"PAPR {papr_db(signal):.2f} dB -> {args.out}")
     return 0

@@ -324,16 +324,18 @@ def save_poly_model(model: MemoryPolyModel, path: str) -> None:
 def _parse_shape_header(line: str, path: str) -> PolyShape:
     if not line.startswith("shape:"):
         raise FormatError(f"{path}:1: expected shape header, got {line!r}")
-    fields = dict(item.split("=", 1) for item in line[len("shape:") :].split())
     try:
+        fields = dict(item.split("=", 1) for item in line[len("shape:") :].split())
+        if fields["include_dc"] not in ("0", "1"):
+            raise ValueError(f"include_dc must be 0 or 1, got {fields['include_dc']!r}")
         return PolyShape(
             p_max=int(fields["p_max"]),
             main_taps=int(fields["main_taps"]),
             q_max=int(fields["q_max"]),
             conj_taps=int(fields["conj_taps"]),
-            include_dc=bool(int(fields["include_dc"])),
+            include_dc=fields["include_dc"] == "1",
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ConfigurationError) as exc:
         raise FormatError(f"{path}:1: bad shape header: {exc}") from exc
 
 

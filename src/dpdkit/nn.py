@@ -380,10 +380,10 @@ def load_net(path) -> DenseNet:
         raise FormatError(f"{path}: empty net file")
     try:
         k_str, n_str = lines[0].split(",")
-        k, n = int(k_str), int(n_str)
-    except ValueError as exc:
+        net = DenseNet.zeros(int(k_str), int(n_str))
+    except (ValueError, ConfigurationError) as exc:
         raise FormatError(f"{path}:1: bad header {lines[0]!r}: {exc}") from None
-    net = DenseNet.zeros(k, n)
+    k = net.hidden_layers
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         try:

@@ -14,6 +14,7 @@ are bitwise reproducible, and separate calls never share generator state.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,16 +54,15 @@ class SimulatedPa:
     Attributes:
         core: the memory-polynomial transfer model (its linear tap is the
             small-signal gain).
-        saturation_output_limit: hard ceiling on the output magnitude.
-        nominal_gain: declared complex gain used by receivers to normalize.
-        noise_stddev: per-component standard deviation of the additive
-            complex Gaussian output noise.
+        saturation_output_limit: hard ceiling on the output magnitude
+            (inf: no clip).
+        noise_stddev: finite per-component standard deviation of the
+            additive complex Gaussian output noise.
         seed: base seed for the per-call noise streams.
     """
 
     core: MemoryPolyModel
     saturation_output_limit: float
-    nominal_gain: complex
     noise_stddev: float
     seed: int = 0
     _calls: int = field(default=0, init=False, repr=False)
@@ -70,15 +70,14 @@ class SimulatedPa:
     def __post_init__(self):
         if not self.saturation_output_limit > 0:
             raise ConfigurationError("saturation_output_limit must be positive")
-        if self.noise_stddev < 0:
-            raise ConfigurationError("noise_stddev must be >= 0")
-        self.nominal_gain = complex(self.nominal_gain)
-        if self.nominal_gain == 0:
-            raise ConfigurationError("nominal_gain must be nonzero")
-
-    def reset(self) -> None:
-        """Rewind the noise stream to the state of a freshly built PA."""
-        self._calls = 0
+        # NaN would fail the `> 0` test in apply and silently switch the noise off
+        if not 0 <= self.noise_stddev < math.inf:
+            raise ConfigurationError(
+                f"noise_stddev must be finite and >= 0, got {self.noise_stddev}"
+            )
+        # the noise generator takes no negative seed; every apply() would fail
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def apply(self, signal: IqSignal) -> IqSignal:
         """Transmit a signal through the PA.
@@ -110,7 +109,6 @@ def save_pa_profile(pa: SimulatedPa, path: str) -> None:
         fh.write(f"p_max: {s.p_max}\n")
         fh.write(f"main_taps: {s.main_taps}\n")
         fh.write(f"saturation_output_limit: {_fmt(pa.saturation_output_limit)}\n")
-        fh.write(f"nominal_gain: {_fmt(pa.nominal_gain.real)},{_fmt(pa.nominal_gain.imag)}\n")
         fh.write(f"noise_stddev: {_fmt(pa.noise_stddev)}\n")
         fh.write(f"seed: {pa.seed}\n")
         for i, p in enumerate(range(1, s.p_max + 1, 2)):
@@ -138,26 +136,23 @@ def _profile_from_text(text: str, origin: str) -> SimulatedPa:
         except ValueError as exc:
             raise FormatError(f"{origin}:{lineno}: bad numeric field") from exc
     try:
-        shape = PolyShape(p_max=int(keys["p_max"]), main_taps=int(keys["main_taps"]))
+        p_max, main_taps = int(keys["p_max"]), int(keys["main_taps"])
         limit = float(keys["saturation_output_limit"])
-        g_re, g_im = (float(v) for v in keys["nominal_gain"].split(","))
         noise = float(keys["noise_stddev"])
         seed = int(keys["seed"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{origin}: bad or missing profile key: {exc}") from exc
-    core = MemoryPolyModel.identity(shape)
+    try:
+        core = MemoryPolyModel.identity(PolyShape(p_max=p_max, main_taps=main_taps))
+        pa = SimulatedPa(core=core, saturation_output_limit=limit, noise_stddev=noise, seed=seed)
+    except ConfigurationError as exc:
+        raise FormatError(f"{origin}: {exc}") from exc
     core.alpha[:] = 0
     for p, m, value in rows:
-        if p % 2 == 0 or not 1 <= p <= shape.p_max or not 0 <= m < shape.main_taps:
+        if p % 2 == 0 or not 1 <= p <= p_max or not 0 <= m < main_taps:
             raise FormatError(f"{origin}: coefficient row ({p},{m}) outside declared shape")
         core.alpha[(p - 1) // 2, m] = value
-    return SimulatedPa(
-        core=core,
-        saturation_output_limit=limit,
-        nominal_gain=complex(g_re, g_im),
-        noise_stddev=noise,
-        seed=seed,
-    )
+    return pa
 
 
 def load_pa_profile(path: str) -> SimulatedPa:

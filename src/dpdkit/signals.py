@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 import os
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ class IqSignal:
 
     Attributes:
         samples: 1-D complex array of IQ samples.
-        sample_rate_hz: positive sample rate in Hz.
+        sample_rate_hz: positive, finite sample rate in Hz.
     """
 
     samples: np.ndarray
@@ -29,17 +30,15 @@ class IqSignal:
             raise ConfigurationError(f"samples must be 1-D, got shape {samples.shape}")
         if samples.size == 0:
             raise ConfigurationError("signal must contain at least one sample")
-        if not self.sample_rate_hz > 0:
-            raise ConfigurationError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ConfigurationError(
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
+            )
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
 
     def mean_power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2))
@@ -136,6 +135,8 @@ def read_signal_csv(path: str) -> tuple[IqSignal, dict]:
         rate = float(metadata.pop("sample_rate_hz"))
     except ValueError as exc:
         raise FormatError(f"{meta_path}: bad sample_rate_hz") from exc
+    if not 0 < rate < math.inf:
+        raise FormatError(f"{meta_path}: sample_rate_hz must be positive and finite, got {rate}")
 
     values = []
     with open(path) as fh:

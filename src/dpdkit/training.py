@@ -28,7 +28,6 @@ from .ofdm import OfdmConfig, generate_ofdm
 from .signals import IqSignal, estimate_gain, _fmt
 
 __all__ = [
-    "DEFAULT_DPD_SHAPE",
     "DEFAULT_PA_MODEL_SHAPE",
     "TrainConfig",
     "TrainRecord",
@@ -264,12 +263,10 @@ def train_dpd_nn(
     return dpd, log
 
 
-#: Default (hidden_layers, width) for the predistorter and the amplifier model.
-#: The model is wider than the predistorter on purpose: its accuracy bounds
-#: what the predistorter can learn, and its multiplies never ship — only the
-#: predistorter runs at the transmitter, so only its shape shows up in the
-#: complexity accounting.
-DEFAULT_DPD_SHAPE = (1, 14)
+#: Default (hidden_layers, width) for the amplifier model. It is wider than
+#: the predistorters on purpose: its accuracy bounds what a predistorter can
+#: learn, and its multiplies never ship — only the predistorter runs at the
+#: transmitter, so only its shape shows up in the complexity accounting.
 DEFAULT_PA_MODEL_SHAPE = (2, 24)
 
 
@@ -283,26 +280,24 @@ def _frame_configs(waveform: OfdmConfig, cfg: TrainConfig) -> tuple[OfdmConfig, 
 
 def run_full_training(
     pa,
-    shapes: tuple[tuple[int, int], tuple[int, int]] | None = None,
-    cfg: TrainConfig | None = None,
-    waveform: OfdmConfig | None = None,
+    shapes: tuple[tuple[int, int], tuple[int, int]],
+    cfg: TrainConfig,
+    waveform: OfdmConfig,
 ) -> tuple[DenseNet, TrainLog]:
     """The full iterative procedure; returns the final predistorter and log.
 
     ``shapes`` is a pair ((dpd_hidden_layers, dpd_width),
-    (model_hidden_layers, model_width)); None selects the defaults above.
-    ``waveform`` defaults to ``OfdmConfig(seed=1)``; ``cfg`` sets its symbol counts.
+    (model_hidden_layers, model_width)). ``waveform`` sets the frames' OFDM
+    parameters and ``cfg`` their symbol counts.
     Iteration 1 transmits the raw frame; later iterations transmit the
     current predistorter's output, so the model sees the amplifier in the
     region the predistorter actually drives. With zero outer iterations the
     predistorter is the passthrough ``DenseNet.zeros`` and no frame is built.
     """
-    if cfg is None:
-        cfg = TrainConfig()
-    dpd_shape, model_shape = shapes or (DEFAULT_DPD_SHAPE, DEFAULT_PA_MODEL_SHAPE)
+    dpd_shape, model_shape = shapes
     if cfg.outer_iterations == 0:
         return DenseNet.zeros(*dpd_shape), TrainLog()
-    train_cfg, val_cfg = _frame_configs(waveform or OfdmConfig(seed=1), cfg)
+    train_cfg, val_cfg = _frame_configs(waveform, cfg)
     _, x_train = generate_ofdm(train_cfg)
     _, x_val = generate_ofdm(val_cfg)
 

@@ -13,9 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpdkit.complexity import (
-    count_nn_multiplies, count_poly_multiplies, nn_count, parse_descriptor, poly_count
-)
+from dpdkit.complexity import nn_count, parse_descriptor, poly_count
 from dpdkit.fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
 from dpdkit.harness import DEFAULT_SWEEP, ExperimentSpec, run_sweep
 from dpdkit.mempoly import MemoryPolyModel, PolyShape, fit_ila, poly_predistort, rescale_cascade_gain
@@ -31,6 +29,7 @@ from dpdkit.ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm, _frame_scale
 from dpdkit.pa import load_default_pa
 from dpdkit.signals import IqSignal, write_signal_csv
 from dpdkit.training import DEFAULT_PA_MODEL_SHAPE, TrainConfig, run_full_training
+from multiply_counter import count_nn_multiplies, count_poly_multiplies
 
 TRAIN_WAVE = OfdmConfig(n_symbols=10, seed=1)
 VAL_WAVE = OfdmConfig(n_symbols=10, seed=2)

@@ -28,7 +28,7 @@ from dpdkit.mempoly import PolyShape, load_poly_model
 from dpdkit.metrics import aclr_db_gated, evm_percent, psd_welch
 from dpdkit.nn import load_net
 from dpdkit.ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
-from dpdkit.pa import load_default_pa
+from dpdkit.pa import load_default_pa, save_pa_profile
 from dpdkit.signals import IqSignal
 from dpdkit.training import TrainConfig
 
@@ -207,6 +207,17 @@ class TestExperimentSpec:
         assert examples
         for text in examples:
             assert ExperimentSpec.from_dict(json.loads(text)).dpd_list
+
+    def test_readme_python_examples_run(self):
+        # the blocks build on each other (the training example reuses the quick
+        # start's frame), so they run in order in one namespace
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        examples = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(examples) >= 2
+        namespace = {}
+        for text in examples:
+            exec(compile(text, "README.md", "exec"), namespace)
+        assert namespace["u"].samples.shape == namespace["x"].samples.shape
 
 
 class TestRunSweep:
@@ -475,6 +486,28 @@ class TestCli:
             assert main(["psd", "--out", str(overlay), *pair]) == 2
             assert bad in capsys.readouterr().err
             assert not overlay.exists()
+
+    def test_psd_verb_rejects_an_infinite_sample_rate(self, tmp_path, capsys):
+        sig = tmp_path / "frame.csv"
+        main(["generate", "--symbols", "1", "--wave-seed", "3", "--out", str(sig)])
+        meta = Path(f"{sig}.meta")
+        meta.write_text(re.sub(r"sample_rate_hz: .*", "sample_rate_hz: inf", meta.read_text()))
+        capsys.readouterr()
+        assert main(["psd", "--out", str(tmp_path / "psd.csv"), str(sig)]) == 2
+        assert "frame.csv.meta" in capsys.readouterr().err
+
+    def test_bad_pa_profile_exits_2(self, tmp_path, capsys):
+        profile = tmp_path / "pa.txt"
+        save_pa_profile(load_default_pa(), profile)
+        good = profile.read_text()
+        for old, new in (("noise_stddev: 0.0013", "noise_stddev: nan"), ("p_max: 7", "p_max: 2")):
+            profile.write_text(good.replace(old, new))
+            capsys.readouterr()
+            argv = ["sweep", "--pa", str(profile), "--dpd", "poly P=3", "--iterations", "0",
+                    "--out", str(tmp_path / "run")]
+            assert main(argv) == 2
+            assert "pa.txt" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
 
     def test_small_waveform_sweep_rows_ok(self, tmp_path):
         out = tmp_path / "out"

@@ -533,3 +533,12 @@ class TestModelIo:
         path.write_text("main,1,0,1.0,0.0\n")
         with pytest.raises(FormatError):
             load_poly_model(path)
+        # a malformed or out-of-range header is a format error at line 1 too
+        for header in (
+            "shape: p_max",
+            "shape: p_max=-1 main_taps=1 q_max=0 conj_taps=0 include_dc=0",
+            "shape: p_max=3 main_taps=1 q_max=0 conj_taps=0 include_dc=2",
+        ):
+            path.write_text(header + "\nmain,1,0,1.0,0.0\n")
+            with pytest.raises(FormatError, match="headerless.txt:1:"):
+                load_poly_model(path)

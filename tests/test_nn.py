@@ -430,6 +430,11 @@ class TestNetIo:
             path.write_text(f"1,2\n0,0,0,1.0\n{row}\n")
             with pytest.raises(FormatError, match=":3:"):
                 load_net(path)
+        # a header naming an impossible net is a format error at line 1
+        for header in ("1,-2", "0,4", "1"):
+            path.write_text(f"{header}\n0,0,0,1.0\n")
+            with pytest.raises(FormatError, match=":1:"):
+                load_net(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpdkit import IqSignal, OfdmConfig, demodulate_ofdm, generate_ofdm
-from dpdkit.errors import FormatError, InputRangeError
+from dpdkit.errors import ConfigurationError, FormatError, InputRangeError
 from dpdkit.mempoly import MemoryPolyModel, PolyShape
 from dpdkit.metrics import aclr_db_gated, evm_percent
 from dpdkit.pa import MAX_DRIVE, SimulatedPa, load_default_pa, load_pa_profile, save_pa_profile
@@ -33,8 +33,7 @@ def random_signal(n, seed, scale=0.25):
 class TestLinearAndPolynomialCore:
     def test_linear_core_is_exact_gain(self):
         g = 0.8 + 0.3j
-        pa = SimulatedPa(core=gain_core(g), saturation_output_limit=10.0,
-                         nominal_gain=g, noise_stddev=0.0)
+        pa = SimulatedPa(core=gain_core(g), saturation_output_limit=10.0, noise_stddev=0.0)
         sig = random_signal(500, seed=1)
         out = pa.apply(sig)
         np.testing.assert_allclose(out.samples, g * sig.samples, rtol=1e-12)
@@ -43,8 +42,7 @@ class TestLinearAndPolynomialCore:
         core = MemoryPolyModel.identity(PolyShape(p_max=3, main_taps=1))
         core.alpha[0, 0] = 1.0
         core.alpha[1, 0] = -0.2 + 0.1j
-        pa = SimulatedPa(core=core, saturation_output_limit=10.0,
-                         nominal_gain=1.0, noise_stddev=0.0)
+        pa = SimulatedPa(core=core, saturation_output_limit=10.0, noise_stddev=0.0)
         sig = random_signal(200, seed=2)
         out = pa.apply(sig)
         expect = np.array(
@@ -56,8 +54,7 @@ class TestLinearAndPolynomialCore:
         core = MemoryPolyModel.identity(PolyShape(p_max=1, main_taps=2))
         core.alpha[0, 0] = 1.0
         core.alpha[0, 1] = 0.5j
-        pa = SimulatedPa(core=core, saturation_output_limit=10.0,
-                         nominal_gain=1.0, noise_stddev=0.0)
+        pa = SimulatedPa(core=core, saturation_output_limit=10.0, noise_stddev=0.0)
         sig = random_signal(64, seed=3)
         out = pa.apply(sig)
         x = sig.samples
@@ -67,8 +64,7 @@ class TestLinearAndPolynomialCore:
 
 class TestSaturation:
     def pa_with_limit(self, limit):
-        return SimulatedPa(core=gain_core(1.0), saturation_output_limit=limit,
-                           nominal_gain=1.0, noise_stddev=0.0)
+        return SimulatedPa(core=gain_core(1.0), saturation_output_limit=limit, noise_stddev=0.0)
 
     def test_passthrough_below_knee(self):
         pa = self.pa_with_limit(1.0)
@@ -111,7 +107,7 @@ class TestSaturation:
 class TestNoise:
     def make(self, seed=5):
         return SimulatedPa(core=gain_core(1.0), saturation_output_limit=10.0,
-                           nominal_gain=1.0, noise_stddev=1e-3, seed=seed)
+                           noise_stddev=1e-3, seed=seed)
 
     def test_same_seed_same_first_call(self):
         sig = random_signal(256, seed=6)
@@ -126,19 +122,16 @@ class TestNoise:
         second = pa.apply(sig)
         assert np.any(first.samples != second.samples)
 
-    def test_reset_replays_the_stream(self):
-        sig = random_signal(256, seed=8)
-        pa = self.make()
-        first = pa.apply(sig)
-        pa.apply(sig)
-        pa.reset()
-        again = pa.apply(sig)
-        np.testing.assert_array_equal(first.samples, again.samples)
+    def test_non_finite_or_negative_noise_rejected(self):
+        # NaN would fail apply's `> 0` test and switch the noise off unreported
+        for noise in (np.nan, np.inf, -1e-3):
+            with pytest.raises(ConfigurationError, match="noise_stddev"):
+                SimulatedPa(core=gain_core(1.0), saturation_output_limit=10.0, noise_stddev=noise)
 
     def test_noise_level_scales_with_stddev(self):
         sig = random_signal(4096, seed=9)
         pa = SimulatedPa(core=gain_core(1.0), saturation_output_limit=10.0,
-                         nominal_gain=1.0, noise_stddev=5e-3, seed=1)
+                         noise_stddev=5e-3, seed=1)
         out = pa.apply(sig)
         resid = out.samples - sig.samples
         measured = np.sqrt(np.mean(resid.real**2 + resid.imag**2) / 2)
@@ -150,14 +143,12 @@ class TestProfileIo:
         core = MemoryPolyModel.identity(PolyShape(p_max=5, main_taps=2))
         core.alpha[1, 0] = 0.01 - 0.02j
         core.alpha[2, 1] = -3e-4 + 1e-5j
-        pa = SimulatedPa(core=core, saturation_output_limit=1.25,
-                         nominal_gain=0.9 + 0.1j, noise_stddev=2e-4, seed=11)
+        pa = SimulatedPa(core=core, saturation_output_limit=1.25, noise_stddev=2e-4, seed=11)
         path = tmp_path / "profile.txt"
         save_pa_profile(pa, path)
         back = load_pa_profile(path)
         np.testing.assert_array_equal(back.core.alpha, core.alpha)
         assert back.saturation_output_limit == 1.25
-        assert back.nominal_gain == 0.9 + 0.1j
         assert back.noise_stddev == 2e-4
         assert back.seed == 11
 
@@ -167,24 +158,20 @@ class TestProfileIo:
         coefficients=st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
                               min_size=15, max_size=15),
         limit=st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
-        gain=st.complex_numbers(allow_nan=False, allow_infinity=False).filter(lambda g: g != 0),
         noise=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
         seed=st.integers(0, 2**63 - 1),
     )
-    def test_round_trip_bitwise_over_profiles(self, p_max, taps, coefficients, limit, gain,
-                                              noise, seed):
+    def test_round_trip_bitwise_over_profiles(self, p_max, taps, coefficients, limit, noise, seed):
         core = MemoryPolyModel.identity(PolyShape(p_max=p_max, main_taps=taps))
         core.alpha[:] = np.reshape(coefficients[: core.alpha.size], core.alpha.shape)
-        pa = SimulatedPa(core=core, saturation_output_limit=limit, nominal_gain=gain,
-                         noise_stddev=noise, seed=seed)
+        pa = SimulatedPa(core=core, saturation_output_limit=limit, noise_stddev=noise, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "profile.txt"
             save_pa_profile(pa, path)
             back = load_pa_profile(path)
         assert back.core.shape == core.shape
         assert back.core.alpha.tobytes() == core.alpha.tobytes()
-        for a, b in ((back.saturation_output_limit, limit), (back.nominal_gain, pa.nominal_gain),
-                     (back.noise_stddev, noise)):
+        for a, b in ((back.saturation_output_limit, limit), (back.noise_stddev, noise)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         assert back.seed == seed
 
@@ -198,12 +185,48 @@ class TestProfileIo:
         with pytest.raises(FormatError, match="7"):
             load_pa_profile(path)
 
+    def test_bad_profile_value_names_the_file(self, tmp_path):
+        path = tmp_path / "bad_profile.txt"
+        save_pa_profile(load_default_pa(), path)
+        good = path.read_text()
+        for old, new in (
+            ("noise_stddev: 0.0013", "noise_stddev: nan"),
+            ("noise_stddev: 0.0013", "noise_stddev: inf"),
+            ("noise_stddev: 0.0013", "noise_stddev: -0.1"),
+            ("saturation_output_limit: 2.0", "saturation_output_limit: nan"),
+            ("saturation_output_limit: 2.0", "saturation_output_limit: 0.0"),
+            ("p_max: 7", "p_max: 2"),
+            ("main_taps: 3", "main_taps: 0"),
+            ("seed: 0", "seed: -1"),
+        ):
+            path.write_text(good.replace(old, new))
+            with pytest.raises(FormatError, match="bad_profile.txt"):
+                load_pa_profile(path)
+
+    def test_unclipped_profile_loads(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        save_pa_profile(load_default_pa(), path)
+        path.write_text(path.read_text().replace("limit: 2.0", "limit: inf"))
+        assert load_pa_profile(path).saturation_output_limit == np.inf
+
+    def test_profile_with_a_nominal_gain_line_loads_unchanged(self, tmp_path):
+        # profiles written before the setting was dropped still carry the line
+        path = tmp_path / "profile.txt"
+        save_pa_profile(load_default_pa(), path)
+        plain = load_pa_profile(path)
+        legacy_line = "nominal_gain: 0.97,0.26\n"
+        path.write_text(path.read_text().replace("noise_stddev:", legacy_line + "noise_stddev:"))
+        legacy = load_pa_profile(path)
+        assert legacy.core.alpha.tobytes() == plain.core.alpha.tobytes()
+        assert (legacy.saturation_output_limit, legacy.noise_stddev, legacy.seed) == (
+            plain.saturation_output_limit, plain.noise_stddev, plain.seed
+        )
+
     def test_default_profile_fields(self):
         pa = load_default_pa()
         assert pa.core.shape.p_max == 7
         assert pa.core.shape.main_taps == 3
-        assert pa.nominal_gain == 0.97 + 0.26j
-        assert pa.core.alpha[0, 0] == pa.nominal_gain
+        assert pa.core.alpha[0, 0] == 0.97 + 0.26j
         assert pa.saturation_output_limit == 2.0
         assert pa.noise_stddev == pytest.approx(1.3e-3)
 
@@ -224,7 +247,7 @@ class TestDefaultProfileCalibration:
 
     def test_uncorrected_evm_matches_recorded_value(self):
         received = demodulate_ofdm(
-            IqSignal(self.y.samples / self.pa.nominal_gain, self.y.sample_rate_hz),
+            IqSignal(self.y.samples / self.pa.core.alpha[0, 0], self.y.sample_rate_hz),
             self.cfg,
         )
         value = evm_percent(self.grid, received)

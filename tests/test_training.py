@@ -37,6 +37,8 @@ from dpdkit.training import (
 
 WAVEFORM = OfdmConfig(n_subcarriers=600, n_symbols=10, constellation="qam16", seed=1)
 VAL_WAVEFORM = OfdmConfig(n_subcarriers=600, n_symbols=10, constellation="qam16", seed=2)
+# the headline predistorter, nn K=1 N=14, trained through the default amplifier model
+HEADLINE_SHAPES = ((1, 14), training.DEFAULT_PA_MODEL_SHAPE)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +72,6 @@ def linear_pa(noise=0.0):
     return SimulatedPa(
         core=core,
         saturation_output_limit=2.0,
-        nominal_gain=gain,
         noise_stddev=noise,
         seed=0,
     )
@@ -288,7 +289,7 @@ class TestTrainDpdNn:
 
 class TestRunFullTraining:
     def test_default_schedule_log_structure_and_descent(self):
-        dpd, log = run_full_training(load_default_pa(), None, TrainConfig())
+        dpd, log = run_full_training(load_default_pa(), HEADLINE_SHAPES, TrainConfig(), WAVEFORM)
         pa_recs = log.phase_records("pa_model")
         dpd_recs = log.phase_records("dpd")
         assert len(pa_recs) == 25 and len(dpd_recs) == 25
@@ -314,12 +315,12 @@ class TestRunFullTraining:
     def test_linear_pa_leaves_evm_unchanged(self):
         cfg = TrainConfig(outer_iterations=1, epochs_per_iteration=(25,), batch_size=128)
         pa = linear_pa()
-        dpd, _ = run_full_training(pa, ((1, 6), (1, 6)), cfg)
+        dpd, _ = run_full_training(pa, ((1, 6), (1, 6)), cfg, WAVEFORM)
         grid, x_val = generate_ofdm(VAL_WAVEFORM)
         y0 = pa.apply(x_val)
         evm0 = evm_percent(
             grid,
-            demodulate_ofdm(IqSignal(y0.samples / pa.nominal_gain, y0.sample_rate_hz), VAL_WAVEFORM),
+            demodulate_ofdm(IqSignal(y0.samples / pa.core.alpha[0, 0], y0.sample_rate_hz), VAL_WAVEFORM),
         )
         x_hat = nn_forward(dpd, x_val)
         y1 = pa.apply(x_hat)
@@ -336,7 +337,7 @@ class TestRunFullTraining:
             TrainConfig(outer_iterations=1, epochs_per_iteration=(8,)),
             TrainConfig(outer_iterations=2, epochs_per_iteration=(8, 4)),
         ):
-            dpd, _ = run_full_training(load_default_pa(), None, cfg)
+            dpd, _ = run_full_training(load_default_pa(), HEADLINE_SHAPES, cfg, WAVEFORM)
             y = load_default_pa().apply(nn_forward(dpd, x_val))
             results.append(aclr_db_gated(y, VAL_WAVEFORM))
         assert results[1] <= results[0]
@@ -351,7 +352,7 @@ class TestRunFullTraining:
 
         monkeypatch.setattr(training, "generate_ofdm", no_frames)
         cfg = TrainConfig(outer_iterations=0, epochs_per_iteration=())
-        net, log = run_full_training(UntouchablePa(), ((1, 6), (1, 8)), cfg)
+        net, log = run_full_training(UntouchablePa(), ((1, 6), (1, 8)), cfg, WAVEFORM)
         zero = DenseNet.zeros(1, 6)
         assert log.records == []
         for a, b in zip(net.weights + net.biases, zero.weights + zero.biases):
@@ -359,7 +360,10 @@ class TestRunFullTraining:
 
     def test_rerun_reproduces_weights_bitwise(self):
         cfg = TrainConfig(outer_iterations=1, epochs_per_iteration=(3,), seed=5)
-        nets = [run_full_training(load_default_pa(), ((1, 6), (1, 8)), cfg)[0] for _ in range(2)]
+        nets = [
+            run_full_training(load_default_pa(), ((1, 6), (1, 8)), cfg, WAVEFORM)[0]
+            for _ in range(2)
+        ]
         for w0, w1 in zip(nets[0].weights, nets[1].weights):
             np.testing.assert_array_equal(w0, w1)
         for b0, b1 in zip(nets[0].biases, nets[1].biases):
@@ -369,4 +373,4 @@ class TestRunFullTraining:
         cfg = TrainConfig(outer_iterations=1, epochs_per_iteration=(2,), learning_rate=1e160)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError):
-                run_full_training(load_default_pa(), ((1, 4), (1, 4)), cfg)
+                run_full_training(load_default_pa(), ((1, 4), (1, 4)), cfg, WAVEFORM)
