@@ -2,7 +2,6 @@
 
 import math
 import numbers
-import operator
 
 
 class DpdError(Exception):
@@ -22,14 +21,13 @@ class ConfigurationError(DpdError):
 
 
 def _require_integer(field: str, value) -> None:
-    """Reject a count given as a float or a string, naming its field.
+    """Reject a count given as a float, a string or a bool, naming its field.
 
-    operator.index accepts Python and NumPy integers only, so 2.0 fails too.
+    Only Python and NumPy integers define ``__index__``, so 2.0 fails too;
+    bool is an int subclass, and JSON reads true and false into it.
     """
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{field} must be an integer, got {value!r}", field) from None
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ConfigurationError(f"{field} must be an integer, got {value!r}", field)
 
 
 def _require_real(field: str, value) -> None:

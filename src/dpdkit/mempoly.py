@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConditioningError, ConfigurationError, FormatError, InputRangeError, _require_integer
+    ConditioningError, ConfigurationError, FormatError, InputRangeError, _require_integer,
+    _require_real
 )
 from .signals import IqSignal, _fmt, _require_finite, estimate_gain
 
@@ -181,8 +182,9 @@ def rescale_cascade_gain(model: MemoryPolyModel, gain: float) -> MemoryPolyModel
     unit gain and then shrinking every coefficient under the Q1.15 ceiling —
     a fitted linear term typically lands a couple percent above 1.0.
     """
-    if not (np.isreal(gain) and gain > 0):
-        raise ConfigurationError(f"cascade gain must be a positive real, got {gain!r}")
+    _require_real("gain", gain)
+    if gain <= 0:
+        raise ConfigurationError(f"gain must be positive, got {gain!r}", "gain")
     gain = float(gain)
     s = model.shape
     alpha = model.alpha.copy()

@@ -12,7 +12,7 @@ predistorter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +40,10 @@ __all__ = [
 FORWARD_BLOCK = 8192
 
 
-def _weight_shapes(hidden_layers: int, width: int) -> list[tuple[int, int]]:
-    return [(width, 2)] + [(width, width)] * (hidden_layers - 1) + [(2, width)]
+def _weight_shapes(k: int, n: int) -> list[tuple[int, int]]:
+    if k < 1 or n < 1:
+        raise ConfigurationError(f"need hidden_layers >= 1 and width >= 1, got K={k}, N={n}")
+    return [(n, 2)] + [(n, n)] * (k - 1) + [(2, n)]
 
 
 def _pack(tensors: list) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -54,103 +56,76 @@ def _pack(tensors: list) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseNet:
     """Weights of a K-hidden-layer, width-N dense network with identity bypass.
 
     ``weights`` holds W1 (N, 2), the hidden W2..WK (N, N), and the output
     W_{K+1} (2, N); ``biases`` match the output dimension of each weight.
     The input is added to the output unscaled; the bypass has no weights.
+
+    The constructor copies the weights, then the biases, into one float64
+    vector ``flat`` and binds both tuples to views of it. Tensors are written
+    in place, never rebound, so ``flat`` and the tensors cannot drift apart.
     """
 
     hidden_layers: int
     width: int
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k, n = self.hidden_layers, self.width
-        if k < 1 or n < 1:
-            raise ConfigurationError(f"need hidden_layers >= 1 and width >= 1, got K={k}, N={n}")
+        k = self.hidden_layers
+        shapes = _weight_shapes(k, self.width)
         if len(self.weights) != k + 1 or len(self.biases) != k + 1:
             raise ConfigurationError(
                 f"expected {k + 1} weight/bias tensors, got {len(self.weights)}/{len(self.biases)}"
             )
-        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
-        for i, (w, b, expect) in enumerate(zip(self.weights, self.biases, _weight_shapes(k, n))):
-            if w.shape != expect:
-                raise ConfigurationError(f"weight {i} has shape {w.shape}, expected {expect}")
-            if b.shape != (expect[0],):
-                raise ConfigurationError(f"bias {i} has shape {b.shape}, expected ({expect[0]},)")
-        self._flat = None
-        self._flat_views: list[np.ndarray] = []
+        for i, (w, b, (rows, cols)) in enumerate(zip(self.weights, self.biases, shapes)):
+            if np.shape(w) != (rows, cols) or np.shape(b) != (rows,):
+                raise ConfigurationError(
+                    f"layer {i} has weight/bias shapes {np.shape(w)}/{np.shape(b)}, "
+                    f"expected {(rows, cols)}/{(rows,)}"
+                )
+        flat, views = _pack([*self.weights, *self.biases])
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "weights", tuple(views[: k + 1]))
+        object.__setattr__(self, "biases", tuple(views[k + 1 :]))
 
     @classmethod
     def zeros(cls, hidden_layers: int, width: int) -> "DenseNet":
         """All-zero trainables: with the bypass, the exact identity map."""
         shapes = _weight_shapes(hidden_layers, width)
-        return cls(
-            hidden_layers=hidden_layers,
-            width=width,
-            weights=[np.zeros(s) for s in shapes],
-            biases=[np.zeros(s[0]) for s in shapes],
-        )
+        weights = [np.zeros(s) for s in shapes]
+        return cls(hidden_layers, width, weights, [np.zeros(s[0]) for s in shapes])
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            hidden_layers=self.hidden_layers,
-            width=self.width,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-    def flat_params(self) -> np.ndarray:
-        """One float64 vector holding every trainable: the weights, then the biases.
-
-        ``weights`` and ``biases`` are views into it, so an in-place update of
-        the vector updates the net. The first call, and the first after any
-        tensor was replaced, copies the current values into a new vector and
-        rebinds both lists to its views.
-        """
-        tensors = self.weights + self.biases
-        if len(tensors) != len(self._flat_views) or any(
-            t is not v for t, v in zip(tensors, self._flat_views)
-        ):
-            self._flat, self._flat_views = _pack(tensors)
-            split = self.hidden_layers + 1
-            self.weights, self.biases = self._flat_views[:split], self._flat_views[split:]
-        return self._flat
+        return DenseNet(self.hidden_layers, self.width, self.weights, self.biases)
 
 
 @dataclass
 class NnGradients:
     """Loss value plus gradients shaped like a network's trainable tensors.
 
-    ``flat`` holds every entry in the layout of ``DenseNet.flat_params``
-    (weights, then biases), and ``weights`` and ``biases`` are views into it.
-    Given only the lists, the constructor copies them into a new ``flat``.
+    ``flat`` holds every entry in the layout of ``DenseNet.flat`` (weights,
+    then biases), and ``weights`` and ``biases`` are views into it.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     loss: float
-    flat: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.flat is None:
-            self.flat, views = _pack(self.weights + self.biases)
-            self.weights, self.biases = views[: len(self.weights)], views[len(self.weights) :]
+    flat: np.ndarray
 
 
 def glorot_net(hidden_layers: int, width: int, seed=0) -> DenseNet:
     """Seeded uniform Glorot-style initialization; biases zero."""
     net = DenseNet.zeros(hidden_layers, width)
     rng = np.random.default_rng(seed)
-    for i, w in enumerate(net.weights):
+    for w in net.weights:
         fan_out, fan_in = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        net.weights[i] = rng.uniform(-bound, bound, size=w.shape)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
     return net
 
 
@@ -195,8 +170,7 @@ class NnWorkspace:
 
     def __init__(self):
         self._columns: dict[int, _Columns] = {}
-        self._grads_shape: tuple[int, int] | None = None
-        self._grads: NnGradients | None = None
+        self._grads: DenseNet | None = None
 
     def _columns_for(self, n: int, *nets: DenseNet) -> _Columns:
         shapes = tuple((net.hidden_layers, net.width) for net in nets)
@@ -206,13 +180,11 @@ class NnWorkspace:
         return cols
 
     def _gradients_for(self, net: DenseNet, loss: float) -> NnGradients:
-        shape = (net.hidden_layers, net.width)
-        if self._grads_shape != shape:
-            self._grads_shape = shape
-            # a flat vector with the net's layout; every call overwrites the copied values
-            self._grads = NnGradients(net.weights, net.biases, 0.0)
         g = self._grads
-        return NnGradients(weights=g.weights, biases=g.biases, loss=loss, flat=g.flat)
+        if g is None or (g.hidden_layers, g.width) != (net.hidden_layers, net.width):
+            # a buffer in the net's layout; every call overwrites all of it
+            g = self._grads = DenseNet.zeros(net.hidden_layers, net.width)
+        return NnGradients(g.weights, g.biases, loss, g.flat)
 
 
 def _split_into(x2: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -374,17 +346,22 @@ def load_net(path) -> DenseNet:
             a layer-0 row must hold its identity-bypass value.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+        lines = fh.read().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty net file")
+    header = lines[0].strip()
     try:
-        k_str, n_str = lines[0].split(",")
-        net = DenseNet.zeros(int(k_str), int(n_str))
-    except (ValueError, ConfigurationError) as exc:
-        raise FormatError(f"{path}:1: bad header {lines[0]!r}: {exc}") from None
-    k = net.hidden_layers
+        k, n = (int(v) for v in header.split(","))
+    except ValueError as exc:
+        raise FormatError(f"{path}:1: bad header {header!r}: {exc}") from None
+    try:
+        net = DenseNet.zeros(k, n)
+    except ConfigurationError as exc:
+        raise FormatError(f"{path}:1: bad header {header!r}: {exc}") from None
     for lineno, ln in enumerate(lines[1:], start=2):
+        ln = ln.strip()
+        if not ln:
+            continue
         parts = ln.split(",")
         try:
             if len(parts) not in (3, 4):

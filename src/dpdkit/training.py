@@ -115,7 +115,7 @@ class TrainLog:
 
 @dataclass
 class AdamState:
-    """Adam's first and second moments, flat in the layout of ``DenseNet.flat_params``."""
+    """Adam's first and second moments, flat in the layout of ``DenseNet.flat``."""
 
     m: np.ndarray
     v: np.ndarray
@@ -123,9 +123,8 @@ class AdamState:
 
     @classmethod
     def fresh(cls, net: DenseNet) -> "AdamState":
-        """Zero moments for ``net``, which is packed onto its flat parameter vector."""
-        size = net.flat_params().size
-        return cls(m=np.zeros(size), v=np.zeros(size))
+        """Zero moments for ``net``."""
+        return cls(m=np.zeros(net.flat.size), v=np.zeros(net.flat.size))
 
 
 def adam_step(net: DenseNet, grads: NnGradients, state: AdamState, cfg: TrainConfig) -> None:
@@ -142,7 +141,7 @@ def adam_step(net: DenseNet, grads: NnGradients, state: AdamState, cfg: TrainCon
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    m, v, params = state.m, state.v, net.flat_params()
+    m, v, params = state.m, state.v, net.flat
     m *= b1
     m += (1 - b1) * g
     v *= b2
@@ -183,24 +182,20 @@ def train_pa_nn(
     net: DenseNet,
     cfg: TrainConfig,
     *,
-    val_pairs: tuple[IqSignal, IqSignal] | None = None,
-    epochs: int | None = None,
-    iteration: int = 1,
-    log: TrainLog | None = None,
+    val_pairs: tuple[IqSignal, IqSignal],
+    epochs: int,
+    iteration: int,
+    log: TrainLog,
 ) -> tuple[DenseNet, TrainLog]:
     """Fit the amplifier model net to (input, gain-normalized output) pairs.
 
-    ``pairs`` is (x̂, y/G). Validation defaults to the training pair when no
-    held-out pair is supplied.
+    ``pairs`` is (x̂, y/G) and ``val_pairs`` the held-out pair each epoch is
+    scored on. ``iteration`` seeds the shuffle and tags the rows appended to
+    ``log``.
     """
     x_hat, y_norm = pairs
     if len(x_hat) != len(y_norm):
         raise ConfigurationError(f"pair length mismatch: {len(x_hat)} vs {len(y_norm)}")
-    if val_pairs is None:
-        val_pairs = pairs
-    if epochs is None:
-        epochs = cfg.epochs_per_iteration[0]
-    log = log if log is not None else TrainLog()
     rng = np.random.default_rng([cfg.seed, 10 + iteration, 0])
     workspace = NnWorkspace()
 
@@ -229,21 +224,17 @@ def train_dpd_nn(
     x: IqSignal,
     cfg: TrainConfig,
     *,
-    x_val: IqSignal | None = None,
-    epochs: int | None = None,
-    iteration: int = 1,
-    log: TrainLog | None = None,
+    x_val: IqSignal,
+    epochs: int,
+    iteration: int,
+    log: TrainLog,
 ) -> tuple[DenseNet, TrainLog]:
     """Refine the predistorter through the frozen amplifier model.
 
     Minimizes the MSE between pa_model(dpd(x)) and x itself; only the
-    predistorter is updated.
+    predistorter is updated. ``x_val`` is the held-out frame each epoch is
+    scored on; ``iteration`` and ``log`` are as in ``train_pa_nn``.
     """
-    if x_val is None:
-        x_val = x
-    if epochs is None:
-        epochs = cfg.epochs_per_iteration[0]
-    log = log if log is not None else TrainLog()
     rng = np.random.default_rng([cfg.seed, 10 + iteration, 1])
     workspace = NnWorkspace()
 

@@ -157,7 +157,8 @@ class TestNnForwardFixed:
         # precondition (raw glorot draws can land outside Q1.15), and input
         # backed off so the peak-expanded output stays inside it too
         net = glorot_net(1, 14, seed=[9, 1])
-        net.weights = [0.5 * w for w in net.weights]
+        for w in net.weights:
+            w *= 0.5
         x = IqSignal(0.8 * frame.samples, frame.sample_rate_hz)
         f = nn_forward(net, x).samples
         assert np.abs(f).max() < 1.0

@@ -608,6 +608,13 @@ print(json.dumps(steps))
             ("waveform.oversampling_factor", {"waveform": {"oversampling_factor": 4.0}}),
             ("waveform.seed", {"waveform": {"seed": 1.5}}),
             ("fixed_point.frac_bits", {"fixed_point": {"frac_bits": 14.5}}),
+            # JSON true and false are not counts
+            ("train.seed", {"train": {"seed": True}}),
+            ("train.batch_size", {"train": {"batch_size": True}}),
+            ("train.outer_iterations",
+             {"train": {"outer_iterations": False, "epochs_per_iteration": []}}),
+            ("waveform.n_subcarriers", {"waveform": {"n_subcarriers": True}}),
+            ("fixed_point.frac_bits", {"fixed_point": {"frac_bits": True}}),
             # float64 cannot emulate a word wider than 54 bits exactly
             ("fixed_point.total_bits", {"fixed_point": {"total_bits": 60, "frac_bits": 59}}),
             ("train.learning_rate", {"train": {"learning_rate": "x"}}),

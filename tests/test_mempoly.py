@@ -257,6 +257,12 @@ class TestModel:
         np.testing.assert_allclose(twice.coefficient_vector(), once.coefficient_vector(),
                                    rtol=1e-12, atol=0)
 
+    def test_rescale_rejects_nonfinite_bool_and_nonpositive_gains(self):
+        model = seeded_model(PolyShape(5, 2), 0)
+        for gain in (np.inf, -np.inf, np.nan, True, False, 0.0, -0.5, "0.9", 0.9 + 0j):
+            with pytest.raises(ConfigurationError, match="^gain "):
+                rescale_cascade_gain(model, gain)
+
 
 class TestSolver:
     @staticmethod

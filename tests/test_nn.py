@@ -1,5 +1,6 @@
 """Tests for the dense-network forward/backward math and complexity counts."""
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -34,7 +35,8 @@ def random_signal(n, seed, scale=0.4):
 def random_net(k, n, seed):
     net = glorot_net(k, n, seed=seed)
     rng = np.random.default_rng(seed + 1000)
-    net.biases = [0.1 * rng.standard_normal(b.shape) for b in net.biases]
+    for b in net.biases:
+        b[:] = 0.1 * rng.standard_normal(b.shape)
     return net
 
 
@@ -143,8 +145,8 @@ class TestForward:
 
     def test_single_relu_transfer(self):
         net = DenseNet.zeros(1, 1)
-        net.weights[0] = np.array([[1.0, 0.0]])
-        net.weights[1] = np.array([[1.0], [0.0]])
+        net.weights[0][...] = [[1.0, 0.0]]
+        net.weights[1][...] = [[1.0], [0.0]]
         sig = random_signal(64, seed=1)
         out = nn_forward(net, sig)
         # the identity bypass adds the input to the one-ReLU output
@@ -184,9 +186,9 @@ class TestForward:
         base = nn_forward(net, sig)
         t = 3.7
         scaled = net.copy()
-        scaled.weights[0] = t * scaled.weights[0]
-        scaled.biases[0] = t * scaled.biases[0]
-        scaled.weights[1] = scaled.weights[1] / t
+        scaled.weights[0][...] = t * scaled.weights[0]
+        scaled.biases[0][...] = t * scaled.biases[0]
+        scaled.weights[1][...] = scaled.weights[1] / t
         out = nn_forward(scaled, sig)
         np.testing.assert_allclose(out.samples, base.samples, atol=1e-10)
 
@@ -194,6 +196,13 @@ class TestForward:
         with pytest.raises(ConfigurationError):
             DenseNet(hidden_layers=1, width=2, weights=[np.zeros((2, 3)), np.zeros((2, 2))],
                      biases=[np.zeros(2), np.zeros(2)])
+
+    def test_impossible_sizes_rejected_before_allocating(self):
+        # a negative width would reach np.zeros and fail there without naming K or N
+        for build in (DenseNet.zeros, glorot_net):
+            for k, n in ((1, -2), (1, -3), (-1, 4), (0, 4), (2, 0)):
+                with pytest.raises(ConfigurationError, match="hidden_layers >= 1 and width >= 1"):
+                    build(k, n)
 
 
 class TestBackward:
@@ -356,18 +365,26 @@ class TestKernelOracle:
         assert offset == grads.flat.size == nn_count(2, 4).n_params_real
 
     def test_flat_params_packs_once_and_repacks_after_replacement(self):
-        net = random_net(1, 3, seed=86)
-        values = [t.copy() for t in net.weights + net.biases]
-        flat = net.flat_params()
-        assert net.flat_params() is flat
+        # a net's tensors are views of its flat vector from construction on,
+        # and they can be written in place but never rebound
+        inputs = random_net(1, 3, seed=86)
+        values = [t.copy() for t in inputs.weights + inputs.biases]
+        net = DenseNet(1, 3, inputs.weights, inputs.biases)
+        inputs.flat[:] = 0.0
         assert_same_bytes(net.weights + net.biases, values)
+        assert net.flat.tobytes() == np.concatenate([t.ravel() for t in values]).tobytes()
+        flat = net.flat
         flat += 1.0
         np.testing.assert_array_equal(net.biases[0], values[2] + 1.0)
-        net.biases[0] = np.zeros(3)
-        repacked = net.flat_params()
-        assert repacked is not flat
-        np.testing.assert_array_equal(net.biases[0], np.zeros(3))
-        assert np.shares_memory(net.biases[0], repacked)
+        net.biases[0][:] = 0.0
+        np.testing.assert_array_equal(flat[-5:-2], np.zeros(3))
+        for tensors in (net.weights, net.biases):
+            with pytest.raises(TypeError):
+                tensors[0] = np.zeros(tensors[0].shape)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.weights = [w.copy() for w in net.weights]
+        assert net.flat is flat
+        assert all(np.shares_memory(t, flat) for t in net.weights + net.biases)
 
 
 class TestComplexityCounts:
@@ -430,6 +447,10 @@ class TestNetIo:
             path.write_text(f"1,2\n0,0,0,1.0\n{row}\n")
             with pytest.raises(FormatError, match=":3:"):
                 load_net(path)
+        # lines are numbered as they stand in the file, blank ones included
+        path.write_text("1,2\n\n0,0,0,1.0\n\n1,0,0,0.5\n1,1,1,0.5\n\n1,0,x,0.5\n")
+        with pytest.raises(FormatError, match=r"bad\.txt:8: bad row '1,0,x,0\.5'"):
+            load_net(path)
         # a header naming an impossible net is a format error at line 1
         for header in ("1,-2", "0,4", "1"):
             path.write_text(f"{header}\n0,0,0,1.0\n")

@@ -61,7 +61,8 @@ def learned_pa_model(pa_pairs):
     """Amplifier model fitted for 20 epochs at the default configuration."""
     cfg = TrainConfig(seed=0)
     net = glorot_net(2, 24, seed=[cfg.seed, 0])
-    net, _ = train_pa_nn(pa_pairs, net, cfg, epochs=20)
+    net, _ = train_pa_nn(pa_pairs, net, cfg, val_pairs=pa_pairs, epochs=20, iteration=1,
+                         log=TrainLog())
     return net
 
 
@@ -97,12 +98,14 @@ class TestAdamStep:
         self.net = glorot_net(1, 3, seed=7)
         self.state = AdamState.fresh(self.net)
 
+    @staticmethod
+    def gradients(weights, biases):
+        g = DenseNet(len(weights) - 1, weights[0].shape[0], weights, biases)
+        return NnGradients(g.weights, g.biases, 0.0, g.flat)
+
     def zero_grads(self):
-        return NnGradients(
-            weights=[np.zeros_like(w) for w in self.net.weights],
-            biases=[np.zeros_like(b) for b in self.net.biases],
-            loss=0.0,
-        )
+        return self.gradients([np.zeros_like(w) for w in self.net.weights],
+                              [np.zeros_like(b) for b in self.net.biases])
 
     def test_zero_gradient_leaves_params_and_bumps_step(self):
         before_w = [w.copy() for w in self.net.weights]
@@ -146,7 +149,7 @@ class TestAdamStep:
         rng = np.random.default_rng(9)
         for t in range(1, 6):
             grads = [rng.standard_normal(p.shape) for p in params]
-            adam_step(net, NnGradients(grads[:3], grads[3:], 0.0), state, self.cfg)
+            adam_step(net, self.gradients(grads[:3], grads[3:]), state, self.cfg)
             for p, g, mi, vi in zip(params, grads, m, v):
                 mi *= ADAM_BETA1
                 mi += (1 - ADAM_BETA1) * g
@@ -200,12 +203,14 @@ class TestTrainPaNn:
         # y/g == x exactly, so the net only has to silence its nonlinear path
         cfg = TrainConfig(seed=0, batch_size=256)
         net = glorot_net(1, 14, seed=[cfg.seed, 0])
-        net, log = train_pa_nn((frame, frame), net, cfg, epochs=20)
+        net, log = train_pa_nn((frame, frame), net, cfg, val_pairs=(frame, frame), epochs=20,
+                               iteration=1, log=TrainLog())
         assert log.records[-1].train_mse < 1e-6
 
     def test_pure_gain_zeros_start_is_exact_fixed_point(self, frame):
         net = DenseNet.zeros(1, 8)
-        net, log = train_pa_nn((frame, frame), net, TrainConfig(seed=0), epochs=3)
+        net, log = train_pa_nn((frame, frame), net, TrainConfig(seed=0), val_pairs=(frame, frame),
+                               epochs=3, iteration=1, log=TrainLog())
         assert log.records[-1].train_mse == 0.0
         assert all(np.all(w == 0.0) for w in net.weights)
         assert all(np.all(b == 0.0) for b in net.biases)
@@ -213,7 +218,8 @@ class TestTrainPaNn:
     def test_default_pa_mse_drops_four_fold(self, pa_pairs):
         cfg = TrainConfig(seed=0)
         net = glorot_net(1, 14, seed=[cfg.seed, 0])
-        net, log = train_pa_nn(pa_pairs, net, cfg, epochs=20)
+        net, log = train_pa_nn(pa_pairs, net, cfg, val_pairs=pa_pairs, epochs=20, iteration=1,
+                               log=TrainLog())
         assert log.records[-1].train_mse < 0.25 * log.records[0].train_mse
 
     def test_same_seed_rerun_is_bitwise_identical(self, pa_pairs):
@@ -221,7 +227,8 @@ class TestTrainPaNn:
         for _ in range(2):
             cfg = TrainConfig(seed=3)
             net = glorot_net(1, 6, seed=[cfg.seed, 0])
-            _, log = train_pa_nn(pa_pairs, net, cfg, epochs=3)
+            _, log = train_pa_nn(pa_pairs, net, cfg, val_pairs=pa_pairs, epochs=3, iteration=1,
+                                 log=TrainLog())
             logs.append(log)
         for a, b in zip(logs[0].records, logs[1].records):
             assert a == b
@@ -232,7 +239,8 @@ class TestTrainPaNn:
         runs = []
         for _ in range(2):
             cfg = TrainConfig(seed=4, batch_size=1000)
-            net, log = train_pa_nn(pa_pairs, glorot_net(2, 8, seed=[cfg.seed, 0]), cfg, epochs=2)
+            net, log = train_pa_nn(pa_pairs, glorot_net(2, 8, seed=[cfg.seed, 0]), cfg,
+                                   val_pairs=pa_pairs, epochs=2, iteration=1, log=TrainLog())
             runs.append((net, log))
         (net_a, log_a), (net_b, log_b) = runs
         assert log_a.records == log_b.records
@@ -245,12 +253,14 @@ class TestTrainPaNn:
         poisoned[123] = np.nan
         with pytest.raises(DivergenceError):
             train_pa_nn((x, IqSignal(poisoned, y.sample_rate_hz)), glorot_net(1, 4, seed=0),
-                        TrainConfig(seed=0), epochs=1)
+                        TrainConfig(seed=0), val_pairs=pa_pairs, epochs=1, iteration=1,
+                        log=TrainLog())
 
     def test_pair_length_mismatch_rejected(self, frame):
         short = IqSignal(frame.samples[:-1], frame.sample_rate_hz)
         with pytest.raises(ConfigurationError):
-            train_pa_nn((frame, short), glorot_net(1, 4, seed=0), TrainConfig())
+            train_pa_nn((frame, short), glorot_net(1, 4, seed=0), TrainConfig(),
+                        val_pairs=(frame, frame), epochs=1, iteration=1, log=TrainLog())
 
 
 class TestTrainDpdNn:
@@ -259,14 +269,16 @@ class TestTrainDpdNn:
         # gradients vanish, so training must not move anything
         dpd = DenseNet.zeros(1, 6)
         pa_model = DenseNet.zeros(1, 6)
-        dpd, log = train_dpd_nn(dpd, pa_model, frame, TrainConfig(seed=0), epochs=3)
+        dpd, log = train_dpd_nn(dpd, pa_model, frame, TrainConfig(seed=0), x_val=frame, epochs=3,
+                                iteration=1, log=TrainLog())
         assert log.records[-1].train_mse == 0.0
         assert all(np.all(w == 0.0) for w in dpd.weights)
 
     def test_composite_loss_drops_ten_fold(self, frame, learned_pa_model):
         cfg = TrainConfig(seed=0)
         dpd = glorot_net(1, 14, seed=[cfg.seed, 5])
-        dpd, log = train_dpd_nn(dpd, learned_pa_model, frame, cfg, epochs=20)
+        dpd, log = train_dpd_nn(dpd, learned_pa_model, frame, cfg, x_val=frame, epochs=20,
+                                iteration=1, log=TrainLog())
         assert log.records[-1].train_mse < 0.1 * log.records[0].train_mse
 
     def test_nan_in_a_minibatch_raises_divergence(self, frame, learned_pa_model):
@@ -274,13 +286,15 @@ class TestTrainDpdNn:
         poisoned[4321] = np.nan
         with pytest.raises(DivergenceError):
             train_dpd_nn(glorot_net(1, 6, seed=11), learned_pa_model,
-                         IqSignal(poisoned, frame.sample_rate_hz), TrainConfig(seed=0), epochs=1)
+                         IqSignal(poisoned, frame.sample_rate_hz), TrainConfig(seed=0),
+                         x_val=frame, epochs=1, iteration=1, log=TrainLog())
 
     def test_frozen_model_is_bitwise_untouched(self, frame, learned_pa_model):
         before_w = [w.copy() for w in learned_pa_model.weights]
         before_b = [b.copy() for b in learned_pa_model.biases]
         dpd = glorot_net(1, 6, seed=11)
-        train_dpd_nn(dpd, learned_pa_model, frame, TrainConfig(seed=0), epochs=2)
+        train_dpd_nn(dpd, learned_pa_model, frame, TrainConfig(seed=0), x_val=frame, epochs=2,
+                     iteration=1, log=TrainLog())
         for w0, w1 in zip(before_w, learned_pa_model.weights):
             np.testing.assert_array_equal(w0, w1)
         for b0, b1 in zip(before_b, learned_pa_model.biases):
