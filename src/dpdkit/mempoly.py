@@ -15,6 +15,7 @@ the same way, then the DC column.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +126,13 @@ class MemoryPolyModel:
 BASIS_BLOCK = 4096
 
 
-def build_basis(x: np.ndarray, shape: PolyShape) -> np.ndarray:
+def build_basis(x: np.ndarray, shape: PolyShape, out: np.ndarray | None = None) -> np.ndarray:
     """Basis matrix (len(x) rows, shape.n_basis_columns columns), canonical order.
 
     Each order's tap-0 column is computed once; the column for tap m is the
     same column delayed by m samples, with +0+0j before the record start.
+    ``out``, if given, is any (len(x), n_basis_columns) complex128 array, in
+    either memory order, and receives the same bytes; it is returned.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
@@ -141,7 +144,15 @@ def build_basis(x: np.ndarray, shape: PolyShape) -> np.ndarray:
         xc = np.conj(x)
         branches += [(xc * r2 ** ((q - 1) // 2), shape.conj_taps)
                      for q in range(1, shape.q_max + 1, 2)]
-    out = np.empty((n, shape.n_basis_columns), dtype=np.complex128)
+    if out is None:
+        # after the order columns, not before: that order left holes in the
+        # heap that raised poly_grid's peak RSS from 120 to 129 MB
+        out = np.empty((n, shape.n_basis_columns), dtype=np.complex128)
+    elif out.shape != (n, shape.n_basis_columns) or out.dtype != np.complex128:
+        raise ValueError(
+            f"out must be complex128 of shape {(n, shape.n_basis_columns)}, "
+            f"got {out.dtype} {out.shape}"
+        )
     scratch = np.empty((shape.n_basis_columns, min(n, BASIS_BLOCK)), dtype=np.complex128)
     for start in range(0, n, BASIS_BLOCK):
         stop = min(start + BASIS_BLOCK, n)
@@ -188,31 +199,62 @@ def rescale_cascade_gain(model: MemoryPolyModel, gain: float) -> MemoryPolyModel
     gain = float(gain)
     s = model.shape
     alpha = model.alpha.copy()
-    for i, p in enumerate(range(1, s.p_max + 1, 2)):
-        alpha[i] *= gain**p
     beta = model.beta.copy()
-    for i, q in enumerate(range(1, s.q_max + 1, 2)):
-        beta[i] *= gain**q
+    try:
+        for i, p in enumerate(range(1, s.p_max + 1, 2)):
+            alpha[i] *= gain**p
+        for i, q in enumerate(range(1, s.q_max + 1, 2)):
+            beta[i] *= gain**q
+    except OverflowError:  # a Python float power raises where numpy would give inf
+        raise ConfigurationError(
+            f"gain {gain!r} raised to the power {max(s.p_max, s.q_max)} overflows float64", "gain"
+        ) from None
     return MemoryPolyModel(s, alpha, beta, model.dc)
 
 
-def _ridge_stack(A: np.ndarray, root_lam: float, dtype) -> np.ndarray:
-    """The column-major (n + p, p) matrix [A; root_lam * I]."""
-    n, n_cols = A.shape
-    stacked = np.empty((n + n_cols, n_cols), dtype=dtype, order="F")
-    stacked[:n] = A
+def _basis_stack(fill, n: int, n_cols: int) -> np.ndarray:
+    """The column-major (n + p, p) matrix [A; 0], with ``fill`` writing A."""
+    stacked = np.empty((n + n_cols, n_cols), dtype=np.complex128, order="F")
+    fill(stacked[:n])
     stacked[n:] = 0
-    np.fill_diagonal(stacked[n:], root_lam)
     return stacked
 
 
-def solve_regularized_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mean_column_energy(basis: np.ndarray) -> float:
+    """mean_j sum_i |basis[i, j]|^2, rounded as over a row-major basis.
+
+    np.sum(axis=0) adds the rows of a row-major array one after another, but
+    sums a column-major one, or a single column, pairwise, which rounds
+    differently. So a wider basis is copied to row order one BASIS_BLOCK at a
+    time, and each block's reduce after the first is seeded with the running
+    total as its first row: its rows are added in sequence whatever the
+    layout, with no full-size temporary. A lone column is reduced whole, as
+    numpy reduces it; its energy is half the size of that one-column basis.
+    """
+    n, n_cols = basis.shape
+    step = max(n, 1) if n_cols == 1 else BASIS_BLOCK
+    total = np.zeros(n_cols)
+    energy = np.empty((min(n, step) + 1, n_cols))
+    for start in range(0, n, step):
+        block = np.ascontiguousarray(basis[start : start + step])
+        rows = energy[: len(block) + 1]
+        rows[0] = total
+        np.abs(block, out=rows[1:])
+        np.square(rows[1:], out=rows[1:])
+        total = np.sum(rows if start else rows[1:], axis=0)
+    return float(np.mean(total))
+
+
+def solve_regularized_ls(fill, n_cols: int, b: np.ndarray) -> np.ndarray:
     """Solve min ||A theta - b||^2 + lam ||theta||^2 by QR on the stacked matrix.
 
-    lam is 1e-8 times the mean column energy of A. The stacked system
-    [A; sqrt(lam) I] theta = [b; 0] is built once, column-major, and LAPACK
-    gelsy (complete orthogonal factorization) overwrites it in place, so the
-    solve holds one copy of the basis besides A itself. The call repeats
+    A is the (len(b), n_cols) complex basis that ``fill(out)`` writes into
+    ``out``, e.g. ``functools.partial(build_basis, x, shape)``. lam is 1e-8
+    times the mean column energy of A. The stacked system
+    [A; sqrt(lam) I] theta = [b; 0] is allocated column-major, ``fill``
+    writes A straight into its top rows, and LAPACK gelsy (complete
+    orthogonal factorization) overwrites it in place, so the solve holds one
+    copy of the basis and the caller need hold none. The call repeats
     scipy.linalg.lstsq(..., lapack_driver="gelsy") argument for argument, so
     theta has the same bits; lstsq would copy the stack once more, because it
     never lets gelsy overwrite its input. scipy.linalg is imported here, at
@@ -221,22 +263,20 @@ def solve_regularized_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     Raises:
         ValueError: if A or b holds NaN/inf (checked before LAPACK runs).
         ConditioningError: if rank deficiency survives the regularization;
-            it carries the condition number of the stacked matrix.
+            it carries the condition number of the stacked matrix, which
+            ``fill`` writes a second time because gelsy overwrote the first.
     """
     import scipy.linalg
 
-    n, n_cols = A.shape
-    energy = np.abs(A)
-    np.square(energy, out=energy)
-    lam = 1e-8 * float(np.mean(np.sum(energy, axis=0)))
-    del energy
+    n = len(b)
+    stacked = _basis_stack(fill, n, n_cols)
+    lam = 1e-8 * _mean_column_energy(stacked[:n])
     # lam is finite exactly when every entry of [A; sqrt(lam) I] is
     if not (np.isfinite(lam) and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     root_lam = np.sqrt(lam)
-    dtype = np.result_type(A, b, np.float64)
-    stacked = _ridge_stack(A, root_lam, dtype)
-    rhs = np.zeros(n + n_cols, dtype=dtype)
+    np.fill_diagonal(stacked[n:], root_lam)
+    rhs = np.zeros(n + n_cols, dtype=stacked.dtype)
     rhs[:n] = b
     gelsy, gelsy_lwork = scipy.linalg.get_lapack_funcs(("gelsy", "gelsy_lwork"), (stacked, rhs))
     cond = np.finfo(gelsy.dtype).eps
@@ -250,9 +290,11 @@ def solve_regularized_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"illegal value in {-info}-th argument of internal gelsy")
     if rank < n_cols:
         del stacked  # factored in place; the estimate needs the matrix itself
+        stacked = _basis_stack(fill, n, n_cols)
+        np.fill_diagonal(stacked[n:], root_lam)
         raise ConditioningError(
             f"basis is rank deficient (rank {rank} < {n_cols})",
-            condition_number=float(np.linalg.cond(_ridge_stack(A, root_lam, dtype))),
+            condition_number=float(np.linalg.cond(stacked)),
         )
     return x[:n_cols].copy()  # a view would keep all n + p rows of x alive in the model
 
@@ -294,9 +336,12 @@ def fit_ila(
         x_hat = poly_predistort(model, x_train)
         y = pa.apply(x_hat)
         g = estimate_gain(x_hat, y)
-        A = build_basis(y.samples / g, shape)
+        fill = functools.partial(build_basis, y.samples / g, shape)
         b = x_hat.samples
-        theta = solve_regularized_ls(A, b)
+        theta = solve_regularized_ls(fill, n_cols, b)
+        # the solve's stack is gone; the residual rebuilds A rather than keep
+        # a second basis alive beside it
+        A = fill()
         residuals.append(float(np.linalg.norm(A @ theta - b) / np.linalg.norm(b)))
         del A  # the next iteration's predistort builds a basis of its own
         model = MemoryPolyModel.from_coefficients(shape, theta)

@@ -100,9 +100,6 @@ class DenseNet:
         weights = [np.zeros(s) for s in shapes]
         return cls(hidden_layers, width, weights, [np.zeros(s[0]) for s in shapes])
 
-    def copy(self) -> "DenseNet":
-        return DenseNet(self.hidden_layers, self.width, self.weights, self.biases)
-
 
 @dataclass
 class NnGradients:

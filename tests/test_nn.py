@@ -185,7 +185,7 @@ class TestForward:
         sig = random_signal(100, seed=12)
         base = nn_forward(net, sig)
         t = 3.7
-        scaled = net.copy()
+        scaled = DenseNet(net.hidden_layers, net.width, net.weights, net.biases)  # copies
         scaled.weights[0][...] = t * scaled.weights[0]
         scaled.biases[0][...] = t * scaled.biases[0]
         scaled.weights[1][...] = scaled.weights[1] / t
