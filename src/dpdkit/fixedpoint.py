@@ -1,13 +1,16 @@
 """Bit-accurate 16-bit fixed-point inference for both predistorter families.
 
 The emulation follows a declared register-placement policy rather than any
-particular silicon: multiplier products are kept at double width and summed
-exactly, and values are rounded back to the working format once per adder
+particular silicon: multiplier products are kept at double width and summed at
+that width, and values are rounded back to the working format once per adder
 tree — per neuron pre-activation in the network, per FIR accumulator in the
 polynomial. Envelope powers round after every multiply, which is what makes
 high-order branches starve to zero at low drive. All arithmetic is done in
-float64 on values that are exact multiples of the format LSB, so results
-are bitwise deterministic.
+float64 on values that are exact multiples of the format LSB. A double-width
+product or neuron sum is exact only while it fits float64's 53-bit
+significand, 2*(total_bits - 1) + ceil(log2(fan_in + 1)) <= 53; within that
+bound the network's bits depend on neither the BLAS nor the block size, and
+beyond it (32 bits with a 32-wide layer, say) a sum can round.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputRangeError, _require_integer
 from .mempoly import MemoryPolyModel
-from .nn import DenseNet
+from .nn import FORWARD_BLOCK, DenseNet
 from .signals import IqSignal, _require_finite
 
 __all__ = [
@@ -104,6 +107,8 @@ class FixedPointStats:
 def _quantize_real(x: np.ndarray, fmt: FixedFormat, stats: FixedPointStats | None) -> np.ndarray:
     scale = 2.0**fmt.frac_bits
     codes = np.rint(x * scale)
+    if np.isnan(codes).any():
+        raise InputRangeError("NaN has no code on the fixed-point grid")
     lo = -(2.0 ** (fmt.total_bits - 1))
     hi = 2.0 ** (fmt.total_bits - 1) - 1
     out_of_range = (codes < lo) | (codes > hi)
@@ -115,8 +120,11 @@ def _quantize_real(x: np.ndarray, fmt: FixedFormat, stats: FixedPointStats | Non
 def quantize(x, fmt: FixedFormat | None = None, stats: FixedPointStats | None = None):
     """Round/saturate each real component onto the format's code grid.
 
-    Idempotent and monotone; out-of-range components are tallied in
-    ``stats.sat_events`` when a stats object is supplied.
+    Idempotent and monotone; out-of-range components, ±inf among them, are
+    tallied in ``stats.sat_events`` when a stats object is supplied.
+
+    Raises:
+        InputRangeError: if a component is NaN.
     """
     fmt = fmt or FixedFormat()
     arr = np.asarray(x)
@@ -137,29 +145,42 @@ def nn_forward_fixed(
     fmt: FixedFormat | None = None,
     stats: FixedPointStats | None = None,
 ) -> IqSignal:
-    """Dense-network forward pass in fixed point.
+    """Dense-network forward pass in fixed point, FORWARD_BLOCK columns at a time.
 
-    Weights, biases, and inputs are quantized; each neuron's products and
-    bias are summed exactly at double width and rounded once at the adder
-    tree output; ReLU is a sign select. The bypass is wiring into the output
-    adder, not a stored coefficient — it multiplies nothing in the count and
-    is applied exactly here, with only a final range check on the sum.
+    Weights and biases are quantized once per call, inputs once per block;
+    each neuron's products and bias are summed at double width and rounded
+    once at the adder tree output; ReLU is a sign select. The bypass is
+    wiring into the output adder, not a stored coefficient — it multiplies
+    nothing in the count and is applied exactly here, with only a final range
+    check on the sum.
+
+    The double-width sums are exact, so the output's bits depend on neither
+    the BLAS nor the block size, only while
+    2*(total_bits - 1) + ceil(log2(fan_in + 1)) <= 53. Q1.15 meets it for
+    any layer of fewer than 2**23 inputs; 32 bits with a 32-wide layer does
+    not.
 
     Raises:
         InputRangeError: if the signal holds NaN/inf samples.
     """
     _require_finite(x, InputRangeError)
     fmt = fmt or FixedFormat()
-    x2 = np.stack([x.samples.real, x.samples.imag])
-    h = quantize(x2, fmt, stats)
-    xq2 = h
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        wq = quantize(w, fmt, stats)
-        bq = quantize(b, fmt, stats)
-        pre = quantize(wq @ h + bq[:, None], fmt, stats)
-        h = pre if i == len(net.weights) - 1 else np.maximum(pre, 0.0)
-    z = quantize(h + xq2, fmt, stats)
-    return IqSignal(z[0] + 1j * z[1], x.sample_rate_hz)
+    layers = [
+        (quantize(w, fmt, stats), quantize(b, fmt, stats)[:, None])
+        for w, b in zip(net.weights, net.biases)
+    ]
+    n = len(x)
+    out = np.empty(n, dtype=np.complex128)
+    for start in range(0, n, FORWARD_BLOCK):
+        block = x.samples[start : start + FORWARD_BLOCK]
+        xq2 = quantize(np.stack([block.real, block.imag]), fmt, stats)
+        h = xq2
+        for i, (wq, bq) in enumerate(layers):
+            pre = quantize(wq @ h + bq, fmt, stats)
+            h = pre if i == len(layers) - 1 else np.maximum(pre, 0.0)
+        z = quantize(h + xq2, fmt, stats)
+        out[start : start + block.size] = z[0] + 1j * z[1]
+    return IqSignal(out, x.sample_rate_hz)
 
 
 def _delayed(x: np.ndarray, m: int) -> np.ndarray:

@@ -15,6 +15,7 @@ the same way, then the DC column.
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
@@ -386,11 +387,19 @@ def _parse_shape_header(line: str, path: str) -> PolyShape:
         raise FormatError(f"{path}:1: bad shape header: {exc}") from exc
 
 
+def _finite_complex(re: str, im: str) -> complex:
+    value = complex(float(re), float(im))
+    if not cmath.isfinite(value):
+        raise ValueError(f"non-finite coefficient {value}")
+    return value
+
+
 def load_poly_model(path: str) -> MemoryPolyModel:
     """Read a model written by save_poly_model.
 
     Raises:
-        FormatError: on malformed rows; the message names the line number.
+        FormatError: on malformed or non-finite rows; the message names the
+            line number.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -408,16 +417,16 @@ def load_poly_model(path: str) -> MemoryPolyModel:
             if parts[0] == "dc" and len(parts) == 3:
                 if not shape.include_dc:
                     raise FormatError(f"{path}:{lineno}: dc row but shape has include_dc=0")
-                model.dc = complex(float(parts[1]), float(parts[2]))
+                model.dc = _finite_complex(parts[1], parts[2])
                 continue
             if len(parts) != 5 or parts[0] not in ("main", "conj"):
                 raise FormatError(f"{path}:{lineno}: expected branch,p,tap,re,im")
             branch, p, tap = parts[0], int(parts[1]), int(parts[2])
-            value = complex(float(parts[3]), float(parts[4]))
+            value = _finite_complex(parts[3], parts[4])
         except FormatError:
             raise
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad numeric field") from exc
+            raise FormatError(f"{path}:{lineno}: bad numeric field: {exc}") from exc
         if p % 2 == 0 or p < 1:
             raise FormatError(f"{path}:{lineno}: order must be odd, got {p}")
         row = (p - 1) // 2

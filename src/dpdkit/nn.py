@@ -12,6 +12,7 @@ predistorter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -340,7 +341,8 @@ def load_net(path) -> DenseNet:
 
     Raises:
         FormatError: on malformed headers or rows, naming the line number;
-            a layer-0 row must hold its identity-bypass value.
+            a layer-0 row must hold its identity-bypass value, and every
+            value must be finite.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -365,6 +367,8 @@ def load_net(path) -> DenseNet:
                 raise ValueError(f"expected 3 or 4 fields, got {len(parts)}")
             layer, *index = (int(v) for v in parts[:-1])
             value = float(parts[-1])
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value {value}")
             # negative indices would wrap around; layer 0 (the bypass) has no biases
             if min(layer, *index) < 0 or layer > k + 1 or (layer == 0 and len(index) == 1):
                 raise ValueError(f"no such entry in a net with K={k}")

@@ -1,5 +1,8 @@
 """16-bit fixed-point emulation: quantizer behavior and datapath fidelity."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,11 +17,12 @@ from dpdkit.fixedpoint import (
     quantize,
 )
 from dpdkit.mempoly import MemoryPolyModel, PolyShape, poly_predistort
-from dpdkit.nn import DenseNet, glorot_net, nn_forward
+from dpdkit.nn import FORWARD_BLOCK, DenseNet, glorot_net, nn_forward
 from dpdkit.ofdm import OfdmConfig, generate_ofdm
 from dpdkit.signals import IqSignal
 
 Q15 = FixedFormat()
+Q20 = FixedFormat(total_bits=24, frac_bits=20)
 LSB = 2.0**-15
 
 FORMATS = st.integers(2, 24).flatmap(
@@ -114,6 +118,20 @@ class TestQuantize:
         v = np.zeros((3, 5))
         assert quantize(v, Q15).shape == (3, 5)
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.array([np.nan]), np.array([0.25, np.nan]), complex(0.5, np.nan)]
+    )
+    def test_nan_has_no_code(self, bad):
+        stats = FixedPointStats()
+        with pytest.raises(InputRangeError, match="NaN"):
+            quantize(bad, Q15, stats)
+
+    def test_infinities_saturate_and_count(self):
+        stats = FixedPointStats()
+        q = quantize(np.array([np.inf, -np.inf, complex(np.inf, -np.inf)]), Q15, stats)
+        assert np.array_equal(q, [1.0 - LSB, -1.0, complex(1.0 - LSB, -1.0)])
+        assert stats.sat_events == 4
+
     @given(fmt=FORMATS, values=VALUES)
     def test_idempotent_monotone_and_in_range_over_formats(self, fmt, values):
         v = np.sort(np.array(values))
@@ -190,6 +208,108 @@ class TestNnForwardFixed:
         stats = FixedPointStats()
         nn_forward_fixed(net, frame, Q15, stats)
         assert stats.sat_events >= 1
+
+
+def whole_frame_forward_fixed(net, x, fmt, stats):
+    """The whole-frame fixed forward nn_forward_fixed replaced: every layer
+    over all samples at once, weights quantized inside the layer loop."""
+    x2 = np.stack([x.samples.real, x.samples.imag])
+    h = quantize(x2, fmt, stats)
+    xq2 = h
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        wq = quantize(w, fmt, stats)
+        bq = quantize(b, fmt, stats)
+        pre = quantize(wq @ h + bq[:, None], fmt, stats)
+        h = pre if i == len(net.weights) - 1 else np.maximum(pre, 0.0)
+    z = quantize(h + xq2, fmt, stats)
+    return z[0] + 1j * z[1]
+
+
+def biased_net(k, n, seed):
+    """A glorot net with nonzero biases, some weights past Q1.15's range."""
+    net = glorot_net(k, n, seed=seed)
+    rng = np.random.default_rng(seed)
+    for b in net.biases:
+        b[...] = rng.uniform(-0.3, 0.3, b.shape)
+    net.weights[0][0, 0] = 1.25
+    return net
+
+
+def overdriven(n, seed, fmt=Q15):
+    """n samples, a few percent of them past fmt's full scale on some component."""
+    rng = np.random.default_rng(seed)
+    scale = -0.45 * fmt.min_value
+    return IqSignal(scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)), 61.44e6)
+
+
+class TestBlockwiseNnForwardFixed:
+    """nn_forward_fixed runs FORWARD_BLOCK columns at a time; within the
+    exactness bound that must give the whole-frame forward's bytes and
+    saturation count, and a peak that does not grow with the frame."""
+
+    SHAPES = [(1, 6), (1, 14), (2, 32)]
+    LAYER_BYTES = 32 * FORWARD_BLOCK * 8  # one (32, FORWARD_BLOCK) float64 layer
+
+    @pytest.mark.parametrize("fmt", [Q15, Q20], ids=["16/15", "24/20"])
+    @pytest.mark.parametrize("n", [5 * FORWARD_BLOCK, FORWARD_BLOCK + 1, 12_345, 100])
+    def test_same_bytes_and_sat_events_as_whole_frame(self, fmt, n):
+        x = overdriven(n, seed=n, fmt=fmt)
+        for k, width in self.SHAPES:
+            net = biased_net(k, width, seed=[k, width])
+            blockwise, whole = FixedPointStats(), FixedPointStats()
+            out = nn_forward_fixed(net, x, fmt, blockwise).samples
+            reference = whole_frame_forward_fixed(net, x, fmt, whole)
+            assert out.tobytes() == reference.tobytes()
+            assert blockwise.sat_events == whole.sat_events > 0
+
+    @staticmethod
+    def traced_peak(net, n):
+        x = overdriven(n, seed=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nn_forward_fixed(net, x, Q15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - base
+
+    def test_peak_is_a_few_layers_of_one_block(self):
+        net = biased_net(2, 32, seed=3)
+        long_peak = self.traced_peak(net, 10 * FORWARD_BLOCK + 3)
+        short_peak = self.traced_peak(net, 5 * FORWARD_BLOCK)
+        # blockwise this reads ~6.9 layers at 10 blocks and ~6.6 at 5: the
+        # output grows with the frame, the layer temporaries do not; the
+        # whole-frame forward read ~62.5 at 10 blocks
+        assert long_peak < 10 * self.LAYER_BYTES
+        assert long_peak - short_peak < 0.5 * self.LAYER_BYTES
+
+
+class TestExactnessBound:
+    """Within 2*(total_bits - 1) + ceil(log2(fan_in + 1)) <= 53 each neuron's
+    double-width sum is exact, so no BLAS or block size can move a bit."""
+
+    def test_q15_layer_sums_equal_the_integer_code_products(self):
+        net = biased_net(2, 32, seed=4)
+        x = overdriven(3000, seed=4)
+        h = quantize(np.stack([x.samples.real, x.samples.imag]), Q15)
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            wq, bq = quantize(w, Q15), quantize(b, Q15)
+            acc = wq @ h + bq[:, None]
+            codes = (wq * 2**15).astype(np.int64) @ (h * 2**15).astype(np.int64)
+            codes += (bq * 2**30).astype(np.int64)[:, None]
+            assert np.array_equal((acc * 2**30).astype(np.int64), codes)
+            pre = quantize(acc, Q15)
+            h = pre if i == len(net.weights) - 1 else np.maximum(pre, 0.0)
+
+    def test_past_the_bound_a_sum_rounds(self):
+        # 32/28 with 32 inputs: 2*31 + 6 = 68 bits, so float64 drops some
+        fmt = FixedFormat(total_bits=32, frac_bits=28)
+        rng = np.random.default_rng(5)
+        w = quantize(rng.uniform(-1, 1, 32), fmt)
+        h = quantize(rng.uniform(-1, 1, 32), fmt)
+        exact = sum(Fraction(a) * Fraction(c) for a, c in zip(w, h))
+        assert Fraction(float(w @ h)) != exact
 
 
 class TestPolyForwardFixed:

@@ -575,13 +575,16 @@ class TestModelIo:
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text(
-            "shape: p_max=3 main_taps=1 q_max=0 conj_taps=0 include_dc=0\n"
-            "main,1,0,1.0,0.0\n"
-            "main,3,0,not_a_number,0.0\n"
-        )
-        with pytest.raises(FormatError, match="3"):
-            load_poly_model(path)
+        # a coefficient must be finite too: NaN would reach the forward unnoticed
+        for row in ("main,3,0,not_a_number,0.0", "main,1,0,nan,0", "main,3,0,0.5,-inf",
+                    "dc,1e400,0.0"):
+            path.write_text(
+                "shape: p_max=3 main_taps=1 q_max=0 conj_taps=0 include_dc=1\n"
+                "main,1,0,1.0,0.0\n"
+                f"{row}\n"
+            )
+            with pytest.raises(FormatError, match=r"bad\.txt:3:"):
+                load_poly_model(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "headerless.txt"

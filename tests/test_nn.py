@@ -442,6 +442,9 @@ class TestNetIo:
             "3,0,0,1.0",  # the K=1 net has layers 0..2
             "0,0,0,0.5",  # the bypass is the identity
             "0,0,1,1.0",
+            "1,0,1,nan",  # a coefficient must be finite
+            "1,1,inf",
+            "1,0,0,-1e400",
         ]
         for row in bad_rows:
             path.write_text(f"1,2\n0,0,0,1.0\n{row}\n")
