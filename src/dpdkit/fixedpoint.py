@@ -66,14 +66,6 @@ class FixedFormat:
     def lsb(self) -> float:
         return 2.0 ** -self.frac_bits
 
-    @property
-    def max_value(self) -> float:
-        return 2.0 ** (self.total_bits - self.frac_bits - 1) - self.lsb
-
-    @property
-    def min_value(self) -> float:
-        return -(2.0 ** (self.total_bits - self.frac_bits - 1))
-
 
 @dataclass
 class FixedPointStats:

@@ -15,7 +15,6 @@ the same way, then the DC column.
 
 from __future__ import annotations
 
-import cmath
 import functools
 from dataclasses import dataclass
 
@@ -25,7 +24,9 @@ from .errors import (
     ConditioningError, ConfigurationError, FormatError, InputRangeError, _require_integer,
     _require_real
 )
-from .signals import IqSignal, _fmt, _require_finite, estimate_gain
+from .signals import (
+    IqSignal, _content_lines, _read_rows, _require_finite, _write_rows, estimate_gain
+)
 
 
 @dataclass(frozen=True)
@@ -349,29 +350,30 @@ def fit_ila(
     return model, residuals
 
 
+def _poly_keys(shape: PolyShape) -> list[str]:
+    """A model file's row keys, in coefficient_vector order."""
+    keys = [f"main,{p},{m}" for p in range(1, shape.p_max + 1, 2) for m in range(shape.main_taps)]
+    keys += [f"conj,{q},{l}" for q in range(1, shape.q_max + 1, 2) for l in range(shape.conj_taps)]
+    return keys + ["dc"] * shape.include_dc
+
+
 def save_poly_model(model: MemoryPolyModel, path: str) -> None:
-    """Write a model as a shape header plus branch,p,tap,re,im rows."""
+    """Write a model as a shape header plus a `key,re,im` row per key of _poly_keys.
+
+    Keys are `main,p,tap` and `conj,q,tap` rows, then `dc` if the shape has it.
+    """
     s = model.shape
-    with open(path, "w") as fh:
-        fh.write(
-            f"shape: p_max={s.p_max} main_taps={s.main_taps} "
-            f"q_max={s.q_max} conj_taps={s.conj_taps} include_dc={int(s.include_dc)}\n"
-        )
-        for i, p in enumerate(range(1, s.p_max + 1, 2)):
-            for m in range(s.main_taps):
-                c = model.alpha[i, m]
-                fh.write(f"main,{p},{m},{_fmt(c.real)},{_fmt(c.imag)}\n")
-        for i, q in enumerate(range(1, s.q_max + 1, 2)):
-            for l in range(s.conj_taps):
-                c = model.beta[i, l]
-                fh.write(f"conj,{q},{l},{_fmt(c.real)},{_fmt(c.imag)}\n")
-        if s.include_dc:
-            fh.write(f"dc,{_fmt(model.dc.real)},{_fmt(model.dc.imag)}\n")
+    header = (
+        f"shape: p_max={s.p_max} main_taps={s.main_taps} "
+        f"q_max={s.q_max} conj_taps={s.conj_taps} include_dc={int(s.include_dc)}"
+    )
+    values = model.coefficient_vector().view(np.float64).reshape(-1, 2)
+    _write_rows(path, [header], _poly_keys(s), values)
 
 
-def _parse_shape_header(line: str, path: str) -> PolyShape:
+def _parse_shape_header(lineno: int, line: str, path: str) -> PolyShape:
     if not line.startswith("shape:"):
-        raise FormatError(f"{path}:1: expected shape header, got {line!r}")
+        raise FormatError(f"{path}:{lineno}: expected shape header, got {line!r}")
     try:
         fields = dict(item.split("=", 1) for item in line[len("shape:") :].split())
         if fields["include_dc"] not in ("0", "1"):
@@ -384,58 +386,21 @@ def _parse_shape_header(line: str, path: str) -> PolyShape:
             include_dc=fields["include_dc"] == "1",
         )
     except (KeyError, ValueError, ConfigurationError) as exc:
-        raise FormatError(f"{path}:1: bad shape header: {exc}") from exc
-
-
-def _finite_complex(re: str, im: str) -> complex:
-    value = complex(float(re), float(im))
-    if not cmath.isfinite(value):
-        raise ValueError(f"non-finite coefficient {value}")
-    return value
+        raise FormatError(f"{path}:{lineno}: bad shape header: {exc}") from exc
 
 
 def load_poly_model(path: str) -> MemoryPolyModel:
-    """Read a model written by save_poly_model.
+    """Read a model written by save_poly_model; blank and `#` lines are skipped.
 
     Raises:
-        FormatError: on malformed or non-finite rows; the message names the
-            line number.
+        FormatError: on a malformed header or row, naming the line number;
+            every coefficient must appear exactly once with finite parts. A
+            missing row names its key.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = _content_lines(fh.read())
     if not lines:
         raise FormatError(f"{path}: empty model file")
-    shape = _parse_shape_header(lines[0].strip(), path)
-    model = MemoryPolyModel.identity(shape)
-    model.alpha[:] = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        try:
-            if parts[0] == "dc" and len(parts) == 3:
-                if not shape.include_dc:
-                    raise FormatError(f"{path}:{lineno}: dc row but shape has include_dc=0")
-                model.dc = _finite_complex(parts[1], parts[2])
-                continue
-            if len(parts) != 5 or parts[0] not in ("main", "conj"):
-                raise FormatError(f"{path}:{lineno}: expected branch,p,tap,re,im")
-            branch, p, tap = parts[0], int(parts[1]), int(parts[2])
-            value = _finite_complex(parts[3], parts[4])
-        except FormatError:
-            raise
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad numeric field: {exc}") from exc
-        if p % 2 == 0 or p < 1:
-            raise FormatError(f"{path}:{lineno}: order must be odd, got {p}")
-        row = (p - 1) // 2
-        if branch == "main":
-            if p > shape.p_max or not 0 <= tap < shape.main_taps:
-                raise FormatError(f"{path}:{lineno}: row outside declared shape")
-            model.alpha[row, tap] = value
-        else:
-            if p > shape.q_max or not 0 <= tap < shape.conj_taps:
-                raise FormatError(f"{path}:{lineno}: row outside declared shape")
-            model.beta[row, tap] = value
-    return model
+    shape = _parse_shape_header(*lines[0], path)
+    values = _read_rows(path, lines[1:], _poly_keys(shape), 2)
+    return MemoryPolyModel.from_coefficients(shape, values.view(np.complex128).ravel())

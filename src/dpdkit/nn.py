@@ -12,13 +12,12 @@ predistorter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, InputRangeError
-from .signals import IqSignal, _fmt, _require_finite
+from .signals import IqSignal, _content_lines, _read_rows, _require_finite, _write_rows
 
 __all__ = [
     "DenseNet",
@@ -316,69 +315,47 @@ def nn_backward_through_frozen(
 _BYPASS = np.eye(2)
 
 
-def save_net(net: DenseNet, path) -> None:
-    """Write a net as text: `K,N` header, bypass rows, weight rows, bias rows.
+def _net_keys(k: int, n: int) -> list[str]:
+    """A net file's row keys in file order: the bypass as layer 0, then the layout of ``flat``.
 
-    Weight rows are `layer,row,col,value` (4 fields) and bias rows are
-    `layer,row,value` (3 fields); layers are numbered from 1. The identity
-    bypass is written as the four weight rows of layer 0.
+    Weight keys are `layer,row,col` and bias keys `layer,row`; the hidden and
+    output layers count from 1, and the bypass has no biases.
     """
-    lines = [f"{net.hidden_layers},{net.width}"]
-    lines += [f"0,{r},{c},{_fmt(_BYPASS[r, c])}" for r in range(2) for c in range(2)]
-    for i, w in enumerate(net.weights, start=1):
-        for r in range(w.shape[0]):
-            for c in range(w.shape[1]):
-                lines.append(f"{i},{r},{c},{_fmt(w[r, c])}")
-    for i, b in enumerate(net.biases, start=1):
-        for r in range(b.shape[0]):
-            lines.append(f"{i},{r},{_fmt(b[r])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    shapes = list(enumerate([_BYPASS.shape, *_weight_shapes(k, n)]))
+    keys = [f"{i},{r},{c}" for i, (rows, cols) in shapes for r in range(rows) for c in range(cols)]
+    return keys + [f"{i},{r}" for i, (rows, _) in shapes[1:] for r in range(rows)]
+
+
+def save_net(net: DenseNet, path) -> None:
+    """Write a net as text: a `K,N` header, then a `key,value` row per key of _net_keys.
+
+    The identity bypass is written as the four weight rows of layer 0.
+    """
+    k, n = net.hidden_layers, net.width
+    values = np.concatenate([_BYPASS.ravel(), net.flat])[:, None]
+    _write_rows(path, [f"{k},{n}"], _net_keys(k, n), values)
 
 
 def load_net(path) -> DenseNet:
-    """Read a net written by save_net.
+    """Read a net written by save_net; blank and `#` lines are skipped.
 
     Raises:
-        FormatError: on malformed headers or rows, naming the line number;
-            a layer-0 row must hold its identity-bypass value, and every
-            value must be finite.
+        FormatError: on a malformed header or row, naming the line number;
+            every weight and bias must appear exactly once with a finite
+            value, and each layer-0 row must hold its identity-bypass value.
+            A missing row names its key.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = _content_lines(fh.read())
     if not lines:
         raise FormatError(f"{path}: empty net file")
-    header = lines[0].strip()
+    (lineno, header), rows = lines[0], lines[1:]
     try:
         k, n = (int(v) for v in header.split(","))
-    except ValueError as exc:
-        raise FormatError(f"{path}:1: bad header {header!r}: {exc}") from None
-    try:
         net = DenseNet.zeros(k, n)
-    except ConfigurationError as exc:
-        raise FormatError(f"{path}:1: bad header {header!r}: {exc}") from None
-    for lineno, ln in enumerate(lines[1:], start=2):
-        ln = ln.strip()
-        if not ln:
-            continue
-        parts = ln.split(",")
-        try:
-            if len(parts) not in (3, 4):
-                raise ValueError(f"expected 3 or 4 fields, got {len(parts)}")
-            layer, *index = (int(v) for v in parts[:-1])
-            value = float(parts[-1])
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite value {value}")
-            # negative indices would wrap around; layer 0 (the bypass) has no biases
-            if min(layer, *index) < 0 or layer > k + 1 or (layer == 0 and len(index) == 1):
-                raise ValueError(f"no such entry in a net with K={k}")
-            if len(index) == 1:
-                net.biases[layer - 1][index[0]] = value
-            elif layer == 0:
-                if value != _BYPASS[tuple(index)]:
-                    raise ValueError("the bypass is fixed at the identity")
-            else:
-                net.weights[layer - 1][tuple(index)] = value
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"{path}:{lineno}: bad row {ln!r}: {exc}") from None
+    except (ValueError, ConfigurationError) as exc:
+        raise FormatError(f"{path}:{lineno}: bad header {header!r}: {exc}") from None
+    keys = _net_keys(k, n)
+    bypass = {key: (value,) for key, value in zip(keys, _BYPASS.flat)}
+    net.flat[:] = _read_rows(path, rows, keys, 1, fixed=bypass)[_BYPASS.size :, 0]
     return net

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, InputRangeError
 from .mempoly import MemoryPolyModel, PolyShape, _apply
-from .signals import IqSignal, _fmt
+from .signals import IqSignal, _content_lines, _fmt, _read_rows, _write_rows
 
 MAX_DRIVE = 1.5
 
@@ -102,57 +102,49 @@ class SimulatedPa:
         return IqSignal(y, signal.sample_rate_hz)
 
 
+def _profile_keys(shape: PolyShape) -> list[str]:
+    """A profile's `p,m` coefficient row keys, in alpha's row-major order."""
+    return [f"{p},{m}" for p in range(1, shape.p_max + 1, 2) for m in range(shape.main_taps)]
+
+
 def save_pa_profile(pa: SimulatedPa, path: str) -> None:
-    """Write a PA profile: key/value header plus p,m,re,im coefficient rows."""
+    """Write a PA profile: `name: value` header lines plus a `p,m,re,im` row per key."""
     s = pa.core.shape
-    with open(path, "w") as fh:
-        fh.write(f"p_max: {s.p_max}\n")
-        fh.write(f"main_taps: {s.main_taps}\n")
-        fh.write(f"saturation_output_limit: {_fmt(pa.saturation_output_limit)}\n")
-        fh.write(f"noise_stddev: {_fmt(pa.noise_stddev)}\n")
-        fh.write(f"seed: {pa.seed}\n")
-        for i, p in enumerate(range(1, s.p_max + 1, 2)):
-            for m in range(s.main_taps):
-                c = pa.core.alpha[i, m]
-                fh.write(f"{p},{m},{_fmt(c.real)},{_fmt(c.imag)}\n")
+    header = [
+        f"p_max: {s.p_max}",
+        f"main_taps: {s.main_taps}",
+        f"saturation_output_limit: {_fmt(pa.saturation_output_limit)}",
+        f"noise_stddev: {_fmt(pa.noise_stddev)}",
+        f"seed: {pa.seed}",
+    ]
+    values = pa.core.alpha.ravel().view(np.float64).reshape(-1, 2)
+    _write_rows(path, header, _profile_keys(s), values)
 
 
 def _profile_from_text(text: str, origin: str) -> SimulatedPa:
-    keys: dict[str, str] = {}
-    rows: list[tuple[int, int, complex]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = _content_lines(text)
+    header: dict[str, str] = {}
+    for lineno, line in lines:
         if ":" in line:
-            key, _, value = line.partition(":")
-            keys[key.strip()] = value.strip()
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"{origin}:{lineno}: expected p,m,re,im")
-        try:
-            rows.append((int(parts[0]), int(parts[1]), complex(float(parts[2]), float(parts[3]))))
-        except ValueError as exc:
-            raise FormatError(f"{origin}:{lineno}: bad numeric field") from exc
+            key, _, value = (part.strip() for part in line.partition(":"))
+            if key in header:
+                raise FormatError(f"{origin}:{lineno}: repeated key {key!r}")
+            header[key] = value
     try:
-        p_max, main_taps = int(keys["p_max"]), int(keys["main_taps"])
-        limit = float(keys["saturation_output_limit"])
-        noise = float(keys["noise_stddev"])
-        seed = int(keys["seed"])
+        p_max, main_taps = int(header["p_max"]), int(header["main_taps"])
+        limit = float(header["saturation_output_limit"])
+        noise = float(header["noise_stddev"])
+        seed = int(header["seed"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{origin}: bad or missing profile key: {exc}") from exc
+    rows = [(lineno, line) for lineno, line in lines if ":" not in line]
     try:
-        core = MemoryPolyModel.identity(PolyShape(p_max=p_max, main_taps=main_taps))
-        pa = SimulatedPa(core=core, saturation_output_limit=limit, noise_stddev=noise, seed=seed)
+        shape = PolyShape(p_max=p_max, main_taps=main_taps)
+        alpha = _read_rows(origin, rows, _profile_keys(shape), 2).view(np.complex128).ravel()
+        core = MemoryPolyModel.from_coefficients(shape, alpha)
+        return SimulatedPa(core=core, saturation_output_limit=limit, noise_stddev=noise, seed=seed)
     except ConfigurationError as exc:
         raise FormatError(f"{origin}: {exc}") from exc
-    core.alpha[:] = 0
-    for p, m, value in rows:
-        if p % 2 == 0 or not 1 <= p <= p_max or not 0 <= m < main_taps:
-            raise FormatError(f"{origin}: coefficient row ({p},{m}) outside declared shape")
-        core.alpha[(p - 1) // 2, m] = value
-    return pa
 
 
 def load_pa_profile(path: str) -> SimulatedPa:

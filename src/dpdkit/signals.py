@@ -87,6 +87,67 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_rows(path, header: list[str], keys: list[str], values: np.ndarray) -> None:
+    """Write ``header`` lines, then a ``key,value,...`` row per key, the layout _read_rows reads.
+
+    ``values`` holds one row of floats per key, in the order of ``keys``.
+    """
+    rows = zip(keys, values.tolist(), strict=True)
+    lines = header + [",".join([key, *map(_fmt, row)]) for key, row in rows]
+    with open(path, "w") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) for every line that is neither blank nor a ``#`` comment.
+
+    Line numbers count every line as it stands in the file.
+    """
+    numbered = ((i, line.strip()) for i, line in enumerate(text.splitlines(), start=1))
+    return [(i, line) for i, line in numbered if line and not line.startswith("#")]
+
+
+def _read_rows(path, lines, keys: list[str], width: int, fixed: dict | None = None) -> np.ndarray:
+    """Read ``key,...,value,...`` rows that give each of ``keys`` exactly once.
+
+    ``lines`` are (line number, line) pairs from _content_lines. A row's last
+    ``width`` fields are its values and the fields before them its key.
+    ``fixed`` maps a key to the only values its row may hold.
+
+    Returns:
+        A (len(keys), width) float64 array whose row i holds the values of keys[i].
+
+    Raises:
+        FormatError: naming ``path:line`` for a row whose key is unknown or
+            repeated, or whose values are malformed, non-finite or not the
+            fixed ones; naming ``path`` and the key when no row gives a key.
+    """
+    index = {key: i for i, key in enumerate(keys)}
+    values = np.empty((len(keys), width))
+    seen: dict[str, int] = {}
+    for lineno, line in lines:
+        fields = [f.strip() for f in line.split(",")]
+        key = ",".join(fields[:-width])
+        try:
+            if key not in index:
+                raise ValueError("no such row in this file's layout")
+            if key in seen:
+                raise ValueError(f"repeats the row on line {seen[key]}")
+            row = tuple(float(f) for f in fields[-width:])
+            if not all(map(math.isfinite, row)):
+                raise ValueError("non-finite value")
+            if row != (fixed or {}).get(key, row):
+                raise ValueError(f"this row is fixed at {','.join(map(_fmt, fixed[key]))}")
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad row {line!r}: {exc}") from None
+        seen[key] = lineno
+        values[index[key]] = row
+    for key in keys:
+        if key not in seen:
+            raise FormatError(f"{path}: missing row {key!r}")
+    return values
+
+
 def write_signal_csv(signal: IqSignal, path: str, metadata: dict | None = None) -> None:
     """Write a signal as `index,re,im` CSV plus a `<path>.meta` sidecar.
 

@@ -100,9 +100,6 @@ class TrainLog:
             raise DivergenceError(f"non-finite loss in {record.phase} epoch {record.epoch}")
         self.records.append(record)
 
-    def phase_records(self, phase: str) -> list[TrainRecord]:
-        return [r for r in self.records if r.phase == phase]
-
     def to_csv(self, path) -> None:
         lines = ["iteration,phase,epoch,train_mse,val_mse"]
         for r in self.records:

@@ -245,8 +245,8 @@ def test_4_training_log_structure(capsys, trained_nets):
     """Two-phase schedule logs every epoch and the losses actually fall."""
     _, log = trained_nets[14]
     assert len(log.records) == 50
-    pa_rows = log.phase_records("pa_model")
-    dpd_rows = log.phase_records("dpd")
+    pa_rows = [r for r in log.records if r.phase == "pa_model"]
+    dpd_rows = [r for r in log.records if r.phase == "dpd"]
     assert len(pa_rows) == 25 and len(dpd_rows) == 25
     for rows in (pa_rows, dpd_rows):
         assert [r.iteration for r in rows] == [1] * 20 + [2] * 5

@@ -24,6 +24,7 @@ from dpdkit.mempoly import (
     solve_regularized_ls,
     _mean_column_energy,
 )
+from row_edits import check_row_edits
 
 RATE = 61.44e6
 
@@ -572,6 +573,11 @@ class TestModelIo:
             back = load_poly_model(path)
         assert back.shape == shape
         np.testing.assert_array_equal(back.coefficient_vector(), model.coefficient_vector())
+
+    @given(shape=POLY_SHAPES, seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_every_row_exactly_once(self, shape, seed, data):
+        model = seeded_model(shape, seed)
+        check_row_edits(data, model, save_poly_model, load_poly_model, n_header=1, n_values=2)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -23,6 +23,7 @@ from dpdkit.nn import (
     nn_forward,
     save_net,
 )
+from row_edits import check_row_edits
 
 RATE = 61.44e6
 
@@ -429,6 +430,10 @@ class TestNetIo:
         assert (back.hidden_layers, back.width) == (k, n)
         for a, b in zip(back.weights + back.biases, net.weights + net.biases):
             np.testing.assert_array_equal(a, b)
+
+    @given(k=st.integers(1, 3), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_every_row_exactly_once(self, k, n, seed, data):
+        check_row_edits(data, random_net(k, n, seed), save_net, load_net, n_header=1, n_values=1)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"

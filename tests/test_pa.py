@@ -13,6 +13,7 @@ from dpdkit.errors import ConfigurationError, FormatError, InputRangeError
 from dpdkit.mempoly import MemoryPolyModel, PolyShape
 from dpdkit.metrics import aclr_db_gated, evm_percent
 from dpdkit.pa import MAX_DRIVE, SimulatedPa, load_default_pa, load_pa_profile, save_pa_profile
+from row_edits import check_row_edits
 
 RATE = 61.44e6
 
@@ -177,13 +178,31 @@ class TestProfileIo:
 
     def test_malformed_coefficient_row(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text(
-            "p_max: 1\nmain_taps: 1\nsaturation_output_limit: 1.0\n"
-            "nominal_gain: 1.0,0.0\nnoise_stddev: 0.0\nseed: 0\n"
-            "1,0,oops,0.0\n"
-        )
-        with pytest.raises(FormatError, match="7"):
-            load_pa_profile(path)
+        # a non-finite coefficient, a row outside the p_max=1 M=1 shape and a
+        # repeated key are each an error at their own line
+        for row in ("1,0,oops,0.0", "1,0,nan,0.0", "1,0,0.0,-inf", "1,0,1e400,0.0", "3,0,0.5,0.0",
+                    "1,1,0.5,0.0", "seed: 1"):
+            path.write_text(
+                "p_max: 1\nmain_taps: 1\nsaturation_output_limit: 1.0\n"
+                "nominal_gain: 1.0,0.0\nnoise_stddev: 0.0\nseed: 0\n"
+                f"{row}\n"
+                "1,0,1.0,0.0\n"
+            )
+            with pytest.raises(FormatError, match=r"bad\.txt:7:"):
+                load_pa_profile(path)
+
+    @given(
+        p_max=st.sampled_from([1, 3, 5, 7, 9]),
+        taps=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_every_row_exactly_once(self, p_max, taps, seed, data):
+        core = MemoryPolyModel.identity(PolyShape(p_max=p_max, main_taps=taps))
+        rng, shape = np.random.default_rng(seed), core.alpha.shape
+        core.alpha[:] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        pa = SimulatedPa(core=core, saturation_output_limit=1.25, noise_stddev=2e-4, seed=seed)
+        check_row_edits(data, pa, save_pa_profile, load_pa_profile, n_header=5, n_values=2)
 
     def test_bad_profile_value_names_the_file(self, tmp_path):
         path = tmp_path / "bad_profile.txt"

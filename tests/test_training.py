@@ -189,14 +189,6 @@ class TestTrainLog:
         parts = lines[2].split(",")
         assert float(parts[3]) == 0.125 and float(parts[4]) == 0.0625
 
-    def test_phase_records_filters(self):
-        log = TrainLog()
-        log.append(TrainRecord(1, "pa_model", 1, 1.0, 1.0))
-        log.append(TrainRecord(1, "dpd", 1, 1.0, 1.0))
-        log.append(TrainRecord(2, "dpd", 1, 1.0, 1.0))
-        assert len(log.phase_records("pa_model")) == 1
-        assert len(log.phase_records("dpd")) == 2
-
 
 class TestTrainPaNn:
     def test_pure_gain_target_reaches_identity(self, frame):
@@ -304,8 +296,8 @@ class TestTrainDpdNn:
 class TestRunFullTraining:
     def test_default_schedule_log_structure_and_descent(self):
         dpd, log = run_full_training(load_default_pa(), HEADLINE_SHAPES, TrainConfig(), WAVEFORM)
-        pa_recs = log.phase_records("pa_model")
-        dpd_recs = log.phase_records("dpd")
+        pa_recs = [r for r in log.records if r.phase == "pa_model"]
+        dpd_recs = [r for r in log.records if r.phase == "dpd"]
         assert len(pa_recs) == 25 and len(dpd_recs) == 25
         # per-iteration epoch numbering restarts; iteration tags follow the schedule
         assert [r.epoch for r in pa_recs] == list(range(1, 21)) + list(range(1, 6))
