@@ -16,7 +16,7 @@ from .errors import ConfigurationError, DpdError, FormatError
 from .fixedpoint import FixedFormat
 from .harness import DpdReport, ExperimentSpec, emit_psd_overlay, run_sweep
 from .ofdm import OfdmConfig, generate_ofdm
-from .signals import papr_db, read_signal_csv, write_signal_csv
+from .signals import _write_lines, papr_db, read_signal_csv, write_signal_csv
 
 
 def _add_waveform_flags(p: argparse.ArgumentParser) -> None:
@@ -190,12 +190,11 @@ def _cmd_report(args) -> int:
             continue
         out_lines.append(",".join(cells[idx[k]] for k in
                                   ("descriptor", "n_params", "n_mults", "aclr_db", "evm_pct")))
-    text = "\n".join(out_lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write_lines(args.out, out_lines, [])
         print(f"wrote {args.out}")
     else:
-        print(text, end="")
+        print("\n".join(out_lines))
     return 0
 
 

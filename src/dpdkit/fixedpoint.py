@@ -62,10 +62,6 @@ class FixedFormat:
                 "total_bits",
             )
 
-    @property
-    def lsb(self) -> float:
-        return 2.0 ** -self.frac_bits
-
 
 @dataclass
 class FixedPointStats:

@@ -12,7 +12,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .metrics import aclr_db_gated, default_segment_len, evm_percent, psd_welch
 from .nn import nn_forward, save_net
 from .ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
 from .pa import load_default_pa, load_pa_profile
-from .signals import IqSignal, _fmt
+from .signals import IqSignal, _write_lines
 from .training import DEFAULT_PA_MODEL_SHAPE, TrainConfig, _frame_configs, run_full_training
 
 __all__ = [
@@ -49,6 +49,7 @@ DEFAULT_SWEEP = ["nn K=1 N=6", "nn K=1 N=14", "poly P=7 M=1", "poly P=11 M=2"]
 # arithmetic, not two different deployments.
 POLY_FIXED_BACKOFF = 0.95
 
+# one column per DpdReport field, in field order: a sweep.csv row is astuple(report)
 SWEEP_COLUMNS = (
     "descriptor,n_params,n_mults,aclr_db,evm_pct,"
     "mode,sat_events,underflow_pct,train_log_path,status"
@@ -163,22 +164,6 @@ class DpdReport:
     train_log_path: str = ""
     status: str = "ok"
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.descriptor,
-                str(self.n_params_real),
-                str(self.n_mults),
-                _fmt(self.aclr_db),
-                _fmt(self.evm_pct),
-                self.mode,
-                str(self.sat_events),
-                _fmt(self.underflow_pct),
-                self.train_log_path,
-                self.status,
-            ]
-        )
-
 
 def _error_report(descriptor: str, exc: Exception) -> DpdReport:
     msg = str(exc).replace("\n", " ").replace(",", ";")
@@ -206,9 +191,7 @@ def _fit(kind, params, pa, spec: ExperimentSpec, x_train, row_dir: Path):
             model = rescale_cascade_gain(model, POLY_FIXED_BACKOFF)
         row_dir.mkdir(parents=True, exist_ok=True)
         save_poly_model(model, str(row_dir / "model.txt"))
-        lines = ["iteration,residual"]
-        lines += [f"{i + 1},{_fmt(r)}" for i, r in enumerate(residuals)]
-        (row_dir / "trainlog.csv").write_text("\n".join(lines) + "\n")
+        _write_lines(row_dir / "trainlog.csv", ["iteration,residual"], enumerate(residuals, start=1))
         return model, poly_predistort, poly_forward_fixed
     net, log = run_full_training(
         pa, shapes=(params, DEFAULT_PA_MODEL_SHAPE), cfg=spec.train, waveform=spec.waveform
@@ -286,9 +269,7 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
         except Exception as exc:  # noqa: BLE001 — per-row capture is the contract
             reports.append(_error_report(report.model_descriptor, exc))
 
-    tmp = out_dir / "sweep.csv.tmp"
-    tmp.write_text("\n".join([SWEEP_COLUMNS] + [r.csv_row() for r in reports]) + "\n")
-    tmp.replace(out_dir / "sweep.csv")
+    _write_lines(out_dir / "sweep.csv", [SWEEP_COLUMNS], map(astuple, reports))
     return reports
 
 
@@ -324,7 +305,5 @@ def emit_psd_overlay(signals: list[tuple[str, IqSignal]], path) -> None:
         header = "freq_hz,power_db"
     else:
         header = "freq_hz," + ",".join(f"{name}_db" for name, _ in estimates)
-    lines = [header]
-    for i, f in enumerate(freqs):
-        lines.append(",".join([_fmt(f)] + [_fmt(est.power_db[i]) for _, est in estimates]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [est.power_db.tolist() for _, est in estimates]
+    _write_lines(path, [header], zip(freqs.tolist(), *columns))

@@ -41,9 +41,9 @@ class PolyShape:
 
     def __post_init__(self):
         if self.p_max < 1 or self.p_max % 2 == 0:
-            raise ConfigurationError(f"p_max must be odd and >= 1, got {self.p_max}")
+            raise ConfigurationError(f"p_max must be odd and >= 1, got {self.p_max}", "p_max")
         if self.main_taps < 1:
-            raise ConfigurationError(f"main_taps must be >= 1, got {self.main_taps}")
+            raise ConfigurationError(f"main_taps must be >= 1, got {self.main_taps}", "main_taps")
         if self.q_max < 0 or (self.q_max > 0 and self.q_max % 2 == 0):
             raise ConfigurationError(f"q_max must be 0 or odd, got {self.q_max}")
         if (self.q_max == 0) != (self.conj_taps == 0):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, InputRangeError
 from .mempoly import MemoryPolyModel, PolyShape, _apply
-from .signals import IqSignal, _content_lines, _fmt, _read_rows, _write_rows
+from .signals import IqSignal, _content_lines, _fmt, _read_header, _read_rows, _write_rows
 
 MAX_DRIVE = 1.5
 
@@ -69,15 +69,16 @@ class SimulatedPa:
 
     def __post_init__(self):
         if not self.saturation_output_limit > 0:
-            raise ConfigurationError("saturation_output_limit must be positive")
+            raise ConfigurationError("saturation_output_limit must be positive",
+                                     "saturation_output_limit")
         # NaN would fail the `> 0` test in apply and silently switch the noise off
         if not 0 <= self.noise_stddev < math.inf:
             raise ConfigurationError(
-                f"noise_stddev must be finite and >= 0, got {self.noise_stddev}"
+                f"noise_stddev must be finite and >= 0, got {self.noise_stddev}", "noise_stddev"
             )
         # the noise generator takes no negative seed; every apply() would fail
         if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}", "seed")
 
     def apply(self, signal: IqSignal) -> IqSignal:
         """Transmit a signal through the PA.
@@ -102,6 +103,11 @@ class SimulatedPa:
         return IqSignal(y, signal.sample_rate_hz)
 
 
+# a profile's header keys, each with the function that reads its value
+_PROFILE_HEADER = {"p_max": int, "main_taps": int, "saturation_output_limit": float,
+                   "noise_stddev": float, "seed": int}
+
+
 def _profile_keys(shape: PolyShape) -> list[str]:
     """A profile's `p,m` coefficient row keys, in alpha's row-major order."""
     return [f"{p},{m}" for p in range(1, shape.p_max + 1, 2) for m in range(shape.main_taps)]
@@ -123,28 +129,17 @@ def save_pa_profile(pa: SimulatedPa, path: str) -> None:
 
 def _profile_from_text(text: str, origin: str) -> SimulatedPa:
     lines = _content_lines(text)
-    header: dict[str, str] = {}
-    for lineno, line in lines:
-        if ":" in line:
-            key, _, value = (part.strip() for part in line.partition(":"))
-            if key in header:
-                raise FormatError(f"{origin}:{lineno}: repeated key {key!r}")
-            header[key] = value
+    header, where = _read_header(origin, [(i, line) for i, line in lines if ":" in line],
+                                 _PROFILE_HEADER)
+    rows = [(i, line) for i, line in lines if ":" not in line]
     try:
-        p_max, main_taps = int(header["p_max"]), int(header["main_taps"])
-        limit = float(header["saturation_output_limit"])
-        noise = float(header["noise_stddev"])
-        seed = int(header["seed"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{origin}: bad or missing profile key: {exc}") from exc
-    rows = [(lineno, line) for lineno, line in lines if ":" not in line]
-    try:
-        shape = PolyShape(p_max=p_max, main_taps=main_taps)
+        shape = PolyShape(p_max=header["p_max"], main_taps=header["main_taps"])
         alpha = _read_rows(origin, rows, _profile_keys(shape), 2).view(np.complex128).ravel()
         core = MemoryPolyModel.from_coefficients(shape, alpha)
-        return SimulatedPa(core=core, saturation_output_limit=limit, noise_stddev=noise, seed=seed)
-    except ConfigurationError as exc:
-        raise FormatError(f"{origin}: {exc}") from exc
+        return SimulatedPa(core=core, saturation_output_limit=header["saturation_output_limit"],
+                           noise_stddev=header["noise_stddev"], seed=header["seed"])
+    except ConfigurationError as exc:  # each check on a header value names its field, so its line
+        raise FormatError(f"{origin}:{where[exc.field]}: {exc}") from None
 
 
 def load_pa_profile(path: str) -> SimulatedPa:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -32,7 +31,8 @@ class IqSignal:
             raise ConfigurationError("signal must contain at least one sample")
         if not 0 < self.sample_rate_hz < math.inf:
             raise ConfigurationError(
-                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}",
+                "sample_rate_hz",
             )
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
@@ -87,15 +87,27 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_lines(path, header: list[str], rows) -> None:
+    """Write ``header`` lines, then one comma-joined line per row of cells.
+
+    A float cell is written by _fmt and any other cell by str. The text goes
+    to a file beside ``path`` that is then renamed over it, so the file at
+    ``path`` is always whole: the one before or the one written now.
+    """
+    lines = header + [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+                      for row in rows]
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    os.replace(tmp, path)
+
+
 def _write_rows(path, header: list[str], keys: list[str], values: np.ndarray) -> None:
     """Write ``header`` lines, then a ``key,value,...`` row per key, the layout _read_rows reads.
 
     ``values`` holds one row of floats per key, in the order of ``keys``.
     """
-    rows = zip(keys, values.tolist(), strict=True)
-    lines = header + [",".join([key, *map(_fmt, row)]) for key, row in rows]
-    with open(path, "w") as fh:
-        fh.write("".join(line + "\n" for line in lines))
+    _write_lines(path, header, ([key, *row] for key, row in zip(keys, values.tolist(), strict=True)))
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -148,76 +160,96 @@ def _read_rows(path, lines, keys: list[str], width: int, fixed: dict | None = No
     return values
 
 
+def _read_header(path, lines, required: dict) -> tuple[dict, dict[str, int]]:
+    """Read ``key: value`` lines that give each key at most once and each of ``required`` once.
+
+    ``lines`` are (line number, line) pairs from _content_lines. ``required``
+    maps a key to the function that reads its value; any other key keeps its
+    text.
+
+    Returns:
+        (value of each key, line number of each key).
+
+    Raises:
+        FormatError: naming ``path:line`` for a line without a colon, a
+            repeated key or a value its function refuses with ValueError;
+            naming ``path`` and the key when a required key is missing.
+    """
+    values: dict = {}
+    where: dict[str, int] = {}
+    for lineno, line in lines:
+        key, colon, value = (part.strip() for part in line.partition(":"))
+        try:
+            if not colon:
+                raise ValueError("expected 'key: value'")
+            if key in where:
+                raise ValueError(f"repeats the key on line {where[key]}")
+            values[key] = required.get(key, str)(value)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad line {line!r}: {exc}") from None
+        where[key] = lineno
+    for key in required:
+        if key not in where:
+            raise FormatError(f"{path}: missing key {key!r}")
+    return values, where
+
+
 def write_signal_csv(signal: IqSignal, path: str, metadata: dict | None = None) -> None:
     """Write a signal as `index,re,im` CSV plus a `<path>.meta` sidecar.
 
-    The sidecar is a key: value text file and always carries sample_rate_hz;
-    extra metadata entries (e.g. the generating OFDM config) are appended.
+    The sidecar holds `key: value` lines: sample_rate_hz, then each metadata
+    entry (e.g. the generating OFDM config) as strings.
+
+    Raises:
+        ConfigurationError: for a metadata entry that read_signal_csv would
+            not give back as written, such as a sample_rate_hz key, a key
+            holding a colon or a value holding a line break; nothing is
+            written then.
     """
-    with open(path, "w") as fh:
-        fh.write("index,re,im\n")
-        for i, v in enumerate(signal.samples):
-            fh.write(f"{i},{_fmt(v.real)},{_fmt(v.imag)}\n")
     meta = {"sample_rate_hz": _fmt(signal.sample_rate_hz)}
-    if metadata:
-        meta.update({str(k): str(v) for k, v in metadata.items()})
-    with open(path + ".meta", "w") as fh:
-        for key, value in meta.items():
-            fh.write(f"{key}: {value}\n")
+    for key, value in (metadata or {}).items():
+        key, value = str(key), str(value)
+        try:
+            back = _read_header(path, _content_lines(f"{key}: {value}"), {})[0]
+        except FormatError:
+            back = {}
+        if key in meta or back != {key: value}:
+            raise ConfigurationError(f"metadata {key!r}: {value!r} would not read back as written")
+        meta[key] = value
+    x = signal.samples
+    _write_lines(path, ["index,re,im"], zip(range(x.size), x.real.tolist(), x.imag.tolist()))
+    _write_lines(path + ".meta", [f"{key}: {value}" for key, value in meta.items()], [])
 
 
 def read_signal_csv(path: str) -> tuple[IqSignal, dict]:
-    """Read a signal written by write_signal_csv.
+    """Read a signal written by write_signal_csv; blank and `#` lines are skipped.
 
     Returns:
         (signal, metadata) where metadata holds the sidecar key/value pairs
         (values as strings, except sample_rate_hz which is consumed).
 
     Raises:
-        FormatError: on malformed or non-finite rows (the message names the
-            line number) or a missing/invalid sidecar.
+        FormatError: naming ``path:line`` for a bad header, a malformed or
+            non-finite row, or an index that is repeated or outside 0..n-1
+            for n rows, and for a sidecar line that is not `key: value`,
+            repeats a key or holds a bad sample_rate_hz; naming the file
+            for a missing sidecar, rate or sample.
     """
     meta_path = path + ".meta"
     if not os.path.exists(meta_path):
         raise FormatError(f"missing sidecar metadata file: {meta_path}")
-    metadata: dict = {}
     with open(meta_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise FormatError(f"{meta_path}:{lineno}: expected 'key: value', got {line!r}")
-            key, _, value = line.partition(":")
-            metadata[key.strip()] = value.strip()
-    if "sample_rate_hz" not in metadata:
-        raise FormatError(f"{meta_path}: sidecar lacks sample_rate_hz")
-    try:
-        rate = float(metadata.pop("sample_rate_hz"))
-    except ValueError as exc:
-        raise FormatError(f"{meta_path}: bad sample_rate_hz") from exc
-    if not 0 < rate < math.inf:
-        raise FormatError(f"{meta_path}: sample_rate_hz must be positive and finite, got {rate}")
-
-    values = []
+        metadata, where = _read_header(meta_path, _content_lines(fh.read()), {"sample_rate_hz": float})
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "index,re,im":
-            raise FormatError(f"{path}:1: expected header 'index,re,im', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                value = complex(float(parts[1]), float(parts[2]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad numeric field") from exc
-            if not cmath.isfinite(value):
-                raise FormatError(f"{path}:{lineno}: non-finite sample {value}")
-            values.append(value)
-    if not values:
+        lines = _content_lines(fh.read())
+    if not lines or lines[0][1] != "index,re,im":
+        raise FormatError(f"{path}:{lines[0][0] if lines else 1}: expected the header 'index,re,im'")
+    rows = lines[1:]
+    if not rows:
         raise FormatError(f"{path}: no samples")
-    return IqSignal(np.array(values, dtype=np.complex128), rate), metadata
+    values = _read_rows(path, rows, [str(i) for i in range(len(rows))], 2)
+    try:
+        signal = IqSignal(values.view(np.complex128).ravel(), metadata.pop("sample_rate_hz"))
+    except ConfigurationError as exc:  # the rows give at least one sample: the rate is at fault
+        raise FormatError(f"{meta_path}:{where['sample_rate_hz']}: {exc}") from None
+    return signal, metadata

@@ -10,7 +10,7 @@ signal pairs, never coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .nn import (
     nn_forward,
 )
 from .ofdm import OfdmConfig, generate_ofdm
-from .signals import IqSignal, estimate_gain, _fmt
+from .signals import IqSignal, estimate_gain, _write_lines
 
 __all__ = [
     "DEFAULT_PA_MODEL_SHAPE",
@@ -101,13 +101,7 @@ class TrainLog:
         self.records.append(record)
 
     def to_csv(self, path) -> None:
-        lines = ["iteration,phase,epoch,train_mse,val_mse"]
-        for r in self.records:
-            lines.append(
-                f"{r.iteration},{r.phase},{r.epoch},{_fmt(r.train_mse)},{_fmt(r.val_mse)}"
-            )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(path, ["iteration,phase,epoch,train_mse,val_mse"], map(astuple, self.records))
 
 
 @dataclass

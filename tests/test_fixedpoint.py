@@ -40,8 +40,8 @@ def out_of_range_count(v: np.ndarray, fmt: FixedFormat) -> int:
     """Components whose nearest code lies off the grid: a tie above the top
     rounds up to the even code past it, a tie below the bottom to the
     bottom code itself."""
-    half, top = fmt.lsb / 2, 2.0 ** (fmt.total_bits - fmt.frac_bits - 1)
-    return int(np.count_nonzero((v >= top - fmt.lsb + half) | (v < -top - half)))
+    lsb, top = 2.0**-fmt.frac_bits, 2.0 ** (fmt.total_bits - fmt.frac_bits - 1)
+    return int(np.count_nonzero((v >= top - lsb / 2) | (v < -top - lsb / 2)))
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +53,13 @@ def frame():
 class TestFixedFormat:
     def test_q15_defaults(self):
         assert Q15.total_bits == 16 and Q15.frac_bits == 15
-        assert Q15.lsb == LSB
+        assert quantize(LSB, Q15) == LSB
 
     def test_other_splits(self):
         fmt = FixedFormat(total_bits=8, frac_bits=4)
-        assert fmt.lsb == 2.0**-4
+        # the grid step is 2**-4: a half step rounds to even, one and a half steps to two
+        assert quantize(2.0**-4, fmt) == 2.0**-4
+        assert quantize(2.0**-5, fmt) == 0.0 and quantize(3 * 2.0**-5, fmt) == 2.0**-3
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -136,7 +138,7 @@ class TestQuantize:
         assert np.array_equal(quantize(q, fmt), q)
         assert np.all(np.diff(q) >= 0)
         top = 2.0 ** (fmt.total_bits - fmt.frac_bits - 1)
-        assert np.all((q >= -top) & (q <= top - fmt.lsb))
+        assert np.all((q >= -top) & (q <= top - 2.0**-fmt.frac_bits))
 
     @given(fmt=FORMATS, re=VALUES, im=VALUES)
     def test_sat_events_count_out_of_range_components(self, fmt, re, im):

@@ -215,11 +215,14 @@ class TestProfileIo:
             ("saturation_output_limit: 2.0", "saturation_output_limit: nan"),
             ("saturation_output_limit: 2.0", "saturation_output_limit: 0.0"),
             ("p_max: 7", "p_max: 2"),
+            ("p_max: 7", "p_max: 4"),
             ("main_taps: 3", "main_taps: 0"),
             ("seed: 0", "seed: -1"),
+            ("seed: 0", "seed: 1.5"),
         ):
             path.write_text(good.replace(old, new))
-            with pytest.raises(FormatError, match="bad_profile.txt"):
+            line = good.splitlines().index(old) + 1
+            with pytest.raises(FormatError, match=rf"bad_profile\.txt:{line}:"):
                 load_pa_profile(path)
 
     def test_unclipped_profile_loads(self, tmp_path):

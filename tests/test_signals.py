@@ -1,15 +1,18 @@
 """Tests for the IqSignal container, PAPR, gain estimation and CSV I/O."""
 
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from row_edits import check_row_edits
 
 from dpdkit import (
     ConfigurationError,
+    FormatError,
     IqSignal,
     MetricError,
     estimate_gain,
@@ -17,6 +20,10 @@ from dpdkit import (
     read_signal_csv,
     write_signal_csv,
 )
+
+
+# text that is mostly plain, with the characters a `key: value` line gives a meaning
+META_TEXT = st.text(st.one_of(st.sampled_from("a:# \t\n\r\x0b\x85\u2028"), st.characters()), max_size=6)
 
 
 def random_signal(n=256, seed=0, rate=1e6):
@@ -114,20 +121,45 @@ class TestSignalCsv:
         assert back.samples.tobytes() == sig.samples.tobytes()
         assert back.sample_rate_hz == sig.sample_rate_hz and meta == {}
 
-    def test_missing_sidecar_rejected(self, tmp_path):
-        from dpdkit import FormatError
+    @given(samples=st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                            min_size=1, max_size=12),
+           data=st.data())
+    def test_every_row_exactly_once(self, samples, data):
+        sig = IqSignal(np.array(samples, dtype=np.complex128), 1e6)
+        check_row_edits(data, sig, lambda s, path: write_signal_csv(s, str(path)),
+                        lambda path: read_signal_csv(str(path))[0], n_header=1, n_values=2,
+                        sized=False)
 
+    @given(metadata=st.dictionaries(st.one_of(st.just("sample_rate_hz"), META_TEXT), META_TEXT,
+                                    max_size=3))
+    @example(metadata={"sample_rate_hz": "3"})
+    @example(metadata={"note": "two\nlines"})
+    @example(metadata={"a:b": "1"})
+    @example(metadata={"label": "unit", "config": "a: b, c: 1"})
+    def test_metadata_reads_back_as_written_or_is_refused(self, metadata):
+        def unreadable(key, value):
+            line = f"{key}: {value}"
+            return (key == "sample_rate_hz" or ":" in key or key.startswith("#")
+                    or key != key.strip() or value != value.strip() or len(line.splitlines()) != 1)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "sig.csv")
+            if any(unreadable(k, v) for k, v in metadata.items()):
+                with pytest.raises(ConfigurationError, match="would not read back"):
+                    write_signal_csv(random_signal(n=2), path, metadata)
+                assert os.listdir(tmp) == []
+            else:
+                write_signal_csv(random_signal(n=2), path, metadata)
+                assert read_signal_csv(path)[1] == metadata
+
+    def test_missing_sidecar_rejected(self, tmp_path):
         path = str(tmp_path / "sig.csv")
         write_signal_csv(random_signal(), path)
-        import os
-
         os.remove(path + ".meta")
         with pytest.raises(FormatError):
             read_signal_csv(path)
 
     def test_malformed_row_names_line(self, tmp_path):
-        from dpdkit import FormatError
-
         path = str(tmp_path / "bad.csv")
         for row in ("4,not-a-number,0", "4,nan,0", "4,0.1,inf"):
             write_signal_csv(random_signal(n=4), path)
@@ -135,10 +167,24 @@ class TestSignalCsv:
                 fh.write(row + "\n")
             with pytest.raises(FormatError, match=":6"):
                 read_signal_csv(path)
+        # each index 0..n-1 exactly once: one out of range or repeated is an error at its line
+        for indices, line in (((0, 7, 0, 0), 3), ((0, 1, 1, 3), 4)):
+            write_signal_csv(random_signal(n=4), path)
+            lines = Path(path).read_text().splitlines()
+            lines[1:] = [f"{i},{row.split(',', 1)[1]}" for i, row in zip(indices, lines[1:])]
+            Path(path).write_text("\n".join(lines) + "\n")
+            with pytest.raises(FormatError, match=rf"bad\.csv:{line}:"):
+                read_signal_csv(path)
         # the sidecar's rate must be positive and finite, or fftfreq divides by zero later
         for rate in ("inf", "nan", "-1", "0.0"):
             write_signal_csv(random_signal(n=4), path)
             with open(path + ".meta", "w") as fh:
                 fh.write(f"sample_rate_hz: {rate}\n")
-            with pytest.raises(FormatError, match=r"bad\.csv\.meta"):
+            with pytest.raises(FormatError, match=r"bad\.csv\.meta:1:"):
                 read_signal_csv(path)
+        # a repeated sidecar key is an error at its second line
+        write_signal_csv(random_signal(n=4), path)
+        with open(path + ".meta", "a") as fh:
+            fh.write("sample_rate_hz: 3.0\n")
+        with pytest.raises(FormatError, match=r"bad\.csv\.meta:2:"):
+            read_signal_csv(path)
