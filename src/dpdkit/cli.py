@@ -16,7 +16,7 @@ from .errors import ConfigurationError, DpdError, FormatError
 from .fixedpoint import FixedFormat
 from .harness import DpdReport, ExperimentSpec, emit_psd_overlay, run_sweep
 from .ofdm import OfdmConfig, generate_ofdm
-from .signals import _write_lines, papr_db, read_signal_csv, write_signal_csv
+from .signals import _content_lines, _write_lines, papr_db, read_signal_csv, write_signal_csv
 
 
 def _add_waveform_flags(p: argparse.ArgumentParser) -> None:
@@ -172,15 +172,16 @@ def _cmd_report(args) -> int:
     path = Path(args.sweep)
     if path.is_dir():
         path = path / "sweep.csv"
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",") if lines else []
+    lines = _content_lines(path.read_text())
+    header_lineno, header_line = lines[0] if lines else (1, "")
+    header = header_line.split(",")
     needed = ("descriptor", "n_params", "n_mults", "aclr_db", "evm_pct", "mode", "status")
     missing = [name for name in needed if name not in header]
     if missing:
-        raise FormatError(f"{path}:1: sweep.csv header lacks {missing}")
+        raise FormatError(f"{path}:{header_lineno}: sweep.csv header lacks {missing}")
     idx = {name: header.index(name) for name in needed}
     out_lines = ["descriptor,n_params,n_mults,aclr_db,evm_pct"]
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise FormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")

@@ -1,13 +1,15 @@
 """Per-sample multiplication and parameter accounting for both DPD families.
 
-The closed-form counts follow the hardware conventions the rest of the
-package is built around: a complex-by-complex product costs three real
-multiplications, the envelope powers |x|^(p-1) = (Re^2 + Im^2)^((p-1)/2) are
-built once per nonlinearity order and shared across memory taps through
-delay lines, and fixed identity paths (the network's bypass, the p=1 branch
-value) cost nothing. The test suite checks each formula against instrumented
-forwards that execute that exact datapath one sample at a time and tally
-every real multiply event.
+The counts follow the hardware conventions the rest of the package is built
+around: a complex-by-complex product costs three real multiplications, the
+envelope powers |x|^(p-1) = (Re^2 + Im^2)^((p-1)/2) are built once per
+nonlinearity order and shared across memory taps through delay lines, and
+fixed identity paths (the network's bypass, the p=1 branch value) cost
+nothing. The polynomial's counts are sums over its branches
+(PolyShape.branches), the network's over its weight matrices (one multiply
+per weight, one parameter per weight and bias). The test suite checks each
+count against instrumented forwards that execute that exact datapath one
+sample at a time and tally every real multiply event.
 
 A design point is named by its descriptor text, and this module is the only
 one that writes or reads it: ``poly_count`` and ``nn_count`` write it,
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .mempoly import PolyShape
+from .nn import _weight_shapes
 
 __all__ = [
     "ComplexityReport",
@@ -41,11 +44,6 @@ class ComplexityReport:
             raise ConfigurationError("complexity counts cannot be negative")
 
 
-def _envelope_chain_mults(p_max: int) -> int:
-    """Sum of (p+5)/2 over odd orders 3..p_max (order 1 has no envelope)."""
-    return sum((p + 5) // 2 for p in range(3, p_max + 1, 2))
-
-
 def poly_count(shape: PolyShape) -> ComplexityReport:
     """Real coefficients (DC excluded by convention), real multiplies per sample, descriptor."""
     text = f"poly P={shape.p_max} M={shape.main_taps}"
@@ -53,7 +51,8 @@ def poly_count(shape: PolyShape) -> ComplexityReport:
         text += f" Q={shape.q_max} L={shape.conj_taps}"
     if shape.include_dc:
         text += " +dc"
-    envelopes = _envelope_chain_mults(shape.p_max) + _envelope_chain_mults(shape.q_max)
+    # (order + 5) / 2 per branch of order 3 and up; order 1 has no envelope
+    envelopes = sum((order + 5) // 2 for _, order, _ in shape.branches if order > 1)
     return ComplexityReport(
         n_params_real=2 * shape.n_complex_coeffs,
         n_mults=3 * shape.n_complex_coeffs + envelopes,
@@ -64,15 +63,14 @@ def poly_count(shape: PolyShape) -> ComplexityReport:
 def nn_count(hidden_layers: int, width: int) -> ComplexityReport:
     """Real trainable parameters, real multiplies per sample, descriptor.
 
-    The fixed identity bypass is neither a parameter nor a multiply.
+    Sums over the net's weight matrices; the fixed identity bypass is
+    neither a parameter nor a multiply.
     """
-    k, n = hidden_layers, width
-    if k < 1 or n < 1:
-        raise ConfigurationError(f"need K >= 1 and N >= 1, got K={k}, N={n}")
+    shapes = _weight_shapes(hidden_layers, width)
     return ComplexityReport(
-        n_params_real=2 * n + n + (k - 1) * (n * n + n) + 2 * n + 2,
-        n_mults=4 * n + (k - 1) * n * n,
-        model_descriptor=f"nn_K{k}_N{n}",
+        n_params_real=sum(rows * cols + rows for rows, cols in shapes),
+        n_mults=sum(rows * cols for rows, cols in shapes),
+        model_descriptor=f"nn_K{hidden_layers}_N{width}",
     )
 
 

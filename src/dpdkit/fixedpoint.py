@@ -219,20 +219,16 @@ def poly_forward_fixed(
         return quantize(acc, fmt, stats)
 
     total = np.zeros(n, dtype=np.complex128)
-    alpha_q = quantize(model.alpha, fmt, stats)
-    for i, p in enumerate(range(1, s.p_max + 1, 2)):
-        v = branch_value(xq, p)
+    coeffs = [*quantize(model.alpha, fmt, stats), *quantize(model.beta, fmt, stats)]
+    xc = None
+    for (kind, order, _), c in zip(s.branches, coeffs):
+        if kind == "conj" and xc is None:
+            xc = xq.conj()
+        v = branch_value(xq if kind == "main" else xc, order)
         if stats is not None:
-            stats.record_branch(f"p{p}", int(np.count_nonzero(v == 0)), n)
-        total = quantize(total + fir(v, alpha_q[i]), fmt, stats)
-    if s.n_conj_orders:
-        beta_q = quantize(model.beta, fmt, stats)
-        xc = xq.conj()
-        for i, q in enumerate(range(1, s.q_max + 1, 2)):
-            v = branch_value(xc, q)
-            if stats is not None:
-                stats.record_branch(f"q{q}", int(np.count_nonzero(v == 0)), n)
-            total = quantize(total + fir(v, beta_q[i]), fmt, stats)
+            label = f"{'p' if kind == 'main' else 'q'}{order}"
+            stats.record_branch(label, int(np.count_nonzero(v == 0)), n)
+        total = quantize(total + fir(v, c), fmt, stats)
     if s.include_dc:
         total = quantize(total + quantize(model.dc, fmt, stats), fmt, stats)
     return IqSignal(total, x.sample_rate_hz)

@@ -55,6 +55,12 @@ class PolyShape:
             raise ConfigurationError(f"conj_taps must be >= 0, got {self.conj_taps}")
 
     @property
+    def branches(self) -> list[tuple[str, int, int]]:
+        """(kind, order, taps) per branch in basis column order: odd "main" orders up, then "conj"."""
+        return ([("main", p, self.main_taps) for p in range(1, self.p_max + 1, 2)]
+                + [("conj", q, self.conj_taps) for q in range(1, self.q_max + 1, 2)])
+
+    @property
     def n_main_orders(self) -> int:
         return (self.p_max + 1) // 2
 
@@ -65,7 +71,7 @@ class PolyShape:
     @property
     def n_complex_coeffs(self) -> int:
         """Branch coefficient count, DC excluded (the headline count)."""
-        return self.main_taps * self.n_main_orders + self.conj_taps * self.n_conj_orders
+        return sum(taps for _, _, taps in self.branches)
 
     @property
     def n_basis_columns(self) -> int:
@@ -141,11 +147,12 @@ def build_basis(x: np.ndarray, shape: PolyShape, out: np.ndarray | None = None) 
     # |z|^(p-1) as an integer power of re^2 + im^2 — no square root, matching
     # how a datapath with only multipliers would build it
     r2 = x.real**2 + x.imag**2
-    branches = [(x * r2 ** ((p - 1) // 2), shape.main_taps) for p in range(1, shape.p_max + 1, 2)]
-    if shape.q_max:
-        xc = np.conj(x)
-        branches += [(xc * r2 ** ((q - 1) // 2), shape.conj_taps)
-                     for q in range(1, shape.q_max + 1, 2)]
+    xc = None
+    columns = []
+    for kind, order, taps in shape.branches:
+        if kind == "conj" and xc is None:  # after the main orders' columns, as `out` below
+            xc = np.conj(x)
+        columns.append(((x if kind == "main" else xc) * r2 ** ((order - 1) // 2), taps))
     if out is None:
         # after the order columns, not before: that order left holes in the
         # heap that raised poly_grid's peak RSS from 120 to 129 MB
@@ -160,7 +167,7 @@ def build_basis(x: np.ndarray, shape: PolyShape, out: np.ndarray | None = None) 
         stop = min(start + BASIS_BLOCK, n)
         block = scratch[:, : stop - start]
         j = 0
-        for col, taps in branches:
+        for col, taps in columns:
             for m in range(taps):
                 pad = min(max(m - start, 0), stop - start)  # rows before the record start
                 block[j, :pad] = 0
@@ -203,10 +210,8 @@ def rescale_cascade_gain(model: MemoryPolyModel, gain: float) -> MemoryPolyModel
     alpha = model.alpha.copy()
     beta = model.beta.copy()
     try:
-        for i, p in enumerate(range(1, s.p_max + 1, 2)):
-            alpha[i] *= gain**p
-        for i, q in enumerate(range(1, s.q_max + 1, 2)):
-            beta[i] *= gain**q
+        for row, (_, order, _) in zip([*alpha, *beta], s.branches):  # rows are views
+            row *= gain**order
     except OverflowError:  # a Python float power raises where numpy would give inf
         raise ConfigurationError(
             f"gain {gain!r} raised to the power {max(s.p_max, s.q_max)} overflows float64", "gain"
@@ -223,27 +228,23 @@ def _basis_stack(fill, n: int, n_cols: int) -> np.ndarray:
 
 
 def _mean_column_energy(basis: np.ndarray) -> float:
-    """mean_j sum_i |basis[i, j]|^2, rounded as over a row-major basis.
+    """mean_j sum_i |basis[i, j]|^2, rounded as np.sum(axis=0) rounds it over a row-major basis.
 
     np.sum(axis=0) adds the rows of a row-major array one after another, but
-    sums a column-major one, or a single column, pairwise, which rounds
-    differently. So a wider basis is copied to row order one BASIS_BLOCK at a
-    time, and each block's reduce after the first is seeded with the running
-    total as its first row: its rows are added in sequence whatever the
-    layout, with no full-size temporary. A lone column is reduced whole, as
-    numpy reduces it; its energy is half the size of that one-column basis.
+    sums a column-major one pairwise, which rounds differently. So each
+    column, contiguous in the solve's column-major stack, is summed in row
+    order by a cumulative sum into one reused buffer. numpy sums a lone
+    column pairwise whatever its layout, so a one-column basis is reduced as
+    numpy reduces it.
     """
     n, n_cols = basis.shape
-    step = max(n, 1) if n_cols == 1 else BASIS_BLOCK
-    total = np.zeros(n_cols)
-    energy = np.empty((min(n, step) + 1, n_cols))
-    for start in range(0, n, step):
-        block = np.ascontiguousarray(basis[start : start + step])
-        rows = energy[: len(block) + 1]
-        rows[0] = total
-        np.abs(block, out=rows[1:])
-        np.square(rows[1:], out=rows[1:])
-        total = np.sum(rows if start else rows[1:], axis=0)
+    if n == 0 or n_cols == 1:
+        return float(np.mean(np.sum(np.square(np.abs(basis)), axis=0)))
+    energy = np.empty(n)
+    total = np.empty(n_cols)
+    for j, column in enumerate(basis.T):
+        np.square(np.abs(column, out=energy), out=energy)
+        total[j] = np.cumsum(energy, out=energy)[-1]
     return float(np.mean(total))
 
 
@@ -352,9 +353,8 @@ def fit_ila(
 
 def _poly_keys(shape: PolyShape) -> list[str]:
     """A model file's row keys, in coefficient_vector order."""
-    keys = [f"main,{p},{m}" for p in range(1, shape.p_max + 1, 2) for m in range(shape.main_taps)]
-    keys += [f"conj,{q},{l}" for q in range(1, shape.q_max + 1, 2) for l in range(shape.conj_taps)]
-    return keys + ["dc"] * shape.include_dc
+    return ([f"{kind},{order},{m}" for kind, order, taps in shape.branches for m in range(taps)]
+            + ["dc"] * shape.include_dc)
 
 
 def save_poly_model(model: MemoryPolyModel, path: str) -> None:

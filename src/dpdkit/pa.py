@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, InputRangeError
-from .mempoly import MemoryPolyModel, PolyShape, _apply
+from .mempoly import MemoryPolyModel, PolyShape, _apply, _poly_keys
 from .signals import IqSignal, _content_lines, _fmt, _read_header, _read_rows, _write_rows
 
 MAX_DRIVE = 1.5
@@ -110,7 +110,7 @@ _PROFILE_HEADER = {"p_max": int, "main_taps": int, "saturation_output_limit": fl
 
 def _profile_keys(shape: PolyShape) -> list[str]:
     """A profile's `p,m` coefficient row keys, in alpha's row-major order."""
-    return [f"{p},{m}" for p in range(1, shape.p_max + 1, 2) for m in range(shape.main_taps)]
+    return [key.removeprefix("main,") for key in _poly_keys(shape) if key.startswith("main,")]
 
 
 def save_pa_profile(pa: SimulatedPa, path: str) -> None:

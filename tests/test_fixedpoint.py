@@ -357,6 +357,25 @@ class TestPolyForwardFixed:
         assert stats.underflow_pct("p1") == 0.0
         assert stats.underflow_pct() >= stats.underflow_pct("p11")
 
+    def test_stats_record_every_main_and_conj_branch(self, frame):
+        rng = np.random.default_rng(11)
+        shape = PolyShape(9, 3, 5, 2, True)
+        n = shape.n_basis_columns
+        theta = 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        model = MemoryPolyModel.from_coefficients(shape, theta)
+        low = IqSignal(0.3 * frame.samples / np.abs(frame.samples).max(), frame.sample_rate_hz)
+        stats = FixedPointStats()
+        poly_forward_fixed(model, low, Q15, stats)
+        labels = ["p1", "p3", "p5", "p7", "p9", "q1", "q3", "q5"]
+        assert list(stats.branch_samples) == labels
+        assert list(stats.branch_zeros) == labels
+        assert all(total == len(low) for total in stats.branch_samples.values())
+        # conj(x)|x|^(q-1) is the conjugate of the main branch value, so it
+        # underflows on the same samples
+        for q in (1, 3, 5):
+            assert stats.branch_zeros[f"q{q}"] == stats.branch_zeros[f"p{q}"]
+        assert stats.branch_zeros["q5"] > 0
+
     def test_dc_term_survives_zero_model(self):
         shape = PolyShape(1, 1, include_dc=True)
         model = MemoryPolyModel(shape, np.zeros((1, 1)), np.zeros((0, 0)), dc=0.25 + 0.125j)

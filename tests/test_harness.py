@@ -537,6 +537,25 @@ class TestCli:
             path.write_text(text)
             assert main(["report", "--sweep", str(path)]) == 2
 
+    def test_report_skips_blank_and_comment_lines(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["sweep", "--dpd", "poly P=5 M=1", "--wave-seed", "1", "--out", str(out),
+                "--iterations", "0"]
+        assert main(argv) == 0
+        clean = (out / "sweep.csv").read_text()
+        noted = tmp_path / "noted.csv"
+        noted.write_text("# note\n" + clean + "\n")
+        reports = []
+        for sweep in (out / "sweep.csv", noted):
+            reports.append(tmp_path / f"report_{sweep.name}")
+            assert main(["report", "--sweep", str(sweep), "--out", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        # a bad row is named by its line in the file, comment lines counted
+        noted.write_text("# note\n" + clean + "poly P=7 M=1,8\n")
+        capsys.readouterr()
+        assert main(["report", "--sweep", str(noted)]) == 2
+        assert f"noted.csv:{len(clean.splitlines()) + 2}: expected" in capsys.readouterr().err
+
     def test_only_a_polynomial_fit_imports_scipy(self, tmp_path):
         # scipy.fft and scipy.linalg cost every process ~0.35 s and ~33 MB; only
         # the polynomial least-squares solve needs scipy, and only scipy.linalg

@@ -23,6 +23,7 @@ from dpdkit.mempoly import (
     save_poly_model,
     solve_regularized_ls,
     _mean_column_energy,
+    _poly_keys,
 )
 from row_edits import check_row_edits
 
@@ -64,6 +65,20 @@ class TestPolyShape:
         assert shape.n_conj_orders == 2
         assert shape.n_complex_coeffs == 3 * 2 + 2 * 2
         assert shape.n_basis_columns == shape.n_complex_coeffs + 1
+
+    def test_branches_and_keys_in_basis_column_order(self):
+        shape = PolyShape(9, 3, 5, 2, True)
+        assert shape.branches == [
+            ("main", 1, 3), ("main", 3, 3), ("main", 5, 3), ("main", 7, 3), ("main", 9, 3),
+            ("conj", 1, 2), ("conj", 3, 2), ("conj", 5, 2),
+        ]
+        assert _poly_keys(shape) == [
+            "main,1,0", "main,1,1", "main,1,2", "main,3,0", "main,3,1", "main,3,2",
+            "main,5,0", "main,5,1", "main,5,2", "main,7,0", "main,7,1", "main,7,2",
+            "main,9,0", "main,9,1", "main,9,2",
+            "conj,1,0", "conj,1,1", "conj,3,0", "conj,3,1", "conj,5,0", "conj,5,1",
+            "dc",
+        ]
 
     def test_even_order_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -400,10 +400,9 @@ class TestComplexityCounts:
         assert nn_count(1, 1).n_params_real == 7
 
     def test_invalid_sizes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            nn_count(0, 4)
-        with pytest.raises(ConfigurationError):
-            nn_count(1, 0)
+        for k, n in ((0, 3), (0, 4), (1, 0)):
+            with pytest.raises(ConfigurationError):
+                nn_count(k, n)
 
 
 class TestNetIo:
