@@ -16,7 +16,9 @@ from .errors import ConfigurationError, DpdError, FormatError
 from .fixedpoint import FixedFormat
 from .harness import DpdReport, ExperimentSpec, emit_psd_overlay, run_sweep
 from .ofdm import OfdmConfig, generate_ofdm
-from .signals import _content_lines, _write_lines, papr_db, read_signal_csv, write_signal_csv
+from .signals import (
+    _content_lines, _read_text, _write_lines, papr_db, read_signal_csv, write_signal_csv
+)
 
 
 def _add_waveform_flags(p: argparse.ArgumentParser) -> None:
@@ -172,7 +174,7 @@ def _cmd_report(args) -> int:
     path = Path(args.sweep)
     if path.is_dir():
         path = path / "sweep.csv"
-    lines = _content_lines(path.read_text())
+    lines = _content_lines(_read_text(path))
     header_lineno, header_line = lines[0] if lines else (1, "")
     header = header_line.split(",")
     needed = ("descriptor", "n_params", "n_mults", "aclr_db", "evm_pct", "mode", "status")

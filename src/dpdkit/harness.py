@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .complexity import ComplexityReport, parse_descriptor
-from .errors import AlignmentError, ConfigurationError
+from .errors import AlignmentError, ConfigurationError, FormatError
 from .fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
 from .mempoly import fit_ila, poly_predistort, rescale_cascade_gain, save_poly_model
 from .metrics import aclr_db_gated, default_segment_len, evm_percent, psd_welch
 from .nn import nn_forward, save_net
 from .ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
 from .pa import load_default_pa, load_pa_profile
-from .signals import IqSignal, _write_lines
+from .signals import IqSignal, _read_text, _write_lines
 from .training import DEFAULT_PA_MODEL_SHAPE, TrainConfig, _frame_configs, run_full_training
 
 __all__ = [
@@ -95,11 +95,12 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
         """Load a spec from a JSON file; missing keys take the defaults."""
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+        try:
+            raw = json.loads(_read_text(path))
+        except FormatError as exc:
+            raise ConfigurationError(str(exc)) from None
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(raw, base_dir=Path(path).parent)
 
     @classmethod

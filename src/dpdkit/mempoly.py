@@ -16,6 +16,7 @@ the same way, then the DC column.
 from __future__ import annotations
 
 import functools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     _require_real
 )
 from .signals import (
-    IqSignal, _content_lines, _read_rows, _require_finite, _write_rows, estimate_gain
+    IqSignal, _content_lines, _read_rows, _read_text, _require_finite, _write_rows, estimate_gain
 )
 
 
@@ -129,58 +130,90 @@ class MemoryPolyModel:
         return np.concatenate(parts)
 
 
-#: Rows per block when build_basis fills its output, so each block's
-#: column-major scratch stays cache-sized instead of growing with the frame.
+#: Rows per block of the basis. Each block is built from the order columns of
+#: its own rows and the taps - 1 rows before them, so scratch stays
+#: cache-sized whatever the frame length. Outputs of the model are computed
+#: one block at a time too, and their bits depend on this size: BLAS picks its
+#: kernels by matrix height, so a short last block can round a sample a few
+#: ulp away from a whole-basis product (at 4097 or 8193 samples, say). Bytes
+#: are defined blockwise.
 BASIS_BLOCK = 4096
+
+
+def _basis_blocks(x: np.ndarray, shape: PolyShape):
+    """Yield (start, stop, block) for each BASIS_BLOCK rows of the basis of x.
+
+    ``block`` is a (n_basis_columns, stop - start) view of one scratch array
+    that every block overwrites: its row j holds basis column j over rows
+    start..stop-1. Each order's column is computed for those rows and the
+    taps - 1 rows before them only; the column for tap m is that column
+    delayed by m samples, with +0+0j before the record start.
+    """
+    n = x.size
+    reach = max(taps for _, _, taps in shape.branches) - 1
+    scratch = np.empty((shape.n_basis_columns, min(n, BASIS_BLOCK)), dtype=np.complex128)
+    for start in range(0, n, BASIS_BLOCK):
+        stop = min(start + BASIS_BLOCK, n)
+        lo = max(start - reach, 0)  # the order columns below cover rows lo..stop-1
+        seg = x[lo:stop]
+        # |z|^(p-1) as an integer power of re^2 + im^2 — no square root,
+        # matching how a datapath with only multipliers would build it
+        r2 = seg.real**2 + seg.imag**2
+        segc = None
+        block = scratch[:, : stop - start]
+        j = 0
+        for kind, order, taps in shape.branches:
+            if kind == "conj" and segc is None:
+                segc = np.conj(seg)
+            col = (seg if kind == "main" else segc) * r2 ** ((order - 1) // 2)
+            for m in range(taps):
+                pad = min(max(m - start, 0), stop - start)  # rows before the record start
+                block[j, :pad] = 0
+                block[j, pad:] = col[start + pad - m - lo : stop - m - lo]
+                j += 1
+        if shape.include_dc:
+            block[j] = 1
+        yield start, stop, block
 
 
 def build_basis(x: np.ndarray, shape: PolyShape, out: np.ndarray | None = None) -> np.ndarray:
     """Basis matrix (len(x) rows, shape.n_basis_columns columns), canonical order.
 
-    Each order's tap-0 column is computed once; the column for tap m is the
-    same column delayed by m samples, with +0+0j before the record start.
     ``out``, if given, is any (len(x), n_basis_columns) complex128 array, in
     either memory order, and receives the same bytes; it is returned.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
-    # |z|^(p-1) as an integer power of re^2 + im^2 — no square root, matching
-    # how a datapath with only multipliers would build it
-    r2 = x.real**2 + x.imag**2
-    xc = None
-    columns = []
-    for kind, order, taps in shape.branches:
-        if kind == "conj" and xc is None:  # after the main orders' columns, as `out` below
-            xc = np.conj(x)
-        columns.append(((x if kind == "main" else xc) * r2 ** ((order - 1) // 2), taps))
     if out is None:
-        # after the order columns, not before: that order left holes in the
-        # heap that raised poly_grid's peak RSS from 120 to 129 MB
         out = np.empty((n, shape.n_basis_columns), dtype=np.complex128)
     elif out.shape != (n, shape.n_basis_columns) or out.dtype != np.complex128:
         raise ValueError(
             f"out must be complex128 of shape {(n, shape.n_basis_columns)}, "
             f"got {out.dtype} {out.shape}"
         )
-    scratch = np.empty((shape.n_basis_columns, min(n, BASIS_BLOCK)), dtype=np.complex128)
-    for start in range(0, n, BASIS_BLOCK):
-        stop = min(start + BASIS_BLOCK, n)
-        block = scratch[:, : stop - start]
-        j = 0
-        for col, taps in columns:
-            for m in range(taps):
-                pad = min(max(m - start, 0), stop - start)  # rows before the record start
-                block[j, :pad] = 0
-                block[j, pad:] = col[start + pad - m : stop - m]
-                j += 1
-        if shape.include_dc:
-            block[j] = 1
+    for start, stop, block in _basis_blocks(x, shape):
         out[start:stop] = block.T
     return out
 
 
 def _apply(model: MemoryPolyModel, x: np.ndarray) -> np.ndarray:
-    return build_basis(x, model.shape) @ model.coefficient_vector()
+    """The model's output on x: build_basis(x, model.shape) @ theta, one BASIS_BLOCK at a time.
+
+    Each block of basis rows is copied to row-major, the whole basis's
+    layout, and multiplied by the coefficient vector into its rows of the
+    output, so no full-length basis is built. The bits are the whole-basis
+    product's when len(x) is a multiple of BASIS_BLOCK; otherwise they are
+    defined blockwise (see BASIS_BLOCK).
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    theta = model.coefficient_vector()
+    y = np.empty(x.size, dtype=np.complex128)
+    rows = np.empty((min(x.size, BASIS_BLOCK), theta.size), dtype=np.complex128)
+    for start, stop, block in _basis_blocks(x, model.shape):
+        a = rows[: stop - start]
+        a[...] = block.T
+        np.matmul(a, theta, out=y[start:stop])
+    return y
 
 
 def poly_predistort(model: MemoryPolyModel, signal: IqSignal) -> IqSignal:
@@ -219,12 +252,24 @@ def rescale_cascade_gain(model: MemoryPolyModel, gain: float) -> MemoryPolyModel
     return MemoryPolyModel(s, alpha, beta, model.dc)
 
 
-def _basis_stack(fill, n: int, n_cols: int) -> np.ndarray:
-    """The column-major (n + p, p) matrix [A; 0], with ``fill`` writing A."""
-    stacked = np.empty((n + n_cols, n_cols), dtype=np.complex128, order="F")
-    fill(stacked[:n])
-    stacked[n:] = 0
-    return stacked
+def _fill_stack(stack: np.ndarray, fill, n: int) -> None:
+    """Write [A; 0] into the column-major (n + p, p) ``stack``, with ``fill`` writing A."""
+    fill(stack[:n])
+    stack[n:] = 0
+
+
+def _mapped_stack(rows: int, cols: int) -> np.ndarray:
+    """A column-major complex128 (rows, cols) array in an anonymous mapping of its own.
+
+    The mapping is returned to the system when the array's last view goes.
+    A fit's solve stack is its one full-size buffer; mapped outside the
+    malloc heap, it neither lands in nor leaves a hole there.
+    """
+    # private, and populated in one call where the platform can: the solve
+    # writes every page at once, and a fault per page costs more than that
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+    buf = mmap.mmap(-1, rows * cols * np.dtype(np.complex128).itemsize, flags=flags)
+    return np.ndarray((rows, cols), dtype=np.complex128, buffer=buf, order="F")
 
 
 def _mean_column_energy(basis: np.ndarray) -> float:
@@ -248,16 +293,21 @@ def _mean_column_energy(basis: np.ndarray) -> float:
     return float(np.mean(total))
 
 
-def solve_regularized_ls(fill, n_cols: int, b: np.ndarray) -> np.ndarray:
+def solve_regularized_ls(
+    fill, n_cols: int, b: np.ndarray, *, stack: np.ndarray | None = None
+) -> np.ndarray:
     """Solve min ||A theta - b||^2 + lam ||theta||^2 by QR on the stacked matrix.
 
     A is the (len(b), n_cols) complex basis that ``fill(out)`` writes into
     ``out``, e.g. ``functools.partial(build_basis, x, shape)``. lam is 1e-8
     times the mean column energy of A. The stacked system
-    [A; sqrt(lam) I] theta = [b; 0] is allocated column-major, ``fill``
+    [A; sqrt(lam) I] theta = [b; 0] is laid out column-major, ``fill``
     writes A straight into its top rows, and LAPACK gelsy (complete
     orthogonal factorization) overwrites it in place, so the solve holds one
-    copy of the basis and the caller need hold none. The call repeats
+    copy of the basis and the caller need hold none. ``stack``, if given, is
+    a column-major complex128 (len(b) + n_cols, n_cols) array the solve
+    writes its stack into, so repeated solves can share one buffer; without
+    it the solve allocates its own. The call repeats
     scipy.linalg.lstsq(..., lapack_driver="gelsy") argument for argument, so
     theta has the same bits; lstsq would copy the stack once more, because it
     never lets gelsy overwrite its input. scipy.linalg is imported here, at
@@ -272,32 +322,37 @@ def solve_regularized_ls(fill, n_cols: int, b: np.ndarray) -> np.ndarray:
     import scipy.linalg
 
     n = len(b)
-    stacked = _basis_stack(fill, n, n_cols)
-    lam = 1e-8 * _mean_column_energy(stacked[:n])
+    if stack is None:
+        stack = np.empty((n + n_cols, n_cols), dtype=np.complex128, order="F")
+    elif (stack.shape != (n + n_cols, n_cols) or stack.dtype != np.complex128
+          or not stack.flags.f_contiguous):
+        raise ValueError(f"stack must be column-major complex128 of shape {(n + n_cols, n_cols)}, "
+                         f"got {stack.dtype} {stack.shape}")
+    _fill_stack(stack, fill, n)
+    lam = 1e-8 * _mean_column_energy(stack[:n])
     # lam is finite exactly when every entry of [A; sqrt(lam) I] is
     if not (np.isfinite(lam) and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     root_lam = np.sqrt(lam)
-    np.fill_diagonal(stacked[n:], root_lam)
-    rhs = np.zeros(n + n_cols, dtype=stacked.dtype)
+    np.fill_diagonal(stack[n:], root_lam)
+    rhs = np.zeros(n + n_cols, dtype=stack.dtype)
     rhs[:n] = b
-    gelsy, gelsy_lwork = scipy.linalg.get_lapack_funcs(("gelsy", "gelsy_lwork"), (stacked, rhs))
+    gelsy, gelsy_lwork = scipy.linalg.get_lapack_funcs(("gelsy", "gelsy_lwork"), (stack, rhs))
     cond = np.finfo(gelsy.dtype).eps
     work, info = gelsy_lwork(n + n_cols, n_cols, 1, cond)
     if info != 0:
         raise ValueError(f"Internal work array size computation failed: {info}")
     jptv = np.zeros((n_cols, 1), dtype=np.int32)
-    _, x, _, rank, info = gelsy(stacked, rhs, jptv, cond, int(work.real),
+    _, x, _, rank, info = gelsy(stack, rhs, jptv, cond, int(work.real),
                                 overwrite_a=True, overwrite_b=True)
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gelsy")
     if rank < n_cols:
-        del stacked  # factored in place; the estimate needs the matrix itself
-        stacked = _basis_stack(fill, n, n_cols)
-        np.fill_diagonal(stacked[n:], root_lam)
+        _fill_stack(stack, fill, n)  # factored in place; the estimate needs the matrix itself
+        np.fill_diagonal(stack[n:], root_lam)
         raise ConditioningError(
             f"basis is rank deficient (rank {rank} < {n_cols})",
-            condition_number=float(np.linalg.cond(stacked)),
+            condition_number=float(np.linalg.cond(stack)),
         )
     return x[:n_cols].copy()  # a view would keep all n + p rows of x alive in the model
 
@@ -312,6 +367,11 @@ def fit_ila(
     postdistorter (basis of normalized output -> transmitted signal) by
     regularized least squares, and copies the coefficients to the
     predistorter.
+
+    The fit maps one solve stack (_mapped_stack) and reuses it in every
+    iteration; it is the only full-length basis the fit holds, and it is
+    unmapped when the fit returns. The predistorter outputs and the
+    residuals stream the basis one BASIS_BLOCK at a time (_apply).
 
     Args:
         pa: anything exposing apply(IqSignal) -> IqSignal (e.g. SimulatedPa).
@@ -335,19 +395,20 @@ def fit_ila(
         )
     model = MemoryPolyModel.identity(shape)
     residuals: list[float] = []
+    stack = _mapped_stack(len(x_train) + n_cols, n_cols) if n_iterations else None
     for _ in range(n_iterations):
         x_hat = poly_predistort(model, x_train)
         y = pa.apply(x_hat)
-        g = estimate_gain(x_hat, y)
-        fill = functools.partial(build_basis, y.samples / g, shape)
+        y_norm = y.samples / estimate_gain(x_hat, y)
+        del y  # the fit reads only its normalized copy
         b = x_hat.samples
-        theta = solve_regularized_ls(fill, n_cols, b)
-        # the solve's stack is gone; the residual rebuilds A rather than keep
-        # a second basis alive beside it
-        A = fill()
-        residuals.append(float(np.linalg.norm(A @ theta - b) / np.linalg.norm(b)))
-        del A  # the next iteration's predistort builds a basis of its own
+        fill = functools.partial(build_basis, y_norm, shape)
+        theta = solve_regularized_ls(fill, n_cols, b, stack=stack)
         model = MemoryPolyModel.from_coefficients(shape, theta)
+        # A @ theta is the postdistorter's output on y_norm
+        residuals.append(float(np.linalg.norm(_apply(model, y_norm) - b) / np.linalg.norm(b)))
+        # the next iteration drives the amplifier beside the stack alone
+        del x_hat, y_norm, b, fill
     return model, residuals
 
 
@@ -397,8 +458,7 @@ def load_poly_model(path: str) -> MemoryPolyModel:
             every coefficient must appear exactly once with finite parts. A
             missing row names its key.
     """
-    with open(path) as fh:
-        lines = _content_lines(fh.read())
+    lines = _content_lines(_read_text(path))
     if not lines:
         raise FormatError(f"{path}: empty model file")
     shape = _parse_shape_header(*lines[0], path)

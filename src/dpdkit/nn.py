@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, InputRangeError
-from .signals import IqSignal, _content_lines, _read_rows, _require_finite, _write_rows
+from .signals import (
+    IqSignal, _content_lines, _read_rows, _read_text, _require_finite, _write_rows
+)
 
 __all__ = [
     "DenseNet",
@@ -127,53 +129,63 @@ def glorot_net(hidden_layers: int, width: int, seed=0) -> DenseNet:
 
 
 class _Pass:
-    """One net's buffers over n columns.
+    """One net's forward buffers over n columns.
 
     ``acts`` holds each hidden layer's pre-activation, overwritten in place by
     its ReLU output; the backward pass keeps those outputs instead of
-    recomputing them. ``mask`` and the two ``up`` buffers (which the backward
-    pass alternates between) are per-layer scratch, and ``z`` is the (2, n)
-    output.
+    recomputing them. ``z`` is the (2, n) output.
     """
 
     def __init__(self, hidden_layers: int, width: int, n: int):
         self.acts = [np.empty((width, n)) for _ in range(hidden_layers)]
-        self.mask = np.empty((width, n), dtype=bool)
-        self.up = (np.empty((width, n)), np.empty((width, n)))
         self.z = np.empty((2, n))
 
 
 class _Columns:
-    """Every buffer one call needs at batch width n, for one or two nets."""
+    """Every buffer one call needs at batch width n, for one or two nets.
 
-    def __init__(self, n: int, shapes: tuple[tuple[int, int], ...]):
-        self.shapes = shapes
+    A forward-only set holds the input and one pass per net. A backward set
+    adds the target, squared-error and input-gradient rows, plus the
+    per-layer scratch: a ``mask`` and the two ``up`` buffers (which a
+    backward pass alternates between), as wide as the widest net. The nets'
+    backward passes run one after the other, so they share that scratch,
+    each using its leading ``width`` rows.
+    """
+
+    def __init__(self, n: int, shapes: tuple[tuple[int, int], ...], backward: bool):
         self.x2 = np.empty((2, n))
-        self.t2 = np.empty((2, n))
-        self.sq = np.empty((2, n))
-        self.dx = np.empty((2, n))
         self.passes = [_Pass(k, width, n) for k, width in shapes]
+        self.backward = backward
+        if backward:
+            widest = max(width for _, width in shapes)
+            self.t2 = np.empty((2, n))
+            self.sq = np.empty((2, n))
+            self.dx = np.empty((2, n))
+            self.mask = np.empty((widest, n), dtype=bool)
+            self.up = (np.empty((widest, n)), np.empty((widest, n)))
 
 
 class NnWorkspace:
-    """Buffers that repeated nn_backward / nn_backward_through_frozen calls reuse.
+    """Buffers that repeated nn_forward / nn_backward / nn_backward_through_frozen calls reuse.
 
-    Column buffers are kept per batch width, so a trailing partial minibatch
-    does not evict the full-width ones; one gradient vector serves the net
-    shape of the latest call. A workspace serves one caller at a time:
+    Column sets are kept per (batch width, net shapes), so a trailing partial
+    minibatch, a forward block and the training batch do not evict one
+    another. A backward call at the key of a forward-only set replaces it
+    with a full one. One gradient vector serves the net shape of the
+    latest backward call. A workspace serves one caller at a time:
     gradients returned from a call given this workspace are views into it,
-    valid until the next call.
+    valid until the next backward call.
     """
 
     def __init__(self):
-        self._columns: dict[int, _Columns] = {}
+        self._columns: dict[tuple, _Columns] = {}
         self._grads: DenseNet | None = None
 
-    def _columns_for(self, n: int, *nets: DenseNet) -> _Columns:
-        shapes = tuple((net.hidden_layers, net.width) for net in nets)
-        cols = self._columns.get(n)
-        if cols is None or cols.shapes != shapes:
-            cols = self._columns[n] = _Columns(n, shapes)
+    def _columns_for(self, n: int, *nets: DenseNet, backward: bool = False) -> _Columns:
+        key = (n, tuple((net.hidden_layers, net.width) for net in nets))
+        cols = self._columns.get(key)
+        if cols is None or (backward and not cols.backward):
+            cols = self._columns[key] = _Columns(*key, backward)
         return cols
 
     def _gradients_for(self, net: DenseNet, loss: float) -> NnGradients:
@@ -204,24 +216,27 @@ def _forward(net: DenseNet, x2: np.ndarray, p: _Pass) -> np.ndarray:
     return p.z
 
 
-def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, dz: np.ndarray, *, grads=None, dx=None):
+def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, cols: _Columns, dz: np.ndarray, *,
+              grads=None, dx=None):
     """Back-propagate dLoss/dz through the pass _forward recorded in p.
 
-    Writes the trainables' gradients into ``grads`` and the input gradient
-    into ``dx``, each only when given. A unit's mask is ``act > 0``, which
-    equals ``pre > 0`` (ReLU is positive exactly where its input is, and a
-    NaN fails both); the mask multiplies rather than selects, so a NaN
-    upstream gradient survives a closed unit.
+    The per-layer scratch is the leading rows of the mask and upstream
+    buffers of the backward set ``cols``. Writes the trainables' gradients
+    into ``grads`` and the input gradient into ``dx``, each only when given.
+    A unit's mask is ``act > 0``, which equals ``pre > 0`` (ReLU is positive
+    exactly where its input is, and a NaN fails both); the mask multiplies
+    rather than selects, so a NaN upstream gradient survives a closed unit.
     """
     inputs = [x2] + p.acts
     if grads is not None:
         np.matmul(dz, inputs[-1].T, out=grads.weights[-1])
         np.add.reduce(dz, axis=1, out=grads.biases[-1])
-    up, spare = p.up
+    mask = cols.mask[: net.width]
+    up, spare = (buf[: net.width] for buf in cols.up)
     np.matmul(net.weights[-1].T, dz, out=up)
     for i in range(net.hidden_layers - 1, -1, -1):
-        np.greater(p.acts[i], 0.0, out=p.mask)
-        np.multiply(up, p.mask, out=up)
+        np.greater(p.acts[i], 0.0, out=mask)
+        np.multiply(up, mask, out=up)
         if grads is not None:
             np.matmul(up, inputs[i].T, out=grads.weights[i])
             np.add.reduce(up, axis=1, out=grads.biases[i])
@@ -246,8 +261,12 @@ def _loss_and_dz(z: np.ndarray, target2: np.ndarray, sq: np.ndarray) -> float:
     return loss
 
 
-def nn_forward(net: DenseNet, x: IqSignal) -> IqSignal:
+def nn_forward(net: DenseNet, x: IqSignal, *, workspace: NnWorkspace | None = None) -> IqSignal:
     """Apply the network sample-wise to a complex signal.
+
+    Without a workspace the call allocates its own buffers; with one, it
+    reuses the workspace's forward buffers for each block width it runs.
+    The output is a new signal either way.
 
     Raises:
         InputRangeError: if the signal holds NaN/inf samples.
@@ -255,7 +274,7 @@ def nn_forward(net: DenseNet, x: IqSignal) -> IqSignal:
     _require_finite(x, InputRangeError)
     n = len(x)
     out = np.empty(n, dtype=np.complex128)
-    ws = NnWorkspace()
+    ws = workspace if workspace is not None else NnWorkspace()
     for start in range(0, n, FORWARD_BLOCK):
         block = x.samples[start : start + FORWARD_BLOCK]
         cols = ws._columns_for(block.size, net)
@@ -278,13 +297,13 @@ def nn_backward(
     if len(x) != len(target):
         raise ConfigurationError(f"length mismatch: {len(x)} vs {len(target)}")
     ws = workspace if workspace is not None else NnWorkspace()
-    cols = ws._columns_for(len(x), net)
+    cols = ws._columns_for(len(x), net, backward=True)
     (p,) = cols.passes
     x2 = _split_into(cols.x2, x.samples)
     z = _forward(net, x2, p)
     loss = _loss_and_dz(z, _split_into(cols.t2, target.samples), cols.sq)
     grads = ws._gradients_for(net, loss)
-    _backward(net, x2, p, z, grads=grads)
+    _backward(net, x2, p, cols, z, grads=grads)
     return grads
 
 
@@ -300,15 +319,15 @@ def nn_backward_through_frozen(
     workspace's buffers and are overwritten by its next call.
     """
     ws = workspace if workspace is not None else NnWorkspace()
-    cols = ws._columns_for(len(x), dpd, pa_model)
+    cols = ws._columns_for(len(x), dpd, pa_model, backward=True)
     dpd_pass, pa_pass = cols.passes
     x2 = _split_into(cols.x2, x.samples)
     u = _forward(dpd, x2, dpd_pass)
     z = _forward(pa_model, u, pa_pass)
     loss = _loss_and_dz(z, x2, cols.sq)
-    _backward(pa_model, u, pa_pass, z, dx=cols.dx)
+    _backward(pa_model, u, pa_pass, cols, z, dx=cols.dx)
     grads = ws._gradients_for(dpd, loss)
-    _backward(dpd, x2, dpd_pass, cols.dx, grads=grads)
+    _backward(dpd, x2, dpd_pass, cols, cols.dx, grads=grads)
     return grads
 
 
@@ -345,8 +364,7 @@ def load_net(path) -> DenseNet:
             value, and each layer-0 row must hold its identity-bypass value.
             A missing row names its key.
     """
-    with open(path) as fh:
-        lines = _content_lines(fh.read())
+    lines = _content_lines(_read_text(path))
     if not lines:
         raise FormatError(f"{path}: empty net file")
     (lineno, header), rows = lines[0], lines[1:]

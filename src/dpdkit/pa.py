@@ -21,7 +21,9 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, InputRangeError
 from .mempoly import MemoryPolyModel, PolyShape, _apply, _poly_keys
-from .signals import IqSignal, _content_lines, _fmt, _read_header, _read_rows, _write_rows
+from .signals import (
+    IqSignal, _content_lines, _fmt, _read_header, _read_rows, _read_text, _write_rows
+)
 
 MAX_DRIVE = 1.5
 
@@ -144,8 +146,7 @@ def _profile_from_text(text: str, origin: str) -> SimulatedPa:
 
 def load_pa_profile(path: str) -> SimulatedPa:
     """Read a profile written by save_pa_profile (or hand-edited)."""
-    with open(path) as fh:
-        return _profile_from_text(fh.read(), path)
+    return _profile_from_text(_read_text(path), path)
 
 
 def load_default_pa() -> SimulatedPa:

@@ -110,6 +110,21 @@ def _write_rows(path, header: list[str], keys: list[str], values: np.ndarray) ->
     _write_lines(path, header, ([key, *row] for key, row in zip(keys, values.tolist(), strict=True)))
 
 
+def _read_text(path) -> str:
+    """The text of the file at ``path``, decoded as UTF-8.
+
+    Raises:
+        FormatError: naming the path and the byte offset of the first byte
+            that is not UTF-8.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()  # one decode of the whole file: offsets count from its start
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """(line number, stripped line) for every line that is neither blank nor a ``#`` comment.
 
@@ -238,10 +253,9 @@ def read_signal_csv(path: str) -> tuple[IqSignal, dict]:
     meta_path = path + ".meta"
     if not os.path.exists(meta_path):
         raise FormatError(f"missing sidecar metadata file: {meta_path}")
-    with open(meta_path) as fh:
-        metadata, where = _read_header(meta_path, _content_lines(fh.read()), {"sample_rate_hz": float})
-    with open(path) as fh:
-        lines = _content_lines(fh.read())
+    metadata, where = _read_header(meta_path, _content_lines(_read_text(meta_path)),
+                                   {"sample_rate_hz": float})
+    lines = _content_lines(_read_text(path))
     if not lines or lines[0][1] != "index,re,im":
         raise FormatError(f"{path}:{lines[0][0] if lines else 1}: expected the header 'index,re,im'")
     rows = lines[1:]

@@ -199,7 +199,7 @@ def train_pa_nn(
         )
 
     def evaluate():
-        out = nn_forward(net, val_pairs[0])
+        out = nn_forward(net, val_pairs[0], workspace=workspace)
         return _mse(out.samples, val_pairs[1].samples)
 
     net = _run_epochs(
@@ -235,7 +235,8 @@ def train_dpd_nn(
         )
 
     def evaluate():
-        cascade = nn_forward(pa_model, nn_forward(dpd, x_val))
+        predistorted = nn_forward(dpd, x_val, workspace=workspace)
+        cascade = nn_forward(pa_model, predistorted, workspace=workspace)
         return _mse(cascade.samples, x_val.samples)
 
     dpd = _run_epochs(

@@ -596,6 +596,19 @@ print(json.dumps(steps))
         assert "scipy.linalg" in loaded
         assert not [m for m in loaded if m.startswith(("scipy.fft", "scipy.signal"))]
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--spec", "{bad}", "--out", "{out}"],
+        ["sweep", "--pa", "{bad}", "--dpd", "poly P=3", "--iterations", "0", "--out", "{out}"],
+        ["report", "--sweep", "{bad}"],
+    ])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        out = tmp_path / "run"
+        assert main([arg.format(bad=bad, out=out) for arg in argv]) == 2
+        assert f"{bad}: not UTF-8 text: byte 0xff at offset 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert main(["sweep", "--spec", str(tmp_path / "nope.json")]) == 2
 

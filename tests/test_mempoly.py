@@ -1,5 +1,6 @@
 """Tests for the memory-polynomial model, basis, LS solver, and ILA fit."""
 
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpdkit import IqSignal
+from dpdkit import mempoly
 from dpdkit.errors import ConditioningError, ConfigurationError, FormatError
 from dpdkit.mempoly import (
     BASIS_BLOCK,
@@ -25,6 +27,7 @@ from dpdkit.mempoly import (
     _mean_column_energy,
     _poly_keys,
 )
+from dpdkit.pa import SimulatedPa, load_default_pa
 from row_edits import check_row_edits
 
 RATE = 61.44e6
@@ -309,6 +312,56 @@ class TestModel:
         assert info.value.field == "gain"
 
 
+def reference_product(a, theta):
+    """The model output the basis ``a`` and coefficients ``theta`` define.
+
+    At a multiple of BASIS_BLOCK rows this is the whole-basis product
+    ``a @ theta``; at other lengths the bytes are defined blockwise, one
+    product per BASIS_BLOCK rows.
+    """
+    if len(a) % BASIS_BLOCK == 0:
+        return a @ theta
+    return np.concatenate([a[start : start + BASIS_BLOCK] @ theta
+                           for start in range(0, len(a), BASIS_BLOCK)])
+
+
+class TestStreamedBasisProduct:
+    """The model's outputs stream the basis one BASIS_BLOCK of rows at a time;
+    they must keep the bytes of the product with the whole basis."""
+
+    # the whole-basis product's bytes, then the blockwise product's
+    LENGTHS = [40_960, 81_920, 1, BASIS_BLOCK - 1, BASIS_BLOCK + 1, 2 * BASIS_BLOCK + 1, 12_345]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    def test_pa_apply_and_poly_predistort(self, shape, n):
+        x = IqSignal(0.5 * raw_samples(n, seed=n), RATE)
+        model = seeded_model(shape, seed=n + shape.n_basis_columns)
+        want = reference_product(build_basis(x.samples, shape), model.coefficient_vector())
+        bare_pa = SimulatedPa(model, saturation_output_limit=math.inf, noise_stddev=0.0)
+        assert bare_pa.apply(x).samples.tobytes() == want.tobytes()
+        assert poly_predistort(model, x).samples.tobytes() == want.tobytes()
+
+    # a fit needs 10 samples per coefficient, so no one-sample frame here
+    @pytest.mark.parametrize("n", LENGTHS[:2] + LENGTHS[3:])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    def test_fit_ila_residuals(self, monkeypatch, shape, n):
+        solves = []
+
+        def recording_solve(fill, n_cols, b, **kwargs):
+            theta = solve_regularized_ls(fill, n_cols, b, **kwargs)
+            solves.append((fill(), b, theta))
+            return theta
+
+        monkeypatch.setattr(mempoly, "solve_regularized_ls", recording_solve)
+        x = IqSignal(0.5 * raw_samples(n, seed=n), RATE)
+        _, residuals = fit_ila(load_default_pa(), shape, x, 2)
+        assert residuals == [
+            float(np.linalg.norm(reference_product(a, theta) - b) / np.linalg.norm(b))
+            for a, b, theta in solves
+        ]
+
+
 def solve(a, b):
     """solve_regularized_ls on a basis the caller already holds."""
     return solve_regularized_ls(lambda out: np.copyto(out, a), a.shape[1], b)
@@ -402,6 +455,22 @@ class TestSolverOracle:
         assert theta.tobytes() == expected.tobytes()
         assert a.tobytes() == a_before.tobytes()  # the caller's basis is not overwritten
 
+    def test_one_mapped_stack_serves_repeated_solves(self):
+        shape = PolyShape(9, 3, 5, 2)
+        n, n_cols = 2 * BASIS_BLOCK + 3, shape.n_basis_columns
+        stack = mempoly._mapped_stack(n + n_cols, n_cols)
+        for seed in (1, 2):
+            a, b = distorted_fit_problem(shape, n, seed=seed)
+            theta = solve_regularized_ls(lambda out: np.copyto(out, a), n_cols, b, stack=stack)
+            assert theta.tobytes() == lstsq_oracle(a, b)[0].tobytes()
+
+    def test_stack_of_the_wrong_layout_is_refused(self):
+        a, b = distorted_fit_problem(PolyShape(5, 2), 50, seed=3)
+        for stack in (np.empty((57, 6), complex, order="F"), np.empty((56, 5), complex, order="F"),
+                      np.empty((56, 6), complex), np.empty((56, 6), order="F")):
+            with pytest.raises(ValueError, match="^stack must be column-major complex128"):
+                solve_regularized_ls(lambda out: np.copyto(out, a), 6, b, stack=stack)
+
     @pytest.mark.parametrize("n", [0, 1, BASIS_BLOCK, BASIS_BLOCK + 1, 3 * BASIS_BLOCK + 5])
     @pytest.mark.parametrize("n_cols", [1, 2, 24])
     def test_ridge_energy_of_the_stack_has_the_row_major_bits(self, n_cols, n):
@@ -446,8 +515,8 @@ class TestSolverOracle:
 
 
 class TestSolverMemory:
-    """The solve holds one stacked copy of the basis, and fit_ila one basis
-    per iteration; tracemalloc sees numpy's buffers."""
+    """The solve holds one stacked copy of the basis, fit_ila one basis in
+    all, and the model's outputs none; tracemalloc sees numpy's buffers."""
 
     @staticmethod
     def traced_peak(fn, *args):
@@ -470,20 +539,50 @@ class TestSolverMemory:
         # column order, as lstsq does it, reads ~2.08
         assert peak < 1.25 * a.nbytes
 
-    def test_fit_ila_holds_one_basis_per_iteration(self):
+    def test_fit_ila_holds_one_basis(self, monkeypatch):
         from dpdkit.ofdm import OfdmConfig, generate_ofdm
-        from dpdkit.pa import load_default_pa
 
+        # tracemalloc cannot see a mapping, so the fit's stack comes from the heap here
+        monkeypatch.setattr(mempoly, "_mapped_stack",
+                            lambda rows, cols: np.empty((rows, cols), dtype=complex, order="F"))
         shape = PolyShape(11, 4)
         _, x = generate_ofdm(OfdmConfig(n_symbols=20, seed=1))
         one_basis = len(x) * shape.n_basis_columns * 16
         peak, (_, residuals) = self.traced_peak(fit_ila, load_default_pa(), shape, x, 2)
         assert len(residuals) == 2
-        # the basis is built straight into the solve's stack, and rebuilt for
-        # the residual only after the stack is freed: the stack plus
-        # build_basis's per-order columns reads ~1.45; a row-major basis held
-        # beside the stack it is copied into reads ~2.13
-        assert peak < 1.6 * one_basis
+        # the basis is built straight into the solve's stack, and the
+        # predistorter outputs and residuals stream it block by block: the
+        # stack plus the frame's signals reads ~1.23; building each order's
+        # full column for the stack and a whole basis for the residual read ~1.45
+        assert peak < 1.3 * one_basis
+
+    @pytest.mark.parametrize("run", ["pa.apply", "poly_predistort"])
+    def test_model_output_holds_no_basis(self, run):
+        x = IqSignal(0.5 * raw_samples(81_920, seed=4), RATE)
+        model = seeded_model(PolyShape(13, 3), seed=4)
+        fn = {"pa.apply": load_default_pa().apply,
+              "poly_predistort": lambda s: poly_predistort(model, s)}[run]
+        peak, _ = self.traced_peak(fn, x)
+        # the output, the clip and noise temporaries and one BASIS_BLOCK of
+        # rows twice over read 3.7 and 3.3; a whole basis beside its order
+        # columns read 17.1 and 29.6
+        assert peak < 5 * x.samples.nbytes
+
+    def test_fit_maps_its_stack_once(self, monkeypatch):
+        mapped = []
+
+        def counting_stack(rows, cols):
+            mapped.append((rows, cols))
+            return mapped_stack(rows, cols)
+
+        mapped_stack = mempoly._mapped_stack
+        monkeypatch.setattr(mempoly, "_mapped_stack", counting_stack)
+        shape = PolyShape(5, 2)
+        x = IqSignal(0.5 * raw_samples(1000, seed=6), RATE)
+        fit_ila(load_default_pa(), shape, x, 3)
+        assert mapped == [(1000 + shape.n_basis_columns, shape.n_basis_columns)]
+        fit_ila(UntouchablePa(), shape, x, 0)
+        assert len(mapped) == 1
 
 
 class PureGainPa:

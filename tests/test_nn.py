@@ -343,6 +343,75 @@ class TestKernelOracle:
                     assert got.loss == loss
                     assert_same_bytes(got.weights + got.biases, gw + gb)
 
+    def test_forward_with_a_workspace_gives_the_same_bytes(self, frame):
+        workspace = NnWorkspace()
+        signals = [frame, IqSignal(frame.samples[:12345], RATE), IqSignal(frame.samples[:1], RATE)]
+        for k, n in self.SHAPES:
+            net = random_net(k, n, seed=90 + n)
+            for sig in signals:
+                got = nn_forward(net, sig, workspace=workspace)
+                assert_same_bytes([got.samples], [nn_forward(net, sig).samples])
+                # the output is the caller's, not a workspace buffer the next call overwrites
+                before = got.samples.copy()
+                nn_forward(net, IqSignal(sig.samples[::-1], RATE), workspace=workspace)
+                assert_same_bytes([got.samples], [before])
+
+    @staticmethod
+    def calls_in_turn(dpd, pa_model, frame, batch, offset):
+        """A training phase's calls in turn: backward, the validation forwards, and backward
+        through the frozen model."""
+        x = IqSignal(frame.samples[offset : offset + batch], RATE)
+        target = IqSignal(0.9 * frame.samples[offset + 5 : offset + 5 + batch], RATE)
+        val = IqSignal(frame.samples[offset : offset + FORWARD_BLOCK], RATE)
+        return [
+            lambda ws: nn_backward(pa_model, x, target, workspace=ws),
+            lambda ws: nn_forward(dpd, val, workspace=ws),
+            lambda ws: nn_forward(pa_model, nn_forward(dpd, val, workspace=ws), workspace=ws),
+            lambda ws: nn_backward_through_frozen(dpd, pa_model, x, workspace=ws),
+        ]
+
+    @staticmethod
+    def result_bytes(result):
+        if isinstance(result, IqSignal):
+            return [result.samples.copy()]
+        return [np.array(result.loss)] + [t.copy() for t in result.weights + result.biases]
+
+    @pytest.mark.parametrize("batch", [1024, FORWARD_BLOCK])
+    def test_one_workspace_in_turn_matches_fresh_workspaces(self, frame, batch):
+        # at FORWARD_BLOCK the training batch and the forward block have one width
+        dpd, pa_model = random_net(1, 14, seed=95), random_net(2, 24, seed=96)
+        workspace = NnWorkspace()
+        for offset in (0, 3):  # the second round reuses every buffer the first made
+            for call in self.calls_in_turn(dpd, pa_model, frame, batch, offset):
+                assert_same_bytes(self.result_bytes(call(workspace)),
+                                  self.result_bytes(call(NnWorkspace())))
+
+    def test_live_passes_share_no_buffer(self, frame):
+        dpd, pa_model = random_net(1, 14, seed=97), random_net(2, 24, seed=98)
+        workspace = NnWorkspace()
+        for call in self.calls_in_turn(dpd, pa_model, frame, FORWARD_BLOCK, 0):
+            call(workspace)
+        sets = workspace._columns
+        # the forward shares the training batch's set for the same net, and
+        # only a set some backward call used holds per-layer scratch
+        assert {key: cols.backward for key, cols in sets.items()} == {
+            (FORWARD_BLOCK, ((2, 24),)): True,
+            (FORWARD_BLOCK, ((1, 14),)): False,
+            (FORWARD_BLOCK, ((1, 14), (2, 24))): True,
+        }
+        for cols in sets.values():
+            passes = [[*p.acts, p.z] for p in cols.passes]
+            scratch = [cols.x2]
+            if cols.backward:
+                scratch += [cols.t2, cols.sq, cols.dx, cols.mask, *cols.up]
+                assert cols.mask.shape[0] == cols.up[0].shape[0] == max(p.acts[0].shape[0]
+                                                                        for p in cols.passes)
+            # each net's forward outputs stay live while the other net runs
+            # and while the shared per-layer scratch is written
+            for i, mine in enumerate(passes):
+                others = [buf for j, bufs in enumerate(passes) if j != i for buf in bufs] + scratch
+                assert not any(np.shares_memory(a, b) for a in mine for b in others)
+
     def test_nan_reaches_every_gradient_like_the_reference(self):
         # a NaN sample reaches closed ReLUs through their mask: multiplying by
         # the 0/1 mask keeps it, where selecting with np.where would zero it

@@ -1,6 +1,7 @@
 """Tests for the IqSignal container, PAPR, gain estimation and CSV I/O."""
 
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,10 +13,14 @@ from row_edits import check_row_edits
 
 from dpdkit import (
     ConfigurationError,
+    ExperimentSpec,
     FormatError,
     IqSignal,
     MetricError,
     estimate_gain,
+    load_net,
+    load_pa_profile,
+    load_poly_model,
     papr_db,
     read_signal_csv,
     write_signal_csv,
@@ -188,3 +193,41 @@ class TestSignalCsv:
             fh.write("sample_rate_hz: 3.0\n")
         with pytest.raises(FormatError, match=r"bad\.csv\.meta:2:"):
             read_signal_csv(path)
+
+
+def _read_csv_with_bad_sidecar(path):
+    """read_signal_csv on a good signal whose sidecar is the file at ``path``."""
+    signal = str(path)[: -len(".meta")]
+    write_signal_csv(random_signal(n=2), signal)
+    Path(path).write_bytes(NOT_UTF8)
+    return read_signal_csv(signal)
+
+
+def _read_bad_csv_with_good_sidecar(path):
+    """read_signal_csv on the file at ``path``, with a good sidecar beside it."""
+    Path(f"{path}.meta").write_text("sample_rate_hz: 1.0\n")
+    return read_signal_csv(str(path))
+
+
+# a line of text, then a UTF-16 byte-order mark: 0xff is never UTF-8
+NOT_UTF8 = b"2,3\n\xff\xfe"
+
+#: each reader of a text file, with the file name it reads and the error it raises
+TEXT_READERS = {
+    "load_net": ("net.txt", load_net, FormatError),
+    "load_poly_model": ("model.txt", load_poly_model, FormatError),
+    "load_pa_profile": ("pa.txt", load_pa_profile, FormatError),
+    "read_signal_csv": ("sig.csv", _read_bad_csv_with_good_sidecar, FormatError),
+    "read_signal_csv.meta": ("sig.csv.meta", _read_csv_with_bad_sidecar, FormatError),
+    "ExperimentSpec.from_json": ("spec.json", ExperimentSpec.from_json, ConfigurationError),
+}
+
+
+@pytest.mark.parametrize("reader", TEXT_READERS)
+def test_non_utf8_file_names_path_and_byte_offset(tmp_path, reader):
+    name, read, error = TEXT_READERS[reader]
+    path = tmp_path / name
+    path.write_bytes(NOT_UTF8)
+    message = f"{path}: not UTF-8 text: byte 0xff at offset 4"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read(path)
