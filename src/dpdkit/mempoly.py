@@ -263,8 +263,11 @@ def _mapped_stack(rows: int, cols: int) -> np.ndarray:
 
     The mapping is returned to the system when the array's last view goes.
     A fit's solve stack is its one full-size buffer; mapped outside the
-    malloc heap, it neither lands in nor leaves a hole there.
+    malloc heap, it neither lands in nor leaves a hole there. Where mmap
+    takes no flags (Windows), the stack is an ordinary numpy array.
     """
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty((rows, cols), dtype=np.complex128, order="F")
     # private, and populated in one call where the platform can: the solve
     # writes every page at once, and a fault per page costs more than that
     flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
@@ -293,9 +296,7 @@ def _mean_column_energy(basis: np.ndarray) -> float:
     return float(np.mean(total))
 
 
-def solve_regularized_ls(
-    fill, n_cols: int, b: np.ndarray, *, stack: np.ndarray | None = None
-) -> np.ndarray:
+def solve_regularized_ls(fill, n_cols: int, b: np.ndarray, *, stack: np.ndarray) -> np.ndarray:
     """Solve min ||A theta - b||^2 + lam ||theta||^2 by QR on the stacked matrix.
 
     A is the (len(b), n_cols) complex basis that ``fill(out)`` writes into
@@ -304,10 +305,9 @@ def solve_regularized_ls(
     [A; sqrt(lam) I] theta = [b; 0] is laid out column-major, ``fill``
     writes A straight into its top rows, and LAPACK gelsy (complete
     orthogonal factorization) overwrites it in place, so the solve holds one
-    copy of the basis and the caller need hold none. ``stack``, if given, is
-    a column-major complex128 (len(b) + n_cols, n_cols) array the solve
-    writes its stack into, so repeated solves can share one buffer; without
-    it the solve allocates its own. The call repeats
+    copy of the basis and the caller need hold none. ``stack`` is the
+    column-major complex128 (len(b) + n_cols, n_cols) array the solve
+    writes its stack into, so repeated solves share one buffer. The call repeats
     scipy.linalg.lstsq(..., lapack_driver="gelsy") argument for argument, so
     theta has the same bits; lstsq would copy the stack once more, because it
     never lets gelsy overwrite its input. scipy.linalg is imported here, at
@@ -322,12 +322,6 @@ def solve_regularized_ls(
     import scipy.linalg
 
     n = len(b)
-    if stack is None:
-        stack = np.empty((n + n_cols, n_cols), dtype=np.complex128, order="F")
-    elif (stack.shape != (n + n_cols, n_cols) or stack.dtype != np.complex128
-          or not stack.flags.f_contiguous):
-        raise ValueError(f"stack must be column-major complex128 of shape {(n + n_cols, n_cols)}, "
-                         f"got {stack.dtype} {stack.shape}")
     _fill_stack(stack, fill, n)
     lam = 1e-8 * _mean_column_energy(stack[:n])
     # lam is finite exactly when every entry of [A; sqrt(lam) I] is

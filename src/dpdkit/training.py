@@ -293,8 +293,12 @@ def run_full_training(
         if iteration == 1:
             x_hat, x_hat_val = x_train, x_val
         else:
-            x_hat = nn_forward(dpd, x_train)
-            x_hat_val = nn_forward(dpd, x_val)
+            # the two frames' FORWARD_BLOCK-wide blocks share one set of
+            # buffers, dropped before training
+            forward = NnWorkspace()
+            x_hat = nn_forward(dpd, x_train, workspace=forward)
+            x_hat_val = nn_forward(dpd, x_val, workspace=forward)
+            del forward
         y = pa.apply(x_hat)
         y_val = pa.apply(x_hat_val)
         g = estimate_gain(x_hat, y)
