@@ -16,8 +16,12 @@ the same way, then the DC column.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import mmap
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -296,6 +300,52 @@ def _mean_column_energy(basis: np.ndarray) -> float:
     return float(np.mean(total))
 
 
+class _FlapackHandover:
+    """A meta path finder that lets scipy.linalg load its own _flapack module.
+
+    _zgelsy registers scipy.linalg._flapack in sys.modules before its package
+    exists, and an import that finds a submodule there does not make it an
+    attribute of the package. So just before scipy.linalg is first imported,
+    this finder drops that entry: the package then loads the module itself,
+    with the same compiled routines, and the package, scipy.linalg.lapack and
+    sys.modules name one module. It finds no module itself, and once the entry
+    is gone it does nothing.
+    """
+
+    def __init__(self, module):
+        self.module = module
+
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname == "scipy.linalg" and sys.modules.get(self.module.__name__) is self.module:
+            del sys.modules[self.module.__name__]
+        return None
+
+
+@functools.cache
+def _zgelsy():
+    """LAPACK's (zgelsy, zgelsy_lwork), loaded without the scipy.linalg package.
+
+    They are the compiled routines scipy.linalg.get_lapack_funcs returns for
+    complex128, from scipy's scipy.linalg._flapack module. Only the top-level
+    scipy package is imported, whose __init__ sets up the load path of the
+    libraries scipy bundles; the scipy.linalg package would load some 300
+    modules more. If scipy.linalg is already imported, its module is used.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        flapack = importlib.util.module_from_spec(spec)
+        sys.modules[name] = flapack
+        spec.loader.exec_module(flapack)
+        sys.meta_path.insert(0, _FlapackHandover(flapack))
+    return flapack.zgelsy, flapack.zgelsy_lwork
+
+
 def solve_regularized_ls(fill, n_cols: int, b: np.ndarray, *, stack: np.ndarray) -> np.ndarray:
     """Solve min ||A theta - b||^2 + lam ||theta||^2 by QR on the stacked matrix.
 
@@ -308,19 +358,23 @@ def solve_regularized_ls(fill, n_cols: int, b: np.ndarray, *, stack: np.ndarray)
     copy of the basis and the caller need hold none. ``stack`` is the
     column-major complex128 (len(b) + n_cols, n_cols) array the solve
     writes its stack into, so repeated solves share one buffer. The call repeats
-    scipy.linalg.lstsq(..., lapack_driver="gelsy") argument for argument, so
-    theta has the same bits; lstsq would copy the stack once more, because it
-    never lets gelsy overwrite its input. scipy.linalg is imported here, at
-    the first solve, so that processes that fit no polynomial never load it.
+    scipy.linalg.lstsq(..., lapack_driver="gelsy") argument for argument, and
+    its work-size check, so theta has the same bits; lstsq would copy the
+    stack once more, because it never lets gelsy overwrite its input. gelsy
+    comes from scipy's compiled LAPACK module (_zgelsy), loaded at the first
+    solve without the scipy.linalg package, so a fit imports only scipy's
+    top-level package and a process that fits no polynomial loads no scipy.
 
     Raises:
-        ValueError: if A or b holds NaN/inf (checked before LAPACK runs).
+        ValueError: if ``stack`` is not complex128, if A or b holds NaN/inf
+            (checked before LAPACK runs), or if gelsy asks for a work array
+            beyond 32-bit LAPACK's reach.
         ConditioningError: if rank deficiency survives the regularization;
             it carries the condition number of the stacked matrix, which
             ``fill`` writes a second time because gelsy overwrote the first.
     """
-    import scipy.linalg
-
+    if stack.dtype != np.complex128:
+        raise ValueError(f"stack must be complex128, got {stack.dtype}")
     n = len(b)
     _fill_stack(stack, fill, n)
     lam = 1e-8 * _mean_column_energy(stack[:n])
@@ -331,14 +385,17 @@ def solve_regularized_ls(fill, n_cols: int, b: np.ndarray, *, stack: np.ndarray)
     np.fill_diagonal(stack[n:], root_lam)
     rhs = np.zeros(n + n_cols, dtype=stack.dtype)
     rhs[:n] = b
-    gelsy, gelsy_lwork = scipy.linalg.get_lapack_funcs(("gelsy", "gelsy_lwork"), (stack, rhs))
-    cond = np.finfo(gelsy.dtype).eps
+    gelsy, gelsy_lwork = _zgelsy()
+    cond = np.finfo(np.complex128).eps
     work, info = gelsy_lwork(n + n_cols, n_cols, 1, cond)
     if info != 0:
         raise ValueError(f"Internal work array size computation failed: {info}")
+    lwork = int(work.real)
+    if not 0 <= lwork <= np.iinfo(np.int32).max:
+        raise ValueError("Too large work array required -- computation cannot be performed "
+                         "with standard 32-bit LAPACK.")
     jptv = np.zeros((n_cols, 1), dtype=np.int32)
-    _, x, _, rank, info = gelsy(stack, rhs, jptv, cond, int(work.real),
-                                overwrite_a=True, overwrite_b=True)
+    _, x, _, rank, info = gelsy(stack, rhs, jptv, cond, lwork, overwrite_a=True, overwrite_b=True)
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gelsy")
     if rank < n_cols:

@@ -1,7 +1,11 @@
 """Tests for the memory-polynomial model, basis, LS solver, and ILA fit."""
 
+import json
 import math
 import mmap
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -481,12 +485,10 @@ class TestSolverOracle:
     @pytest.mark.parametrize("where", ["A", "b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected_before_lapack(self, monkeypatch, where, bad):
-        import scipy.linalg
-
         def no_lapack(*args, **kwargs):
             raise AssertionError("LAPACK reached with a non-finite input")
 
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", no_lapack)
+        monkeypatch.setattr(mempoly, "_zgelsy", no_lapack)
         a, b = distorted_fit_problem(PolyShape(5, 2), 200, seed=8)
         if where == "A":
             a[17, 3] = bad
@@ -494,6 +496,57 @@ class TestSolverOracle:
             b[17] = complex(0.0, bad)
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve(a, b)
+
+    @pytest.mark.parametrize("lwork", [2.0**31, -1.0])
+    def test_work_size_beyond_32_bit_lapack_is_refused(self, monkeypatch, lwork):
+        # lstsq's check (scipy.linalg.lapack._check_work_float), before gelsy runs
+        _, gelsy_lwork = mempoly._zgelsy()
+
+        def no_gelsy(*args, **kwargs):
+            raise AssertionError("gelsy ran with an unusable work size")
+
+        def reporting_lwork(*args):
+            _, info = gelsy_lwork(*args)
+            return complex(lwork), info
+
+        monkeypatch.setattr(mempoly, "_zgelsy", lambda: (no_gelsy, reporting_lwork))
+        a, b = distorted_fit_problem(PolyShape(5, 2), 200, seed=8)
+        with pytest.raises(ValueError, match="Too large work array required -- computation "
+                                             "cannot be performed with standard 32-bit LAPACK"):
+            solve(a, b)
+
+    def test_stack_that_is_not_complex128_is_refused(self):
+        a, b = distorted_fit_problem(PolyShape(5, 2), 200, seed=8)
+        stack = np.empty((200 + a.shape[1], a.shape[1]), dtype=np.complex64, order="F")
+        with pytest.raises(ValueError, match="stack must be complex128, got complex64"):
+            solve_regularized_ls(lambda out: np.copyto(out, a), a.shape[1], b, stack=stack)
+
+    @pytest.mark.parametrize("order", ["fit first", "scipy.linalg first"])
+    def test_load_order_does_not_matter(self, order):
+        # the fit loads scipy's compiled LAPACK module without its package;
+        # scipy.linalg imported before or after must still own that module
+        script = """
+import json, sys
+from test_mempoly import PolyShape, distorted_fit_problem, lstsq_oracle, solve
+
+linalg_first = sys.argv[1] == "scipy.linalg first"
+if linalg_first:
+    import scipy.linalg
+assert ("scipy.linalg" in sys.modules) == linalg_first
+a, b = distorted_fit_problem(PolyShape(9, 3, 5, 2), 5000, seed=3)
+theta = solve(a, b)
+import scipy.linalg
+flapack = sys.modules["scipy.linalg._flapack"]
+print(json.dumps([theta.tobytes() == lstsq_oracle(a, b)[0].tobytes(),
+                  getattr(scipy.linalg, "_flapack", None) is flapack,
+                  scipy.linalg.lapack._flapack is flapack]))
+"""
+        dirs = [str(Path(mempoly.__file__).parents[1]), str(Path(__file__).parent),
+                os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, dirs))}
+        out = subprocess.run([sys.executable, "-c", script, order], capture_output=True,
+                             text=True, env=env, check=True).stdout
+        assert json.loads(out.splitlines()[-1]) == [True, True, True]
 
     def test_zero_column_reports_condition_of_the_unfactored_stack(self):
         # column energy ~1e-340 underflows, so lam = 0 and the zero column
@@ -516,7 +569,7 @@ class TestSolverMemory:
 
     @staticmethod
     def traced_peak(fn, *args):
-        import scipy.linalg  # noqa: F401  (its import would count as the solve's)
+        mempoly._zgelsy()  # loading LAPACK would count as the solve's
 
         tracemalloc.start()
         try:
