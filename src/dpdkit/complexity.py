@@ -13,20 +13,27 @@ sample at a time and tally every real multiply event.
 
 A design point is named by its descriptor text, and this module is the only
 one that writes or reads it: ``poly_count`` and ``nn_count`` write it,
-``parse_descriptor`` reads it back.
+``parse_descriptor`` reads it back, and ``FAMILIES`` defines each family.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigurationError
-from .mempoly import PolyShape
-from .nn import _weight_shapes
+from .fixedpoint import nn_forward_fixed, poly_forward_fixed
+from .mempoly import PolyShape, fit_ila, poly_predistort, rescale_cascade_gain, save_poly_model
+from .nn import _weight_shapes, nn_forward, save_net
+from .signals import _write_lines
+from .training import DEFAULT_PA_MODEL_SHAPE, run_full_training
 
 __all__ = [
+    "FAMILIES",
+    "POLY_FIXED_BACKOFF",
     "ComplexityReport",
+    "Family",
     "poly_count",
     "nn_count",
     "parse_descriptor",
@@ -74,13 +81,60 @@ def nn_count(hidden_layers: int, width: int) -> ComplexityReport:
     )
 
 
+# A fixed-point sweep backs each fitted polynomial off to this cascade gain, as its linear
+# coefficient sits just above Q1.15's range; the float row uses the same backed-off model.
+POLY_FIXED_BACKOFF = 0.95
+
+
+@dataclass(frozen=True)
+class Family:
+    """A predistorter family. It holds no public function: count and fit name each one as a
+    module global at call time, so a rebinding of that global reaches every call."""
+
+    fields: tuple[str, ...]  # the descriptor's field names
+    params: Callable[[dict], object]  # {field name: text} -> the family's parameters
+    count: Callable[[object], ComplexityReport]
+    # fit(params, pa, spec, x_train, row_dir) -> (model, forward, forward_fixed); only after the
+    # fit succeeds does it create row_dir and write model.txt and trainlog.csv there
+    fit: Callable
+
+
+def _fit_poly(shape, pa, spec, x_train, row_dir):
+    model, residuals = fit_ila(pa, shape, x_train, spec.train.outer_iterations)
+    if spec.fixed_point is not None:
+        model = rescale_cascade_gain(model, POLY_FIXED_BACKOFF)
+    row_dir.mkdir(parents=True, exist_ok=True)
+    save_poly_model(model, str(row_dir / "model.txt"))
+    _write_lines(row_dir / "trainlog.csv", ["iteration,residual"], enumerate(residuals, start=1))
+    return model, poly_predistort, poly_forward_fixed
+
+
+def _fit_nn(kn, pa, spec, x_train, row_dir):
+    net, log = run_full_training(pa, (kn, DEFAULT_PA_MODEL_SHAPE), spec.train, spec.waveform)
+    row_dir.mkdir(parents=True, exist_ok=True)
+    save_net(net, str(row_dir / "model.txt"))
+    log.to_csv(str(row_dir / "trainlog.csv"))
+    return net, nn_forward, nn_forward_fixed
+
+
+# keyed by the descriptor's leading word
+FAMILIES = {
+    "poly": Family(
+        fields=("P", "M", "Q", "L", "+dc"),
+        params=lambda f: PolyShape(int(f["P"]), int(f.get("M", 1)), int(f.get("Q", 0)),
+                                   int(f.get("L", 0)), include_dc="+dc" in f),
+        count=lambda shape: poly_count(shape),
+        fit=_fit_poly,
+    ),
+    "nn": Family(fields=("K", "N"), params=lambda f: (int(f["K"]), int(f["N"])),
+                 count=lambda kn: nn_count(*kn), fit=_fit_nn),
+}
 _NN_SLUG = re.compile(r"nn_K([0-9]+)_N([0-9]+)")
 _FIELD = re.compile(r"([A-Z])=([0-9]+)|\+dc")
-_FIELDS = {"poly": ("P", "M", "Q", "L", "+dc"), "nn": ("K", "N")}
 
 
-def parse_descriptor(text: str) -> tuple[str, PolyShape | tuple[int, int], ComplexityReport]:
-    """Read descriptor text as ("poly", PolyShape, report) or ("nn", (K, N), report).
+def parse_descriptor(text: str) -> tuple[Family, PolyShape | tuple[int, int], ComplexityReport]:
+    """Read descriptor text as (FAMILIES entry, PolyShape or (K, N), report).
 
     The grammar is ``poly P=<p> [M=<taps>] [Q=<q> L=<taps>] [+dc]`` (M
     defaults to 1) and ``nn K=<k> N=<n>``, fields in any order, each at most
@@ -93,32 +147,20 @@ def parse_descriptor(text: str) -> tuple[str, PolyShape | tuple[int, int], Compl
     if not isinstance(text, str):
         raise ConfigurationError(f"descriptor must be a string, got {type(text).__name__}")
     slug = _NN_SLUG.fullmatch(text.strip())
-    if slug:
-        kind, fields = "nn", {"K": slug[1], "N": slug[2]}
-    else:
-        kind, *parts = text.split() or [""]
-        if kind not in _FIELDS:
-            raise ConfigurationError(f"descriptor kind must be 'poly' or 'nn': {text!r}")
-        fields = {}
-        for part in parts:
-            match = _FIELD.fullmatch(part)
-            key = (match[1] or match[0]) if match else None
-            if key not in _FIELDS[kind] or key in fields:
-                raise ConfigurationError(f"bad field {part!r} in descriptor {text!r}")
-            fields[key] = match[2]
+    name, *parts = (f"nn K={slug[1]} N={slug[2]}" if slug else text).split() or [""]
+    if name not in FAMILIES:
+        raise ConfigurationError(f"descriptor must start with one of {list(FAMILIES)}: {text!r}")
+    family, fields = FAMILIES[name], {}
+    for part in parts:
+        match = _FIELD.fullmatch(part)
+        key = (match[1] or match[0]) if match else None
+        if key not in family.fields or key in fields:
+            raise ConfigurationError(f"bad field {part!r} in descriptor {text!r}")
+        fields[key] = match[2]
     try:
-        if kind == "nn":
-            k, n = int(fields["K"]), int(fields["N"])
-            return "nn", (k, n), nn_count(k, n)
-        shape = PolyShape(
-            p_max=int(fields["P"]),
-            main_taps=int(fields.get("M", 1)),
-            q_max=int(fields.get("Q", 0)),
-            conj_taps=int(fields.get("L", 0)),
-            include_dc="+dc" in fields,
-        )
+        params = family.params(fields)
+        return family, params, family.count(params)
     except KeyError as exc:
         raise ConfigurationError(f"descriptor {text!r} lacks field {exc}") from None
     except ConfigurationError as exc:
         raise ConfigurationError(f"bad descriptor {text!r}: {exc}") from None
-    return "poly", shape, poly_count(shape)

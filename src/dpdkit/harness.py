@@ -1,9 +1,9 @@
 """Experiment harness: sweep a list of predistorters against one amplifier.
 
-Each sweep row trains a predistorter (least squares for polynomials, the
-iterative network procedure for nets), evaluates ACLR and EVM on a held-out
-validation frame, recomputes the complexity counts from the descriptor, and
-optionally re-runs inference through the 16-bit fixed-point path. Artifacts
+Each sweep row fits a predistorter through its record in complexity.FAMILIES,
+which alone knows the families, evaluates ACLR and EVM on a held-out
+validation frame with the counts from the descriptor, and optionally
+re-runs inference through the 16-bit fixed-point path. Artifacts
 land in one directory per descriptor; the top-level sweep.csv is written
 with round-tripping float formatting so a rerun of the same spec produces
 identical bytes.
@@ -12,6 +12,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -19,18 +20,15 @@ import numpy as np
 
 from .complexity import ComplexityReport, parse_descriptor
 from .errors import AlignmentError, ConfigurationError, FormatError
-from .fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
-from .mempoly import fit_ila, poly_predistort, rescale_cascade_gain, save_poly_model
+from .fixedpoint import FixedFormat, FixedPointStats
 from .metrics import aclr_db_gated, default_segment_len, evm_percent, psd_welch
-from .nn import nn_forward, save_net
 from .ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
 from .pa import load_default_pa, load_pa_profile
 from .signals import IqSignal, _read_text, _write_lines
-from .training import DEFAULT_PA_MODEL_SHAPE, TrainConfig, _frame_configs, run_full_training
+from .training import TrainConfig, _frame_configs
 
 __all__ = [
     "DEFAULT_SWEEP",
-    "POLY_FIXED_BACKOFF",
     "ExperimentSpec",
     "DpdReport",
     "descriptor_slug",
@@ -40,14 +38,6 @@ __all__ = [
 
 # The four headline design points: two nets, two polynomials.
 DEFAULT_SWEEP = ["nn K=1 N=6", "nn K=1 N=14", "poly P=7 M=1", "poly P=11 M=2"]
-
-# Cascade-gain backoff applied to fitted polynomials whenever a fixed-point
-# evaluation is requested: the fitted linear coefficient sits a few percent
-# above 1.0, outside Q1.15, and scaling the model to gain 0.95 puts every
-# coefficient in range without leaving the model class. The float row of the
-# same sweep uses the identical backed-off model so the two rows compare the
-# arithmetic, not two different deployments.
-POLY_FIXED_BACKOFF = 0.95
 
 # one column per DpdReport field, in field order: a sweep.csv row is astuple(report)
 SWEEP_COLUMNS = (
@@ -73,6 +63,13 @@ class ExperimentSpec:
     output_dir: str = "sweep_out"
 
     def __post_init__(self):
+        # an int would otherwise be opened as a file descriptor, and read and closed
+        if not isinstance(self.pa_profile_path, (str, type(None))):
+            raise ConfigurationError(f"pa_profile_path must be a path string or None, "
+                                     f"got {self.pa_profile_path!r}", "pa_profile_path")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigurationError(f"output_dir must be a path, got {self.output_dir!r}",
+                                     "output_dir")
         # a bare string would otherwise be read one character per descriptor
         if not isinstance(self.dpd_list, list) or not all(isinstance(d, str) for d in self.dpd_list):
             raise ConfigurationError(
@@ -115,10 +112,9 @@ class ExperimentSpec:
             kwargs = {}
             if "pa_profile_path" in raw:
                 pa_path = raw["pa_profile_path"]
-                if base_dir is not None and pa_path not in ("default", "", None):
-                    p = Path(pa_path)
-                    if not p.is_absolute():
-                        pa_path = str(base_dir / p)
+                a_file = isinstance(pa_path, str) and pa_path not in ("default", "")
+                if base_dir is not None and a_file:  # the spec's own check names a non-string
+                    pa_path = str(base_dir / pa_path)  # an absolute path stays as it is
                 kwargs["pa_profile_path"] = pa_path
             if "waveform" in raw:
                 kwargs["waveform"] = _section("waveform", OfdmConfig, raw["waveform"])
@@ -130,9 +126,7 @@ class ExperimentSpec:
                 kwargs["fixed_point"] = _section("fixed_point", FixedFormat, raw["fixed_point"])
             if "output_dir" in raw:
                 out = Path(raw["output_dir"])
-                if base_dir is not None and not out.is_absolute():
-                    out = base_dir / out
-                kwargs["output_dir"] = str(out)
+                kwargs["output_dir"] = str(out if base_dir is None else base_dir / out)
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad spec value: {exc}") from exc
@@ -178,31 +172,6 @@ def _error_report(descriptor: str, exc: Exception) -> DpdReport:
     )
 
 
-def _fit(kind, params, pa, spec: ExperimentSpec, x_train, row_dir: Path):
-    """Fit one predistorter, then write its model.txt and trainlog.csv.
-
-    The one place the two families differ. Returns the model with its float
-    and fixed-point forwards, named as module globals at call time so that a
-    rebinding of those globals reaches the sweep's calls. The row directory
-    is created only after the fit succeeds: a failed row leaves no directory.
-    """
-    if kind == "poly":
-        model, residuals = fit_ila(pa, params, x_train, spec.train.outer_iterations)
-        if spec.fixed_point is not None:
-            model = rescale_cascade_gain(model, POLY_FIXED_BACKOFF)
-        row_dir.mkdir(parents=True, exist_ok=True)
-        save_poly_model(model, str(row_dir / "model.txt"))
-        _write_lines(row_dir / "trainlog.csv", ["iteration,residual"], enumerate(residuals, start=1))
-        return model, poly_predistort, poly_forward_fixed
-    net, log = run_full_training(
-        pa, shapes=(params, DEFAULT_PA_MODEL_SHAPE), cfg=spec.train, waveform=spec.waveform
-    )
-    row_dir.mkdir(parents=True, exist_ok=True)
-    save_net(net, str(row_dir / "model.txt"))
-    log.to_csv(str(row_dir / "trainlog.csv"))
-    return net, nn_forward, nn_forward_fixed
-
-
 def _evaluate(pa, predistorted: IqSignal, val_cfg: OfdmConfig, ref_grid) -> tuple[float, float, IqSignal]:
     y = pa.apply(predistorted)
     aclr = aclr_db_gated(y, val_cfg)
@@ -211,20 +180,18 @@ def _evaluate(pa, predistorted: IqSignal, val_cfg: OfdmConfig, ref_grid) -> tupl
 
 
 def _load_pa(path):
-    if path in ("default", "", None):
-        return load_default_pa()
-    return load_pa_profile(path)
+    return load_default_pa() if path in ("default", "", None) else load_pa_profile(path)
 
 
 def _run_descriptor(
-    kind, params, report: ComplexityReport, spec: ExperimentSpec, x_train, x_val, val_cfg, ref_grid
+    family, params, report: ComplexityReport, spec: ExperimentSpec, x_train, x_val, val_cfg, ref_grid
 ) -> list[DpdReport]:
     # a fresh amplifier per row: rows never share noise-generator state, so
     # they are order-independent and could run in parallel
     pa = _load_pa(spec.pa_profile_path)
     slug = descriptor_slug(report.model_descriptor)
     row_dir = Path(spec.output_dir) / slug
-    model, forward, forward_fixed = _fit(kind, params, pa, spec, x_train, row_dir)
+    model, forward, forward_fixed = family.fit(params, pa, spec, x_train, row_dir)
 
     aclr, evm, y = _evaluate(pa, forward(model, x_val), val_cfg, ref_grid)
     emit_psd_overlay([(slug, y)], row_dir / "psd.csv")
@@ -262,10 +229,10 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
 
     reports: list[DpdReport] = []
     for desc in spec.dpd_list:
-        kind, params, report = parse_descriptor(desc)
+        family, params, report = parse_descriptor(desc)
         try:
             reports.extend(
-                _run_descriptor(kind, params, report, spec, x_train, x_val, val_cfg, ref_grid)
+                _run_descriptor(family, params, report, spec, x_train, x_val, val_cfg, ref_grid)
             )
         except Exception as exc:  # noqa: BLE001 — per-row capture is the contract
             reports.append(_error_report(report.model_descriptor, exc))

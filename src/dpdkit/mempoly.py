@@ -487,7 +487,12 @@ def _parse_shape_header(lineno: int, line: str, path: str) -> PolyShape:
     if not line.startswith("shape:"):
         raise FormatError(f"{path}:{lineno}: expected shape header, got {line!r}")
     try:
-        fields = dict(item.split("=", 1) for item in line[len("shape:") :].split())
+        fields = {}
+        for item in line[len("shape:") :].split():
+            key, value = item.split("=", 1)
+            if key in fields or key not in PolyShape.__dataclass_fields__:
+                raise ValueError(f"{'repeated' if key in fields else 'unknown'} field {key!r}")
+            fields[key] = value
         if fields["include_dc"] not in ("0", "1"):
             raise ValueError(f"include_dc must be 0 or 1, got {fields['include_dc']!r}")
         return PolyShape(

@@ -221,6 +221,7 @@ def write_signal_csv(signal: IqSignal, path: str, metadata: dict | None = None) 
             holding a colon or a value holding a line break; nothing is
             written then.
     """
+    meta_path = f"{path}.meta"  # path may be a str or a Path
     meta = {"sample_rate_hz": _fmt(signal.sample_rate_hz)}
     for key, value in (metadata or {}).items():
         key, value = str(key), str(value)
@@ -233,7 +234,7 @@ def write_signal_csv(signal: IqSignal, path: str, metadata: dict | None = None) 
         meta[key] = value
     x = signal.samples
     _write_lines(path, ["index,re,im"], zip(range(x.size), x.real.tolist(), x.imag.tolist()))
-    _write_lines(path + ".meta", [f"{key}: {value}" for key, value in meta.items()], [])
+    _write_lines(meta_path, [f"{key}: {value}" for key, value in meta.items()], [])
 
 
 def read_signal_csv(path: str) -> tuple[IqSignal, dict]:
@@ -250,7 +251,7 @@ def read_signal_csv(path: str) -> tuple[IqSignal, dict]:
             repeats a key or holds a bad sample_rate_hz; naming the file
             for a missing sidecar, rate or sample.
     """
-    meta_path = path + ".meta"
+    meta_path = f"{path}.meta"
     if not os.path.exists(meta_path):
         raise FormatError(f"missing sidecar metadata file: {meta_path}")
     metadata, where = _read_header(meta_path, _content_lines(_read_text(meta_path)),

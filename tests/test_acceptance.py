@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpdkit.complexity import nn_count, parse_descriptor, poly_count
+from dpdkit.complexity import FAMILIES, nn_count, parse_descriptor, poly_count
 from dpdkit.fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
 from dpdkit.harness import DEFAULT_SWEEP, ExperimentSpec, run_sweep
 from dpdkit.mempoly import MemoryPolyModel, PolyShape, fit_ila, poly_predistort, rescale_cascade_gain
@@ -348,12 +348,13 @@ def test_7_counters_agree_with_formulas(capsys):
         0.3 * (rng.standard_normal(64) + 1j * rng.standard_normal(64)), 61.44e6
     )
     for desc in DEFAULT_SWEEP:
-        kind, params, _ = parse_descriptor(desc)
-        if kind == "poly":
+        family, params, _ = parse_descriptor(desc)
+        if family is FAMILIES["poly"]:
             expected = poly_count(params).n_mults
             model = MemoryPolyModel.identity(params)
             _, per_sample = count_poly_multiplies(model, frame.samples)
         else:
+            assert family is FAMILIES["nn"]
             k, n = params
             expected = nn_count(k, n).n_mults
             _, per_sample = count_nn_multiplies(DenseNet.zeros(k, n), frame.samples)

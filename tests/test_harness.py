@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dpdkit
+from dpdkit import complexity
 from dpdkit.cli import main
-from dpdkit.complexity import nn_count, parse_descriptor, poly_count
+from dpdkit.complexity import FAMILIES, nn_count, parse_descriptor, poly_count
 from dpdkit.errors import AlignmentError, ConfigurationError
 from dpdkit.fixedpoint import FixedFormat
 from dpdkit.harness import (
@@ -60,8 +62,8 @@ def baseline_metrics() -> tuple[float, float]:
 
 class TestParseDescriptor:
     def test_poly_dict(self):
-        kind, shape, report = parse_descriptor("poly L=1 Q=3 M=2 P=7")
-        assert kind == "poly"
+        family, shape, report = parse_descriptor("poly L=1 Q=3 M=2 P=7")
+        assert family is FAMILIES["poly"]
         assert shape == PolyShape(7, 2, 3, 1)
         assert report == poly_count(shape)
 
@@ -70,16 +72,19 @@ class TestParseDescriptor:
         assert shape == PolyShape(9, 1)
 
     def test_nn_dict(self):
-        kind, params, report = parse_descriptor("nn K=2 N=8")
-        assert (kind, params) == ("nn", (2, 8))
+        family, params, report = parse_descriptor("nn K=2 N=8")
+        assert family is FAMILIES["nn"]
+        assert params == (2, 8)
         assert report == nn_count(2, 8)
 
     def test_text_forms(self):
         assert parse_descriptor("poly P=11 M=2")[1] == PolyShape(11, 2)
         assert parse_descriptor("poly P=7 M=2 Q=3 L=1")[1] == PolyShape(7, 2, 3, 1)
         assert parse_descriptor("poly P=3 M=1 +dc")[1] == PolyShape(3, 1, include_dc=True)
-        assert parse_descriptor("nn_K1_N14")[:2] == ("nn", (1, 14))
-        assert parse_descriptor("nn K=2 N=8")[:2] == ("nn", (2, 8))
+        for text, params in [("nn_K1_N14", (1, 14)), ("nn K=2 N=8", (2, 8))]:
+            family, parsed, _ = parse_descriptor(text)
+            assert family is FAMILIES["nn"]
+            assert parsed == params
 
     def test_descriptor_string_round_trips(self):
         for shape in [PolyShape(7, 1), PolyShape(13, 4), PolyShape(5, 2, 5, 2)]:
@@ -97,12 +102,16 @@ class TestParseDescriptor:
     def test_poly_descriptor_text_round_trips(self, p_max, main_taps, conj, include_dc):
         shape = PolyShape(p_max, main_taps, *conj, include_dc=include_dc)
         report = poly_count(shape)
-        assert parse_descriptor(report.model_descriptor) == ("poly", shape, report)
+        family, parsed, parsed_report = parse_descriptor(report.model_descriptor)
+        assert family is FAMILIES["poly"]
+        assert (parsed, parsed_report) == (shape, report)
 
     @given(k=st.integers(1, 16), n=st.integers(1, 512))
     def test_nn_descriptor_text_round_trips(self, k, n):
         report = nn_count(k, n)
-        assert parse_descriptor(report.model_descriptor) == ("nn", (k, n), report)
+        family, parsed, parsed_report = parse_descriptor(report.model_descriptor)
+        assert family is FAMILIES["nn"]
+        assert (parsed, parsed_report) == ((k, n), report)
 
     def test_malformed_rejected(self):
         for bad in [
@@ -180,6 +189,43 @@ class TestExperimentSpec:
         assert spec.fixed_point == FixedFormat(total_bits=12, frac_bits=11)
         assert spec.output_dir == str(tmp_path / "results")
         assert spec.train.seed == 3
+
+    def test_from_dict_resolves_paths_against_base_dir(self, tmp_path):
+        base = tmp_path / "specs"
+        spec = ExperimentSpec.from_dict({"pa_profile_path": "pa.txt", "output_dir": "out"},
+                                        base_dir=base)
+        assert (spec.pa_profile_path, spec.output_dir) == (str(base / "pa.txt"), str(base / "out"))
+        elsewhere = {"pa_profile_path": str(tmp_path / "pa.txt"), "output_dir": str(tmp_path / "o")}
+        spec = ExperimentSpec.from_dict(elsewhere, base_dir=base)
+        assert (spec.pa_profile_path, spec.output_dir) == (str(tmp_path / "pa.txt"),
+                                                           str(tmp_path / "o"))
+        assert ExperimentSpec.from_dict({"pa_profile_path": "default"},
+                                        base_dir=base).pa_profile_path == "default"
+        # without a base directory every path is kept as it is given
+        spec = ExperimentSpec.from_dict({"pa_profile_path": "pa.txt", "output_dir": "out"})
+        assert (spec.pa_profile_path, spec.output_dir) == ("pa.txt", "out")
+
+    def test_path_fields_must_be_paths(self, tmp_path):
+        spec = ExperimentSpec(output_dir=tmp_path / "out")
+        assert spec.output_dir == tmp_path / "out"  # a Path is a path too
+        read_end, write_end = os.pipe()
+        try:
+            # an int profile path would be opened as that file descriptor, then closed
+            for make in (lambda: ExperimentSpec(pa_profile_path=read_end),
+                         lambda: ExperimentSpec.from_dict({"pa_profile_path": read_end}),
+                         lambda: ExperimentSpec.from_dict({"pa_profile_path": read_end},
+                                                          base_dir=tmp_path)):
+                with pytest.raises(ConfigurationError) as info:
+                    make()
+                assert info.value.field == "pa_profile_path"
+            os.fstat(read_end)  # still open
+            for bad in (3, 2.5, ["out"]):
+                with pytest.raises(ConfigurationError) as info:
+                    ExperimentSpec(output_dir=bad)
+                assert info.value.field == "output_dir"
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         spec_file = tmp_path / "exp.json"
@@ -325,6 +371,29 @@ class TestRunSweep:
             run_sweep(spec)
             models.append((tmp_path / f"seed{seed}" / "nn_K1_N4" / "model.txt").read_bytes())
         assert models[0] != models[1]
+
+    def test_rows_call_the_family_functions_through_module_globals(self, tmp_path, monkeypatch):
+        # a family record holds no public function, so a rebinding of the family module's
+        # globals (a tracing wrapper, say) reaches every fit and forward a sweep row makes
+        names = ("fit_ila", "poly_predistort", "poly_forward_fixed",
+                 "run_full_training", "nn_forward", "nn_forward_fixed")
+        calls = Counter()
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(complexity, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(complexity, name, counted)
+        # seed 2: one epoch leaves nn K=1 N=4 within the amplifier's drive
+        train = TrainConfig(outer_iterations=1, epochs_per_iteration=(1,), train_symbols=1,
+                            val_symbols=1, seed=2)
+        spec = small_spec(tmp_path, dpd_list=["poly P=5 M=1", "nn K=1 N=4"], train=train,
+                          fixed_point=FixedFormat())
+        rows = run_sweep(spec)
+        assert [(row.descriptor, row.mode, row.status) for row in rows] == [
+            ("poly P=5 M=1", "float", "ok"), ("poly P=5 M=1", "fixed", "ok"),
+            ("nn_K1_N4", "float", "ok"), ("nn_K1_N4", "fixed", "ok"),
+        ]
+        assert calls == Counter(dict.fromkeys(names, 1))
 
     def test_row_failure_is_captured_and_sweep_continues(self, tmp_path):
         spec = small_spec(

@@ -782,3 +782,11 @@ class TestModelIo:
             path.write_text(header + "\nmain,1,0,1.0,0.0\n")
             with pytest.raises(FormatError, match="headerless.txt:1:"):
                 load_poly_model(path)
+        # a repeated or unknown field is an error, not a last-one-wins or an ignored key
+        for header, problem in (
+            ("shape: p_max=5 p_max=3 main_taps=1 q_max=0 conj_taps=0 include_dc=0", "repeated"),
+            ("shape: p_max=3 main_taps=1 q_max=0 conj_taps=0 include_dc=0 foo=1", "unknown"),
+        ):
+            path.write_text(header + "\nmain,1,0,1.0,0.0\nmain,3,0,0.0,0.0\n")
+            with pytest.raises(FormatError, match=f"headerless.txt:1: .*{problem} field"):
+                load_poly_model(path)

@@ -112,6 +112,16 @@ class TestSignalCsv:
         assert back.sample_rate_hz == sig.sample_rate_hz
         assert meta["label"] == "unit"
 
+    def test_round_trip_takes_a_path(self, tmp_path):
+        # the sidecar's name is built before anything is written: a Path gives the CSV and its .meta
+        sig = random_signal(seed=12)
+        path = tmp_path / "s.csv"
+        write_signal_csv(sig, path, metadata={"label": "unit"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.meta"]
+        back, meta = read_signal_csv(path)
+        assert back.samples.tobytes() == sig.samples.tobytes()
+        assert back.sample_rate_hz == sig.sample_rate_hz and meta == {"label": "unit"}
+
     @given(
         samples=st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
                          min_size=1, max_size=40),
