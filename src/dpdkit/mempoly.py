@@ -300,27 +300,6 @@ def _mean_column_energy(basis: np.ndarray) -> float:
     return float(np.mean(total))
 
 
-class _FlapackHandover:
-    """A meta path finder that lets scipy.linalg load its own _flapack module.
-
-    _zgelsy registers scipy.linalg._flapack in sys.modules before its package
-    exists, and an import that finds a submodule there does not make it an
-    attribute of the package. So just before scipy.linalg is first imported,
-    this finder drops that entry: the package then loads the module itself,
-    with the same compiled routines, and the package, scipy.linalg.lapack and
-    sys.modules name one module. It finds no module itself, and once the entry
-    is gone it does nothing.
-    """
-
-    def __init__(self, module):
-        self.module = module
-
-    def find_spec(self, fullname, path=None, target=None):
-        if fullname == "scipy.linalg" and sys.modules.get(self.module.__name__) is self.module:
-            del sys.modules[self.module.__name__]
-        return None
-
-
 @functools.cache
 def _zgelsy():
     """LAPACK's (zgelsy, zgelsy_lwork), loaded without the scipy.linalg package.
@@ -330,6 +309,9 @@ def _zgelsy():
     scipy package is imported, whose __init__ sets up the load path of the
     libraries scipy bundles; the scipy.linalg package would load some 300
     modules more. If scipy.linalg is already imported, its module is used.
+    Otherwise the module is in sys.modules only while it initializes, so a
+    later import of scipy.linalg builds its own module object, from
+    CPython's cache of the loaded extension, with the same routines.
     """
     import scipy
 
@@ -342,7 +324,7 @@ def _zgelsy():
         flapack = importlib.util.module_from_spec(spec)
         sys.modules[name] = flapack
         spec.loader.exec_module(flapack)
-        sys.meta_path.insert(0, _FlapackHandover(flapack))
+        sys.modules.pop(name, None)
     return flapack.zgelsy, flapack.zgelsy_lwork
 
 

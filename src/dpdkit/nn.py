@@ -142,50 +142,45 @@ class _Pass:
 
 
 class _Columns:
-    """Every buffer one call needs at batch width n, for one or two nets.
+    """Every buffer a backward call needs at batch width n, for one or two nets.
 
-    A forward-only set holds the input and one pass per net. A backward set
-    adds the target, squared-error and input-gradient rows, plus the
-    per-layer scratch: a ``mask`` and the two ``up`` buffers (which a
-    backward pass alternates between), as wide as the widest net. The nets'
-    backward passes run one after the other, so they share that scratch,
-    each using its leading ``width`` rows.
+    The set holds the input, target, squared-error and input-gradient rows,
+    one pass per net, and the per-layer scratch: a ``mask`` and the two
+    ``up`` buffers (which a backward pass alternates between), as wide as the
+    widest net. The nets' backward passes run one after the other, so they
+    share that scratch, each using its leading ``width`` rows.
     """
 
-    def __init__(self, n: int, shapes: tuple[tuple[int, int], ...], backward: bool):
+    def __init__(self, n: int, shapes: tuple[tuple[int, int], ...]):
         self.x2 = np.empty((2, n))
         self.passes = [_Pass(k, width, n) for k, width in shapes]
-        self.backward = backward
-        if backward:
-            widest = max(width for _, width in shapes)
-            self.t2 = np.empty((2, n))
-            self.sq = np.empty((2, n))
-            self.dx = np.empty((2, n))
-            self.mask = np.empty((widest, n), dtype=bool)
-            self.up = (np.empty((widest, n)), np.empty((widest, n)))
+        widest = max(width for _, width in shapes)
+        self.t2 = np.empty((2, n))
+        self.sq = np.empty((2, n))
+        self.dx = np.empty((2, n))
+        self.mask = np.empty((widest, n), dtype=bool)
+        self.up = (np.empty((widest, n)), np.empty((widest, n)))
 
 
 class NnWorkspace:
-    """Buffers that repeated nn_forward / nn_backward / nn_backward_through_frozen calls reuse.
+    """Buffers that repeated nn_backward / nn_backward_through_frozen calls reuse.
 
     Column sets are kept per (batch width, net shapes), so a trailing partial
-    minibatch, a forward block and the training batch do not evict one
-    another. A backward call at the key of a forward-only set replaces it
-    with a full one. One gradient vector serves the net shape of the
-    latest backward call. A workspace serves one caller at a time:
-    gradients returned from a call given this workspace are views into it,
-    valid until the next backward call.
+    minibatch does not evict the full batch's set. One gradient vector
+    serves the net shape of the latest call. A workspace serves one caller
+    at a time: gradients returned from a call given this workspace are views
+    into it, valid until its next call.
     """
 
     def __init__(self):
         self._columns: dict[tuple, _Columns] = {}
         self._grads: DenseNet | None = None
 
-    def _columns_for(self, n: int, *nets: DenseNet, backward: bool = False) -> _Columns:
+    def _columns_for(self, n: int, *nets: DenseNet) -> _Columns:
         key = (n, tuple((net.hidden_layers, net.width) for net in nets))
         cols = self._columns.get(key)
-        if cols is None or (backward and not cols.backward):
-            cols = self._columns[key] = _Columns(*key, backward)
+        if cols is None:
+            cols = self._columns[key] = _Columns(*key)
         return cols
 
     def _gradients_for(self, net: DenseNet, loss: float) -> NnGradients:
@@ -221,7 +216,7 @@ def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, cols: _Columns, dz: np.nd
     """Back-propagate dLoss/dz through the pass _forward recorded in p.
 
     The per-layer scratch is the leading rows of the mask and upstream
-    buffers of the backward set ``cols``. Writes the trainables' gradients
+    buffers of the column set ``cols``. Writes the trainables' gradients
     into ``grads`` and the input gradient into ``dx``, each only when given.
     A unit's mask is ``act > 0``, which equals ``pre > 0`` (ReLU is positive
     exactly where its input is, and a NaN fails both); the mask multiplies
@@ -261,12 +256,12 @@ def _loss_and_dz(z: np.ndarray, target2: np.ndarray, sq: np.ndarray) -> float:
     return loss
 
 
-def nn_forward(net: DenseNet, x: IqSignal, *, workspace: NnWorkspace | None = None) -> IqSignal:
+def nn_forward(net: DenseNet, x: IqSignal) -> IqSignal:
     """Apply the network sample-wise to a complex signal.
 
-    Without a workspace the call allocates its own buffers; with one, it
-    reuses the workspace's forward buffers for each block width it runs.
-    The output is a new signal either way.
+    The signal runs in FORWARD_BLOCK-sample blocks through one input buffer
+    and one pass that the call allocates; a short last block gets its own.
+    The output is a new signal.
 
     Raises:
         InputRangeError: if the signal holds NaN/inf samples.
@@ -274,11 +269,11 @@ def nn_forward(net: DenseNet, x: IqSignal, *, workspace: NnWorkspace | None = No
     _require_finite(x, InputRangeError)
     n = len(x)
     out = np.empty(n, dtype=np.complex128)
-    ws = workspace if workspace is not None else NnWorkspace()
     for start in range(0, n, FORWARD_BLOCK):
         block = x.samples[start : start + FORWARD_BLOCK]
-        cols = ws._columns_for(block.size, net)
-        z = _forward(net, _split_into(cols.x2, block), cols.passes[0])
+        if start == 0 or block.size < FORWARD_BLOCK:
+            x2, p = np.empty((2, block.size)), _Pass(net.hidden_layers, net.width, block.size)
+        z = _forward(net, _split_into(x2, block), p)
         out[start : start + block.size] = z[0] + 1j * z[1]
     return IqSignal(out, x.sample_rate_hz)
 
@@ -297,7 +292,7 @@ def nn_backward(
     if len(x) != len(target):
         raise ConfigurationError(f"length mismatch: {len(x)} vs {len(target)}")
     ws = workspace if workspace is not None else NnWorkspace()
-    cols = ws._columns_for(len(x), net, backward=True)
+    cols = ws._columns_for(len(x), net)
     (p,) = cols.passes
     x2 = _split_into(cols.x2, x.samples)
     z = _forward(net, x2, p)
@@ -319,7 +314,7 @@ def nn_backward_through_frozen(
     workspace's buffers and are overwritten by its next call.
     """
     ws = workspace if workspace is not None else NnWorkspace()
-    cols = ws._columns_for(len(x), dpd, pa_model, backward=True)
+    cols = ws._columns_for(len(x), dpd, pa_model)
     dpd_pass, pa_pass = cols.passes
     x2 = _split_into(cols.x2, x.samples)
     u = _forward(dpd, x2, dpd_pass)

@@ -14,12 +14,14 @@ are bitwise reproducible, and separate calls never share generator state.
 from __future__ import annotations
 
 import importlib.resources
-import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, InputRangeError
+from .errors import (
+    ConfigurationError, FormatError, InputRangeError, _require_integer, _require_real
+)
 from .mempoly import MemoryPolyModel, PolyShape, _apply, _poly_keys
 from .signals import (
     IqSignal, _content_lines, _fmt, _read_header, _read_rows, _read_text, _write_rows
@@ -70,14 +72,17 @@ class SimulatedPa:
     _calls: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.saturation_output_limit > 0:
-            raise ConfigurationError("saturation_output_limit must be positive",
-                                     "saturation_output_limit")
-        # NaN would fail the `> 0` test in apply and silently switch the noise off
-        if not 0 <= self.noise_stddev < math.inf:
-            raise ConfigurationError(
-                f"noise_stddev must be finite and >= 0, got {self.noise_stddev}", "noise_stddev"
-            )
+        # a wrong-typed setting fails here, naming its field, not inside apply
+        _require_integer("seed", self.seed)
+        _require_real("noise_stddev", self.noise_stddev)
+        limit = self.saturation_output_limit
+        # inf is a limit (no clip), so the type is checked but not finiteness
+        if isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit > 0:
+            raise ConfigurationError(f"saturation_output_limit must be a positive real number, "
+                                     f"got {limit!r}", "saturation_output_limit")
+        if self.noise_stddev < 0:
+            raise ConfigurationError(f"noise_stddev must be >= 0, got {self.noise_stddev}",
+                                     "noise_stddev")
         # the noise generator takes no negative seed; every apply() would fail
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}", "seed")

@@ -199,7 +199,7 @@ def train_pa_nn(
         )
 
     def evaluate():
-        out = nn_forward(net, val_pairs[0], workspace=workspace)
+        out = nn_forward(net, val_pairs[0])
         return _mse(out.samples, val_pairs[1].samples)
 
     net = _run_epochs(
@@ -235,8 +235,7 @@ def train_dpd_nn(
         )
 
     def evaluate():
-        predistorted = nn_forward(dpd, x_val, workspace=workspace)
-        cascade = nn_forward(pa_model, predistorted, workspace=workspace)
+        cascade = nn_forward(pa_model, nn_forward(dpd, x_val))
         return _mse(cascade.samples, x_val.samples)
 
     dpd = _run_epochs(
@@ -293,12 +292,7 @@ def run_full_training(
         if iteration == 1:
             x_hat, x_hat_val = x_train, x_val
         else:
-            # the two frames' FORWARD_BLOCK-wide blocks share one set of
-            # buffers, dropped before training
-            forward = NnWorkspace()
-            x_hat = nn_forward(dpd, x_train, workspace=forward)
-            x_hat_val = nn_forward(dpd, x_val, workspace=forward)
-            del forward
+            x_hat, x_hat_val = nn_forward(dpd, x_train), nn_forward(dpd, x_val)
         y = pa.apply(x_hat)
         y_val = pa.apply(x_hat_val)
         g = estimate_gain(x_hat, y)

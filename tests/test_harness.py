@@ -631,12 +631,14 @@ class TestCli:
         # LAPACK module, not the scipy.linalg package
         script = """
 import json, sys
+from dpdkit import mempoly
 from dpdkit.cli import main
 
 def step(argv):
+    finders = list(sys.meta_path)
     code = main(argv) if argv else 0
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    return [code, loaded]
+    return [code, loaded, sys.meta_path == finders, mempoly._zgelsy.cache_info().currsize]
 
 steps = [step(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps(steps))
@@ -659,11 +661,13 @@ print(json.dumps(steps))
             capture_output=True, text=True, env=env, check=True, cwd=tmp_path,
         ).stdout
         steps = json.loads(out.splitlines()[-1])
-        for argv, (code, loaded) in zip(scipy_free, steps):
-            assert (code, loaded) == (0, []), argv
-        code, loaded = steps[-1]
-        assert code == 0
-        assert "scipy.linalg._flapack" in loaded
+        for argv, result in zip(scipy_free, steps):
+            assert result == [0, [], True, 0], argv
+        code, loaded, same_finders, gelsy_loaded = steps[-1]
+        assert (code, gelsy_loaded) == (0, 1)
+        # LAPACK is loaded without leaving a module or an import hook registered
+        assert same_finders
+        assert "scipy.linalg._flapack" not in loaded
         assert "scipy.linalg" not in loaded
         assert not [m for m in loaded if m.startswith(("scipy.fft", "scipy.signal"))]
 

@@ -311,7 +311,12 @@ class TestKernelOracle:
         for k, n in self.SHAPES:
             net = random_net(k, n, seed=60 + n)
             for sig in (frame, odd):
-                assert_same_bytes([nn_forward(net, sig).samples], [reference_forward(net, sig)])
+                got = nn_forward(net, sig)
+                assert_same_bytes([got.samples], [reference_forward(net, sig)])
+                # the output is the caller's, not a buffer the next call overwrites
+                before = got.samples.copy()
+                nn_forward(net, IqSignal(sig.samples[::-1], RATE))
+                assert_same_bytes([got.samples], [before])
 
     @pytest.mark.parametrize("n", [8193, 8194, 8199, 16385])
     def test_forward_matches_reference_one_block_at_a_time(self, frame, n):
@@ -343,19 +348,6 @@ class TestKernelOracle:
                     assert got.loss == loss
                     assert_same_bytes(got.weights + got.biases, gw + gb)
 
-    def test_forward_with_a_workspace_gives_the_same_bytes(self, frame):
-        workspace = NnWorkspace()
-        signals = [frame, IqSignal(frame.samples[:12345], RATE), IqSignal(frame.samples[:1], RATE)]
-        for k, n in self.SHAPES:
-            net = random_net(k, n, seed=90 + n)
-            for sig in signals:
-                got = nn_forward(net, sig, workspace=workspace)
-                assert_same_bytes([got.samples], [nn_forward(net, sig).samples])
-                # the output is the caller's, not a workspace buffer the next call overwrites
-                before = got.samples.copy()
-                nn_forward(net, IqSignal(sig.samples[::-1], RATE), workspace=workspace)
-                assert_same_bytes([got.samples], [before])
-
     @staticmethod
     def calls_in_turn(dpd, pa_model, frame, batch, offset):
         """A training phase's calls in turn: backward, the validation forwards, and backward
@@ -365,8 +357,8 @@ class TestKernelOracle:
         val = IqSignal(frame.samples[offset : offset + FORWARD_BLOCK], RATE)
         return [
             lambda ws: nn_backward(pa_model, x, target, workspace=ws),
-            lambda ws: nn_forward(dpd, val, workspace=ws),
-            lambda ws: nn_forward(pa_model, nn_forward(dpd, val, workspace=ws), workspace=ws),
+            lambda ws: nn_forward(dpd, val),
+            lambda ws: nn_forward(pa_model, nn_forward(dpd, val)),
             lambda ws: nn_backward_through_frozen(dpd, pa_model, x, workspace=ws),
         ]
 
@@ -378,7 +370,7 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("batch", [1024, FORWARD_BLOCK])
     def test_one_workspace_in_turn_matches_fresh_workspaces(self, frame, batch):
-        # at FORWARD_BLOCK the training batch and the forward block have one width
+        # at FORWARD_BLOCK the training batch is as wide as the forwards' blocks
         dpd, pa_model = random_net(1, 14, seed=95), random_net(2, 24, seed=96)
         workspace = NnWorkspace()
         for offset in (0, 3):  # the second round reuses every buffer the first made
@@ -392,20 +384,13 @@ class TestKernelOracle:
         for call in self.calls_in_turn(dpd, pa_model, frame, FORWARD_BLOCK, 0):
             call(workspace)
         sets = workspace._columns
-        # the forward shares the training batch's set for the same net, and
-        # only a set some backward call used holds per-layer scratch
-        assert {key: cols.backward for key, cols in sets.items()} == {
-            (FORWARD_BLOCK, ((2, 24),)): True,
-            (FORWARD_BLOCK, ((1, 14),)): False,
-            (FORWARD_BLOCK, ((1, 14), (2, 24))): True,
-        }
+        # the forwards allocate their own buffers: only the two backward calls' sets exist
+        assert set(sets) == {(FORWARD_BLOCK, ((2, 24),)), (FORWARD_BLOCK, ((1, 14), (2, 24)))}
         for cols in sets.values():
             passes = [[*p.acts, p.z] for p in cols.passes]
-            scratch = [cols.x2]
-            if cols.backward:
-                scratch += [cols.t2, cols.sq, cols.dx, cols.mask, *cols.up]
-                assert cols.mask.shape[0] == cols.up[0].shape[0] == max(p.acts[0].shape[0]
-                                                                        for p in cols.passes)
+            scratch = [cols.x2, cols.t2, cols.sq, cols.dx, cols.mask, *cols.up]
+            assert cols.mask.shape[0] == cols.up[0].shape[0] == max(p.acts[0].shape[0]
+                                                                    for p in cols.passes)
             # each net's forward outputs stay live while the other net runs
             # and while the shared per-layer scratch is written
             for i, mine in enumerate(passes):

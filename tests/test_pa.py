@@ -1,5 +1,6 @@
 """Tests for the simulated power amplifier and its profile file format."""
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -128,6 +129,18 @@ class TestNoise:
         for noise in (np.nan, np.inf, -1e-3):
             with pytest.raises(ConfigurationError, match="noise_stddev"):
                 SimulatedPa(core=gain_core(1.0), saturation_output_limit=10.0, noise_stddev=noise)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", "1"), ("seed", True),
+        ("noise_stddev", "0.001"), ("noise_stddev", None),
+        ("saturation_output_limit", "2.0"), ("saturation_output_limit", False),
+    ])
+    def test_wrong_typed_setting_rejected_at_construction(self, field, value):
+        # each used to construct and fail later, in apply or in a comparison,
+        # with a TypeError that named no field
+        with pytest.raises(ConfigurationError, match=field) as info:
+            dataclasses.replace(load_default_pa(), **{field: value})
+        assert info.value.field == field
 
     def test_noise_level_scales_with_stddev(self):
         sig = random_signal(4096, seed=9)
