@@ -117,6 +117,11 @@ class ExperimentSpec:
                     pa_path = str(base_dir / pa_path)  # an absolute path stays as it is
                 kwargs["pa_profile_path"] = pa_path
             if "waveform" in raw:
+                # refused at any value, the default too: the frames' sizes live under train
+                if "n_symbols" in raw["waveform"]:
+                    raise ConfigurationError("waveform.n_symbols is not a spec key; "
+                                             "train.train_symbols/val_symbols size the frames",
+                                             "waveform.n_symbols")
                 kwargs["waveform"] = _section("waveform", OfdmConfig, raw["waveform"])
             if "dpd_list" in raw:
                 kwargs["dpd_list"] = raw["dpd_list"]

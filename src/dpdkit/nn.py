@@ -23,7 +23,6 @@ from .signals import (
 
 __all__ = [
     "DenseNet",
-    "NnGradients",
     "NnWorkspace",
     "glorot_net",
     "nn_forward",
@@ -103,20 +102,6 @@ class DenseNet:
         return cls(hidden_layers, width, weights, [np.zeros(s[0]) for s in shapes])
 
 
-@dataclass
-class NnGradients:
-    """Loss value plus gradients shaped like a network's trainable tensors.
-
-    ``flat`` holds every entry in the layout of ``DenseNet.flat`` (weights,
-    then biases), and ``weights`` and ``biases`` are views into it.
-    """
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    loss: float
-    flat: np.ndarray
-
-
 def glorot_net(hidden_layers: int, width: int, seed=0) -> DenseNet:
     """Seeded uniform Glorot-style initialization; biases zero."""
     net = DenseNet.zeros(hidden_layers, width)
@@ -141,54 +126,37 @@ class _Pass:
         self.z = np.empty((2, n))
 
 
-class _Columns:
-    """Every buffer a backward call needs at batch width n, for one or two nets.
+class NnWorkspace:
+    """Every buffer a backward call needs, for the latest call's batch width and nets.
 
     The set holds the input, target, squared-error and input-gradient rows,
-    one pass per net, and the per-layer scratch: a ``mask`` and the two
-    ``up`` buffers (which a backward pass alternates between), as wide as the
-    widest net. The nets' backward passes run one after the other, so they
-    share that scratch, each using its leading ``width`` rows.
+    one pass per net, the per-layer scratch and the trained net's gradients.
+    The scratch is a ``mask`` and the two ``up`` buffers (which a backward
+    pass alternates between), as wide as the widest net. The nets' backward
+    passes run one after the other, so they share that scratch, each using
+    its leading ``width`` rows. A call at another batch width or with other
+    net shapes reallocates every buffer. A workspace serves one caller at a
+    time: gradients returned from a call given this workspace are views into
+    it, valid until its next call.
     """
 
-    def __init__(self, n: int, shapes: tuple[tuple[int, int], ...]):
-        self.x2 = np.empty((2, n))
-        self.passes = [_Pass(k, width, n) for k, width in shapes]
-        widest = max(width for _, width in shapes)
-        self.t2 = np.empty((2, n))
-        self.sq = np.empty((2, n))
-        self.dx = np.empty((2, n))
-        self.mask = np.empty((widest, n), dtype=bool)
-        self.up = (np.empty((widest, n)), np.empty((widest, n)))
+    _key = None
 
-
-class NnWorkspace:
-    """Buffers that repeated nn_backward / nn_backward_through_frozen calls reuse.
-
-    Column sets are kept per (batch width, net shapes), so a trailing partial
-    minibatch does not evict the full batch's set. One gradient vector
-    serves the net shape of the latest call. A workspace serves one caller
-    at a time: gradients returned from a call given this workspace are views
-    into it, valid until its next call.
-    """
-
-    def __init__(self):
-        self._columns: dict[tuple, _Columns] = {}
-        self._grads: DenseNet | None = None
-
-    def _columns_for(self, n: int, *nets: DenseNet) -> _Columns:
-        key = (n, tuple((net.hidden_layers, net.width) for net in nets))
-        cols = self._columns.get(key)
-        if cols is None:
-            cols = self._columns[key] = _Columns(*key)
-        return cols
-
-    def _gradients_for(self, net: DenseNet, loss: float) -> NnGradients:
-        g = self._grads
-        if g is None or (g.hidden_layers, g.width) != (net.hidden_layers, net.width):
-            # a buffer in the net's layout; every call overwrites all of it
-            g = self._grads = DenseNet.zeros(net.hidden_layers, net.width)
-        return NnGradients(g.weights, g.biases, loss, g.flat)
+    def _fit(self, n: int, *nets: DenseNet) -> NnWorkspace:
+        shapes = tuple((net.hidden_layers, net.width) for net in nets)
+        if self._key != (n, shapes):
+            self._key = (n, shapes)
+            self.x2 = np.empty((2, n))
+            self.passes = [_Pass(k, width, n) for k, width in shapes]
+            widest = max(width for _, width in shapes)
+            self.t2 = np.empty((2, n))
+            self.sq = np.empty((2, n))
+            self.dx = np.empty((2, n))
+            self.mask = np.empty((widest, n), dtype=bool)
+            self.up = (np.empty((widest, n)), np.empty((widest, n)))
+            # the trained net's gradients; every call overwrites all of them
+            self.grads = DenseNet.zeros(*shapes[0])
+        return self
 
 
 def _split_into(x2: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -211,13 +179,13 @@ def _forward(net: DenseNet, x2: np.ndarray, p: _Pass) -> np.ndarray:
     return p.z
 
 
-def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, cols: _Columns, dz: np.ndarray, *,
+def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, ws: NnWorkspace, dz: np.ndarray, *,
               grads=None, dx=None):
     """Back-propagate dLoss/dz through the pass _forward recorded in p.
 
-    The per-layer scratch is the leading rows of the mask and upstream
-    buffers of the column set ``cols``. Writes the trainables' gradients
-    into ``grads`` and the input gradient into ``dx``, each only when given.
+    The per-layer scratch is the leading rows of the workspace's mask and
+    upstream buffers. Writes the trainables' gradients into ``grads`` and
+    the input gradient into ``dx``, each only when given.
     A unit's mask is ``act > 0``, which equals ``pre > 0`` (ReLU is positive
     exactly where its input is, and a NaN fails both); the mask multiplies
     rather than selects, so a NaN upstream gradient survives a closed unit.
@@ -226,8 +194,8 @@ def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, cols: _Columns, dz: np.nd
     if grads is not None:
         np.matmul(dz, inputs[-1].T, out=grads.weights[-1])
         np.add.reduce(dz, axis=1, out=grads.biases[-1])
-    mask = cols.mask[: net.width]
-    up, spare = (buf[: net.width] for buf in cols.up)
+    mask = ws.mask[: net.width]
+    up, spare = (buf[: net.width] for buf in ws.up)
     np.matmul(net.weights[-1].T, dz, out=up)
     for i in range(net.hidden_layers - 1, -1, -1):
         np.greater(p.acts[i], 0.0, out=mask)
@@ -280,50 +248,44 @@ def nn_forward(net: DenseNet, x: IqSignal) -> IqSignal:
 
 def nn_backward(
     net: DenseNet, x: IqSignal, target: IqSignal, *, workspace: NnWorkspace | None = None
-) -> NnGradients:
-    """MSE loss against a target signal and its exact gradients.
+) -> tuple[float, DenseNet]:
+    """MSE loss against a target signal and its exact gradients, as (loss, grads).
 
     The loss is the mean over samples and over the two real output channels
     of the squared error; the ReLU subgradient at exactly zero is taken as 0.
-    Without a workspace the call allocates its own buffers. With one, the
-    returned gradients are views into the workspace's buffers and are
-    overwritten by its next call.
+    ``grads`` is a DenseNet in the net's layout. Without a workspace the call
+    allocates its own buffers. With one, ``grads`` is the workspace's
+    gradient buffer and is overwritten by its next call.
     """
     if len(x) != len(target):
         raise ConfigurationError(f"length mismatch: {len(x)} vs {len(target)}")
-    ws = workspace if workspace is not None else NnWorkspace()
-    cols = ws._columns_for(len(x), net)
-    (p,) = cols.passes
-    x2 = _split_into(cols.x2, x.samples)
+    ws = (workspace or NnWorkspace())._fit(len(x), net)
+    (p,) = ws.passes
+    x2 = _split_into(ws.x2, x.samples)
     z = _forward(net, x2, p)
-    loss = _loss_and_dz(z, _split_into(cols.t2, target.samples), cols.sq)
-    grads = ws._gradients_for(net, loss)
-    _backward(net, x2, p, cols, z, grads=grads)
-    return grads
+    loss = _loss_and_dz(z, _split_into(ws.t2, target.samples), ws.sq)
+    _backward(net, x2, p, ws, z, grads=ws.grads)
+    return loss, ws.grads
 
 
 def nn_backward_through_frozen(
     dpd: DenseNet, pa_model: DenseNet, x: IqSignal, *, workspace: NnWorkspace | None = None
-) -> NnGradients:
-    """Gradients for the predistorter through a frozen amplifier model.
+) -> tuple[float, DenseNet]:
+    """(loss, grads) for the predistorter through a frozen amplifier model.
 
     The cascade pa_model(dpd(x)) is trained toward the unit-gain target x;
     only the predistorter's gradients are produced, the amplifier model's
-    weights receive none. Without a workspace the call allocates its own
-    buffers. With one, the returned gradients are views into the
-    workspace's buffers and are overwritten by its next call.
+    weights receive none. Workspaces and ``grads`` are as in nn_backward.
     """
-    ws = workspace if workspace is not None else NnWorkspace()
-    cols = ws._columns_for(len(x), dpd, pa_model)
-    dpd_pass, pa_pass = cols.passes
-    x2 = _split_into(cols.x2, x.samples)
+    ws = (workspace or NnWorkspace())._fit(len(x), dpd, pa_model)
+    dpd_pass, pa_pass = ws.passes
+    x2 = _split_into(ws.x2, x.samples)
     u = _forward(dpd, x2, dpd_pass)
     z = _forward(pa_model, u, pa_pass)
-    loss = _loss_and_dz(z, x2, cols.sq)
-    _backward(pa_model, u, pa_pass, cols, z, dx=cols.dx)
-    grads = ws._gradients_for(dpd, loss)
-    _backward(dpd, x2, dpd_pass, cols, cols.dx, grads=grads)
-    return grads
+    loss = _loss_and_dz(z, x2, ws.sq)
+    _backward(pa_model, u, pa_pass, ws, z, dx=ws.dx)
+    _backward(dpd, x2, dpd_pass, ws, ws.dx, grads=ws.grads)
+    return loss, ws.grads
 
 
 _BYPASS = np.eye(2)

@@ -80,6 +80,9 @@ class OfdmConfig:
             raise ConfigurationError(
                 f"oversampling_factor must be >= 2, got {self.oversampling_factor}"
             )
+        # the data generator takes no negative seed
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}", "seed")
 
     @property
     def base_dft_size(self) -> int:

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, _require_integer, _require_real
 from .nn import (
     DenseNet,
-    NnGradients,
     NnWorkspace,
     glorot_net,
     nn_backward,
@@ -118,7 +117,7 @@ class AdamState:
         return cls(m=np.zeros(net.flat.size), v=np.zeros(net.flat.size))
 
 
-def adam_step(net: DenseNet, grads: NnGradients, state: AdamState, cfg: TrainConfig) -> None:
+def adam_step(net: DenseNet, grads: DenseNet, state: AdamState, cfg: TrainConfig) -> None:
     """One bias-corrected Adam update, in place on the net and state.
 
     Raises:
@@ -153,9 +152,9 @@ def _run_epochs(step_fn, eval_fn, net, cfg, epochs, n_samples, *, iteration, pha
         weighted = 0.0
         for start in range(0, n_samples, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            grads = step_fn(batch)
+            loss, grads = step_fn(batch)
             adam_step(net, grads, state, cfg)
-            weighted += grads.loss * len(batch)
+            weighted += loss * len(batch)
         log.append(
             TrainRecord(
                 iteration=iteration,

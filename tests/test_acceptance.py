@@ -152,14 +152,14 @@ def test_2_gradients_match_finite_differences(capsys):
             target = IqSignal(
                 0.4 * (rng.standard_normal(32) + 1j * rng.standard_normal(32)), 61.44e6
             )
-            grads = nn_backward(net, sig, target)
+            _, grads = nn_backward(net, sig, target)
 
             def loss_fn(cand):
                 err = nn_forward(cand, sig).samples - target.samples
                 return float((np.sum(err.real**2) + np.sum(err.imag**2)) / (2 * len(sig)))
 
         else:
-            grads = nn_backward_through_frozen(net, pa_net, sig)
+            _, grads = nn_backward_through_frozen(net, pa_net, sig)
 
             def loss_fn(cand):
                 err = nn_forward(pa_net, nn_forward(cand, sig)).samples - sig.samples

@@ -697,6 +697,7 @@ print(json.dumps(steps))
             {"seed": 3},  # the seed lives under train
             {"seed": "x"},
             {"waveform": {"n_symbols": 2}},  # train.train_symbols/val_symbols size the frames
+            {"waveform": {"n_symbols": 1}},  # not a key, even at its default value
             {"dpd_list": [{"type": "poly", "P": 7, "taps": 1}]},  # descriptors are text
             {"dpd_list": ["poly P=3", "poly P=3 M=1"]},  # one design point twice
             # fixed settings, not spec keys
@@ -714,6 +715,7 @@ print(json.dumps(steps))
             ("waveform.n_subcarriers", {"waveform": {"n_subcarriers": 600.5}}),
             ("waveform.oversampling_factor", {"waveform": {"oversampling_factor": 4.0}}),
             ("waveform.seed", {"waveform": {"seed": 1.5}}),
+            ("waveform.seed", {"waveform": {"seed": -1}}),
             ("fixed_point.frac_bits", {"fixed_point": {"frac_bits": 14.5}}),
             # JSON true and false are not counts
             ("train.seed", {"train": {"seed": True}}),

@@ -211,8 +211,8 @@ class TestBackward:
         net = random_net(2, 4, seed=20)
         sig = random_signal(50, seed=21)
         target = nn_forward(net, sig)
-        grads = nn_backward(net, sig, target)
-        assert grads.loss == 0.0
+        loss, grads = nn_backward(net, sig, target)
+        assert loss == 0.0
         for g in grads.weights + grads.biases:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -221,7 +221,7 @@ class TestBackward:
         net = DenseNet.zeros(1, 3)
         sig = random_signal(40, seed=22)
         target = IqSignal(2.0 * sig.samples, RATE)
-        grads = nn_backward(net, sig, target)
+        _, grads = nn_backward(net, sig, target)
         expect = -np.stack([sig.samples.real, sig.samples.imag]).mean(axis=1)
         np.testing.assert_allclose(grads.biases[-1], expect, rtol=1e-12)
         for g in grads.weights:
@@ -232,7 +232,7 @@ class TestBackward:
             net = random_net(k, n, seed=seed)
             sig = random_signal(48, seed=seed + 50)
             target = random_signal(48, seed=seed + 100)
-            grads = nn_backward(net, sig, target)
+            _, grads = nn_backward(net, sig, target)
 
             def loss_fn(candidate):
                 z = nn_forward(candidate, sig).samples
@@ -253,9 +253,9 @@ class TestFrozenComposition:
         dpd = random_net(2, 4, seed=40)
         pa = DenseNet.zeros(1, 4)
         sig = random_signal(64, seed=41)
-        combo = nn_backward_through_frozen(dpd, pa, sig)
-        plain = nn_backward(dpd, sig, sig)
-        assert combo.loss == pytest.approx(plain.loss, rel=1e-12)
+        combo_loss, combo = nn_backward_through_frozen(dpd, pa, sig)
+        plain_loss, plain = nn_backward(dpd, sig, sig)
+        assert combo_loss == pytest.approx(plain_loss, rel=1e-12)
         for a, b in zip(combo.weights + combo.biases, plain.weights + plain.biases):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
@@ -263,8 +263,8 @@ class TestFrozenComposition:
         dpd = DenseNet.zeros(1, 4)
         pa = DenseNet.zeros(1, 4)
         sig = random_signal(64, seed=42)
-        combo = nn_backward_through_frozen(dpd, pa, sig)
-        assert combo.loss < 1e-30
+        loss, combo = nn_backward_through_frozen(dpd, pa, sig)
+        assert loss < 1e-30
         for g in combo.weights + combo.biases:
             assert np.max(np.abs(g)) < 1e-15
 
@@ -272,7 +272,7 @@ class TestFrozenComposition:
         dpd = random_net(2, 4, seed=43)
         pa = random_net(1, 5, seed=44)
         sig = random_signal(48, seed=45)
-        grads = nn_backward_through_frozen(dpd, pa, sig)
+        _, grads = nn_backward_through_frozen(dpd, pa, sig)
 
         def loss_fn(candidate):
             u = nn_forward(candidate, sig)
@@ -344,8 +344,8 @@ class TestKernelOracle:
                     (lambda: nn_backward_through_frozen(net, pa_model, x, workspace=workspace),
                      lambda: reference_backward_through_frozen(net, pa_model, x)),
                 ):
-                    got, (loss, gw, gb) = call(), reference()
-                    assert got.loss == loss
+                    (got_loss, got), (loss, gw, gb) = call(), reference()
+                    assert got_loss == loss
                     assert_same_bytes(got.weights + got.biases, gw + gb)
 
     @staticmethod
@@ -366,7 +366,8 @@ class TestKernelOracle:
     def result_bytes(result):
         if isinstance(result, IqSignal):
             return [result.samples.copy()]
-        return [np.array(result.loss)] + [t.copy() for t in result.weights + result.biases]
+        loss, grads = result
+        return [np.array(loss)] + [t.copy() for t in grads.weights + grads.biases]
 
     @pytest.mark.parametrize("batch", [1024, FORWARD_BLOCK])
     def test_one_workspace_in_turn_matches_fresh_workspaces(self, frame, batch):
@@ -380,22 +381,18 @@ class TestKernelOracle:
 
     def test_live_passes_share_no_buffer(self, frame):
         dpd, pa_model = random_net(1, 14, seed=97), random_net(2, 24, seed=98)
-        workspace = NnWorkspace()
+        ws = NnWorkspace()
         for call in self.calls_in_turn(dpd, pa_model, frame, FORWARD_BLOCK, 0):
-            call(workspace)
-        sets = workspace._columns
-        # the forwards allocate their own buffers: only the two backward calls' sets exist
-        assert set(sets) == {(FORWARD_BLOCK, ((2, 24),)), (FORWARD_BLOCK, ((1, 14), (2, 24)))}
-        for cols in sets.values():
-            passes = [[*p.acts, p.z] for p in cols.passes]
-            scratch = [cols.x2, cols.t2, cols.sq, cols.dx, cols.mask, *cols.up]
-            assert cols.mask.shape[0] == cols.up[0].shape[0] == max(p.acts[0].shape[0]
-                                                                    for p in cols.passes)
-            # each net's forward outputs stay live while the other net runs
-            # and while the shared per-layer scratch is written
-            for i, mine in enumerate(passes):
-                others = [buf for j, bufs in enumerate(passes) if j != i for buf in bufs] + scratch
-                assert not any(np.shares_memory(a, b) for a in mine for b in others)
+            call(ws)
+            # the forwards allocate their own buffers: the set is the latest backward call's
+            assert ws.mask.shape[0] == ws.up[0].shape[0] == max(p.acts[0].shape[0]
+                                                                for p in ws.passes)
+            # each net's forward outputs stay live while the other net runs and while
+            # the shared per-layer scratch and the gradients are written
+            buffers = [ws.x2, ws.t2, ws.sq, ws.dx, ws.mask, *ws.up, ws.grads.flat,
+                       *(buf for p in ws.passes for buf in [*p.acts, p.z])]
+            for i, mine in enumerate(buffers):
+                assert not any(np.shares_memory(mine, other) for other in buffers[i + 1 :])
 
     def test_nan_reaches_every_gradient_like_the_reference(self):
         # a NaN sample reaches closed ReLUs through their mask: multiplying by
@@ -403,7 +400,7 @@ class TestKernelOracle:
         net = random_net(2, 5, seed=80)
         x = random_signal(64, seed=81)
         x.samples[17] = np.nan
-        got = nn_backward(net, x, random_signal(64, seed=82), workspace=NnWorkspace())
+        _, got = nn_backward(net, x, random_signal(64, seed=82), workspace=NnWorkspace())
         _, gw, gb = reference_backward(net, x, random_signal(64, seed=82))
         for a, e in zip(got.weights + got.biases, gw + gb):
             assert np.isnan(a).all()
@@ -411,7 +408,7 @@ class TestKernelOracle:
 
     def test_gradients_are_views_of_one_flat_vector(self):
         net = random_net(2, 4, seed=83)
-        grads = nn_backward(net, random_signal(16, 84), random_signal(16, 85))
+        _, grads = nn_backward(net, random_signal(16, 84), random_signal(16, 85))
         offset = 0
         for g in grads.weights + grads.biases:
             np.testing.assert_array_equal(g.ravel(), grads.flat[offset : offset + g.size])

@@ -28,6 +28,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             OfdmConfig(n_symbols=0)
 
+    def test_negative_seed_rejected_naming_the_field(self):
+        # numpy's generator would refuse it later, as a ValueError from inside generate_ofdm
+        with pytest.raises(ConfigurationError, match="seed") as err:
+            OfdmConfig(seed=-1)
+        assert err.value.field == "seed"
+
     def test_constellations_unit_power(self):
         for name, points in CONSTELLATIONS.items():
             assert np.mean(np.abs(points) ** 2) == pytest.approx(1.0, rel=1e-12), name

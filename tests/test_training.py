@@ -24,7 +24,7 @@ from dpdkit import (
 )
 from dpdkit.errors import ConfigurationError, DivergenceError
 from dpdkit import training
-from dpdkit.nn import DenseNet, NnGradients
+from dpdkit.nn import DenseNet
 from dpdkit.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -100,8 +100,7 @@ class TestAdamStep:
 
     @staticmethod
     def gradients(weights, biases):
-        g = DenseNet(len(weights) - 1, weights[0].shape[0], weights, biases)
-        return NnGradients(g.weights, g.biases, 0.0, g.flat)
+        return DenseNet(len(weights) - 1, weights[0].shape[0], weights, biases)
 
     def zero_grads(self):
         return self.gradients([np.zeros_like(w) for w in self.net.weights],
@@ -291,6 +290,30 @@ class TestTrainDpdNn:
             np.testing.assert_array_equal(w0, w1)
         for b0, b1 in zip(before_b, learned_pa_model.biases):
             np.testing.assert_array_equal(b0, b1)
+
+
+class TestPhaseWorkspace:
+    def test_trailing_partial_minibatch_matches_fresh_buffers(self, pa_pairs, monkeypatch):
+        # 2,500 samples at batch 1,024 end every epoch on a 452-sample minibatch, so the
+        # phase's one workspace reallocates between widths twice per epoch
+        cfg = TrainConfig(seed=0)
+        x, y = (IqSignal(s.samples[:2500], s.sample_rate_hz) for s in pa_pairs)
+        assert len(x) % cfg.batch_size == 452
+
+        def phases():
+            log = TrainLog()
+            pa_net, _ = train_pa_nn((x, y), glorot_net(2, 24, seed=[cfg.seed, 0]), cfg,
+                                    val_pairs=(x, y), epochs=2, iteration=1, log=log)
+            dpd, _ = train_dpd_nn(glorot_net(1, 14, seed=[cfg.seed, 5]), pa_net, x, cfg,
+                                  x_val=x, epochs=2, iteration=1, log=log)
+            return pa_net.flat.tobytes(), dpd.flat.tobytes(), log.records
+
+        shared = phases()
+        for name in ("nn_backward", "nn_backward_through_frozen"):
+            kernel = getattr(training, name)
+            monkeypatch.setattr(training, name,
+                                lambda *args, workspace, kernel=kernel: kernel(*args))
+        assert phases() == shared
 
 
 class TestRunFullTraining:
