@@ -117,8 +117,9 @@ class ExperimentSpec:
                     pa_path = str(base_dir / pa_path)  # an absolute path stays as it is
                 kwargs["pa_profile_path"] = pa_path
             if "waveform" in raw:
-                # refused at any value, the default too: the frames' sizes live under train
-                if "n_symbols" in raw["waveform"]:
+                # refused at any value, the default too: the frames' sizes live under train;
+                # a section that is not an object is named by _section
+                if isinstance(raw["waveform"], dict) and "n_symbols" in raw["waveform"]:
                     raise ConfigurationError("waveform.n_symbols is not a spec key; "
                                              "train.train_symbols/val_symbols size the frames",
                                              "waveform.n_symbols")

@@ -121,13 +121,17 @@ class _Pass:
     recomputing them. ``z`` is the (2, n) output.
     """
 
-    def __init__(self, hidden_layers: int, width: int, n: int):
-        self.acts = [np.empty((width, n)) for _ in range(hidden_layers)]
-        self.z = np.empty((2, n))
+    def __init__(self, acts: list[np.ndarray], z: np.ndarray):
+        self.acts, self.z = acts, z
+
+    @classmethod
+    def empty(cls, hidden_layers: int, width: int, n: int) -> "_Pass":
+        return cls([np.empty((width, n)) for _ in range(hidden_layers)], np.empty((2, n)))
 
 
 class NnWorkspace:
-    """Every buffer a backward call needs, for the latest call's batch width and nets.
+    """Every buffer a backward call needs, for the latest call's batch width and nets,
+    and one forward slot.
 
     The set holds the input, target, squared-error and input-gradient rows,
     one pass per net, the per-layer scratch and the trained net's gradients.
@@ -138,16 +142,37 @@ class NnWorkspace:
     net shapes reallocates every buffer. A workspace serves one caller at a
     time: gradients returned from a call given this workspace are views into
     it, valid until its next call.
+
+    The forward slot serves nn_forward's blocks: an input row pair ``fx2``
+    and a pass ``forward`` of one or two activation buffers, as wide as the
+    widest net the slot has served, and an output row pair. A forward keeps
+    no layer for a backward pass, so a net's layers alternate between those
+    buffers, each using its leading ``width`` rows; the second buffer comes
+    with the first net of two or more layers. A block of another width, or
+    a wider or deeper net, reallocates the slot. It shares no buffer with
+    the backward set.
     """
 
     _key = None
+    _forward_key = (0, 0, 0)
+
+    def _forward_slot(self, n: int, net: DenseNet) -> tuple[np.ndarray, _Pass]:
+        """The slot's input rows and a pass of net over an n-column block."""
+        _, depth, widest = self._forward_key
+        depth, widest = max(depth, min(net.hidden_layers, 2)), max(widest, net.width)
+        if self._forward_key != (n, depth, widest):
+            self._forward_key = (n, depth, widest)
+            self.fx2 = np.empty((2, n))
+            self.forward = _Pass.empty(depth, widest, n)
+        acts = [self.forward.acts[i % depth][: net.width] for i in range(net.hidden_layers)]
+        return self.fx2, _Pass(acts, self.forward.z)
 
     def _fit(self, n: int, *nets: DenseNet) -> NnWorkspace:
         shapes = tuple((net.hidden_layers, net.width) for net in nets)
         if self._key != (n, shapes):
             self._key = (n, shapes)
             self.x2 = np.empty((2, n))
-            self.passes = [_Pass(k, width, n) for k, width in shapes]
+            self.passes = [_Pass.empty(k, width, n) for k, width in shapes]
             widest = max(width for _, width in shapes)
             self.t2 = np.empty((2, n))
             self.sq = np.empty((2, n))
@@ -224,12 +249,14 @@ def _loss_and_dz(z: np.ndarray, target2: np.ndarray, sq: np.ndarray) -> float:
     return loss
 
 
-def nn_forward(net: DenseNet, x: IqSignal) -> IqSignal:
+def nn_forward(net: DenseNet, x: IqSignal, *, workspace: NnWorkspace | None = None) -> IqSignal:
     """Apply the network sample-wise to a complex signal.
 
-    The signal runs in FORWARD_BLOCK-sample blocks through one input buffer
-    and one pass that the call allocates; a short last block gets its own.
-    The output is a new signal.
+    The signal runs in FORWARD_BLOCK-sample blocks through the workspace's
+    forward slot, so a short last block reallocates it. Without a workspace
+    the call makes its own, which holds one input buffer and one buffer per
+    layer (two for a deeper net). The output is a new signal either way,
+    with the same bytes.
 
     Raises:
         InputRangeError: if the signal holds NaN/inf samples.
@@ -237,10 +264,10 @@ def nn_forward(net: DenseNet, x: IqSignal) -> IqSignal:
     _require_finite(x, InputRangeError)
     n = len(x)
     out = np.empty(n, dtype=np.complex128)
+    ws = workspace or NnWorkspace()
     for start in range(0, n, FORWARD_BLOCK):
         block = x.samples[start : start + FORWARD_BLOCK]
-        if start == 0 or block.size < FORWARD_BLOCK:
-            x2, p = np.empty((2, block.size)), _Pass(net.hidden_layers, net.width, block.size)
+        x2, p = ws._forward_slot(block.size, net)
         z = _forward(net, _split_into(x2, block), p)
         out[start : start + block.size] = z[0] + 1j * z[1]
     return IqSignal(out, x.sample_rate_hz)

@@ -10,6 +10,7 @@ signal pairs, never coefficients.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
@@ -55,7 +56,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "epochs_per_iteration", tuple(self.epochs_per_iteration))
+        epochs = self.epochs_per_iteration
+        # tuple() would split a string such as "20,5" into its characters
+        if isinstance(epochs, (str, bytes)) or not isinstance(epochs, (Sequence, np.ndarray)):
+            raise ConfigurationError(
+                f"epochs_per_iteration must be a list of integers, got {epochs!r}",
+                "epochs_per_iteration",
+            )
+        object.__setattr__(self, "epochs_per_iteration", tuple(epochs))
         # a float or string count fails here, not inside a sweep row
         for name in ("outer_iterations", "batch_size", "train_symbols", "val_symbols", "seed"):
             _require_integer(name, getattr(self, name))
@@ -198,7 +206,7 @@ def train_pa_nn(
         )
 
     def evaluate():
-        out = nn_forward(net, val_pairs[0])
+        out = nn_forward(net, val_pairs[0], workspace=workspace)
         return _mse(out.samples, val_pairs[1].samples)
 
     net = _run_epochs(
@@ -234,7 +242,9 @@ def train_dpd_nn(
         )
 
     def evaluate():
-        cascade = nn_forward(pa_model, nn_forward(dpd, x_val))
+        cascade = nn_forward(
+            pa_model, nn_forward(dpd, x_val, workspace=workspace), workspace=workspace
+        )
         return _mse(cascade.samples, x_val.samples)
 
     dpd = _run_epochs(

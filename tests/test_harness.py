@@ -698,6 +698,8 @@ print(json.dumps(steps))
             {"seed": "x"},
             {"waveform": {"n_symbols": 2}},  # train.train_symbols/val_symbols size the frames
             {"waveform": {"n_symbols": 1}},  # not a key, even at its default value
+            {"waveform": None},  # a section is an object
+            {"waveform": 5},
             {"dpd_list": [{"type": "poly", "P": 7, "taps": 1}]},  # descriptors are text
             {"dpd_list": ["poly P=3", "poly P=3 M=1"]},  # one design point twice
             # fixed settings, not spec keys
@@ -712,6 +714,7 @@ print(json.dumps(steps))
             ("train.val_symbols", {"train": {"val_symbols": 2.0}}),
             ("train.batch_size", {"train": {"batch_size": 512.5}}),
             ("train.epochs_per_iteration", {"train": {"epochs_per_iteration": [2.5, 1]}}),
+            ("train.epochs_per_iteration", {"train": {"epochs_per_iteration": "20,5"}}),
             ("waveform.n_subcarriers", {"waveform": {"n_subcarriers": 600.5}}),
             ("waveform.oversampling_factor", {"waveform": {"oversampling_factor": 4.0}}),
             ("waveform.seed", {"waveform": {"seed": 1.5}}),
@@ -739,11 +742,17 @@ print(json.dumps(steps))
         for raw in bad_specs:
             spec.write_text(json.dumps(raw))
             assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
+            if raw in ({"waveform": None}, {"waveform": 5}):
+                assert "bad spec value in waveform:" in capsys.readouterr().err
         capsys.readouterr()
         for field, raw in named:
             spec.write_text(json.dumps(raw))
             assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
-            assert field in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert field in err
+            # a string of epochs is quoted whole, not read one character at a time
+            if raw == {"train": {"epochs_per_iteration": "20,5"}}:
+                assert "'20,5'" in err
 
     def test_failed_row_exits_1(self, tmp_path):
         spec = tmp_path / "exp.json"

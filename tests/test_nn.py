@@ -308,26 +308,31 @@ class TestKernelOracle:
     def test_full_frame_forward_matches_reference(self, frame):
         # 40,960 samples span five forward blocks; the odd length ends on a partial one
         odd = IqSignal(frame.samples[:12345], RATE)
-        for k, n in self.SHAPES:
+        workspace = NnWorkspace()  # its forward slot serves every net and length in turn
+        for k, n in self.SHAPES + [(3, 10)]:  # three layers take turns in two buffers
             net = random_net(k, n, seed=60 + n)
             for sig in (frame, odd):
-                got = nn_forward(net, sig)
-                assert_same_bytes([got.samples], [reference_forward(net, sig)])
-                # the output is the caller's, not a buffer the next call overwrites
-                before = got.samples.copy()
-                nn_forward(net, IqSignal(sig.samples[::-1], RATE))
-                assert_same_bytes([got.samples], [before])
+                for ws in (None, workspace):
+                    got = nn_forward(net, sig, workspace=ws)
+                    assert_same_bytes([got.samples], [reference_forward(net, sig)])
+                    # the output is the caller's, not a buffer the next call overwrites
+                    before = got.samples.copy()
+                    nn_forward(net, IqSignal(sig.samples[::-1], RATE), workspace=ws)
+                    assert_same_bytes([got.samples], [before])
 
     @pytest.mark.parametrize("n", [8193, 8194, 8199, 16385])
     def test_forward_matches_reference_one_block_at_a_time(self, frame, n):
         # at these lengths a short last block rounds some sample differently
         # from one whole-frame matmul; the blockwise reference is the contract
         sig = IqSignal(frame.samples[:n], RATE)
+        workspace = NnWorkspace()
         for k, width in self.SHAPES:
             net = random_net(k, width, seed=60 + width)
             blocks = [reference_forward(net, IqSignal(sig.samples[s : s + FORWARD_BLOCK], RATE))
                       for s in range(0, n, FORWARD_BLOCK)]
-            assert_same_bytes([nn_forward(net, sig).samples], [np.concatenate(blocks)])
+            for ws in (None, workspace):
+                assert_same_bytes([nn_forward(net, sig, workspace=ws).samples],
+                                  [np.concatenate(blocks)])
 
     def test_one_workspace_matches_reference_across_shapes_and_widths(self, frame):
         workspace = NnWorkspace()
@@ -357,8 +362,8 @@ class TestKernelOracle:
         val = IqSignal(frame.samples[offset : offset + FORWARD_BLOCK], RATE)
         return [
             lambda ws: nn_backward(pa_model, x, target, workspace=ws),
-            lambda ws: nn_forward(dpd, val),
-            lambda ws: nn_forward(pa_model, nn_forward(dpd, val)),
+            lambda ws: nn_forward(dpd, val, workspace=ws),
+            lambda ws: nn_forward(pa_model, nn_forward(dpd, val, workspace=ws), workspace=ws),
             lambda ws: nn_backward_through_frozen(dpd, pa_model, x, workspace=ws),
         ]
 
@@ -382,15 +387,19 @@ class TestKernelOracle:
     def test_live_passes_share_no_buffer(self, frame):
         dpd, pa_model = random_net(1, 14, seed=97), random_net(2, 24, seed=98)
         ws = NnWorkspace()
-        for call in self.calls_in_turn(dpd, pa_model, frame, FORWARD_BLOCK, 0):
+        for i, call in enumerate(self.calls_in_turn(dpd, pa_model, frame, FORWARD_BLOCK, 0)):
             call(ws)
-            # the forwards allocate their own buffers: the set is the latest backward call's
+            # the forwards run through the slot: the set is the latest backward call's
             assert ws.mask.shape[0] == ws.up[0].shape[0] == max(p.acts[0].shape[0]
                                                                 for p in ws.passes)
             # each net's forward outputs stay live while the other net runs and while
-            # the shared per-layer scratch and the gradients are written
+            # the shared per-layer scratch and the gradients are written; the forward
+            # slot is a set of its own, as wide as the widest net it has served
             buffers = [ws.x2, ws.t2, ws.sq, ws.dx, ws.mask, *ws.up, ws.grads.flat,
                        *(buf for p in ws.passes for buf in [*p.acts, p.z])]
+            if i > 0:  # one K1N14 forward, then the K2N24 model's too
+                assert [a.shape[0] for a in ws.forward.acts] == ([14] if i == 1 else [24, 24])
+                buffers += [ws.fx2, *ws.forward.acts, ws.forward.z]
             for i, mine in enumerate(buffers):
                 assert not any(np.shares_memory(mine, other) for other in buffers[i + 1 :])
 

@@ -91,6 +91,14 @@ class TestTrainConfig:
         cfg = TrainConfig(outer_iterations=2, epochs_per_iteration=[4, 2])
         assert cfg.epochs_per_iteration == (4, 2)
 
+    @pytest.mark.parametrize("epochs", ["20,5", "25", b"20", 5, None])
+    def test_epochs_that_are_not_a_list_are_rejected_whole(self, epochs):
+        # tuple() would read "20,5" one character at a time and fail on "2"
+        with pytest.raises(ConfigurationError, match="epochs_per_iteration") as info:
+            TrainConfig(epochs_per_iteration=epochs)
+        assert repr(epochs) in str(info.value)
+        assert info.value.field == "epochs_per_iteration"
+
 
 class TestAdamStep:
     def setup_method(self):
@@ -314,6 +322,28 @@ class TestPhaseWorkspace:
             monkeypatch.setattr(training, name,
                                 lambda *args, workspace, kernel=kernel: kernel(*args))
         assert phases() == shared
+
+
+    def test_forward_slot_matches_per_call_buffers(self, pa_pairs, monkeypatch):
+        # 15,360 samples end each held-out forward on a 7,168-sample block, and at batch
+        # 1,000 each epoch on a 360-sample minibatch; the dpd is wider than the model, so
+        # the slot is sized by the dpd in the dpd phase and reallocated twice per forward
+        cfg = TrainConfig(seed=0, batch_size=1000)
+        x, y = (IqSignal(s.samples[:15360], s.sample_rate_hz) for s in pa_pairs)
+
+        def phases():
+            log = TrainLog()
+            pa_net, _ = train_pa_nn((x, y), glorot_net(2, 24, seed=[cfg.seed, 0]), cfg,
+                                    val_pairs=(x, y), epochs=2, iteration=1, log=log)
+            dpd, _ = train_dpd_nn(glorot_net(2, 32, seed=[cfg.seed, 5]), pa_net, x, cfg,
+                                  x_val=x, epochs=2, iteration=1, log=log)
+            return pa_net.flat.tobytes(), dpd.flat.tobytes(), log.records
+
+        slot = phases()
+        forward = training.nn_forward
+        monkeypatch.setattr(training, "nn_forward",
+                            lambda net, x, *, workspace: forward(net, x))
+        assert phases() == slot
 
 
 class TestRunFullTraining:
