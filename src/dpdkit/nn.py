@@ -139,9 +139,8 @@ class NnWorkspace:
     pass alternates between), as wide as the widest net. The nets' backward
     passes run one after the other, so they share that scratch, each using
     its leading ``width`` rows. A call at another batch width or with other
-    net shapes reallocates every buffer. A workspace serves one caller at a
-    time: gradients returned from a call given this workspace are views into
-    it, valid until its next call.
+    net shapes reallocates every buffer. Gradients returned from a call given
+    this workspace are views into it, valid until its next backward call.
 
     The forward slot serves nn_forward's blocks: an input row pair ``fx2``
     and a pass ``forward`` of one or two activation buffers, as wide as the
@@ -149,8 +148,13 @@ class NnWorkspace:
     no layer for a backward pass, so a net's layers alternate between those
     buffers, each using its leading ``width`` rows; the second buffer comes
     with the first net of two or more layers. A block of another width, or
-    a wider or deeper net, reallocates the slot. It shares no buffer with
-    the backward set.
+    a wider or deeper net, reallocates the slot.
+
+    The slot shares no buffer or attribute with the backward set, so two
+    threads may use one workspace at once, one thread per part: a training
+    phase scores an epoch through the slot on a helper thread while the
+    next epoch's steps run through the backward set. Each part serves one
+    caller at a time.
     """
 
     _key = None

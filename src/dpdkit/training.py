@@ -10,6 +10,7 @@ signal pairs, never coefficients.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field, replace
 
@@ -152,26 +153,72 @@ def _mse(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.mean(err.real**2) + np.mean(err.imag**2)) / 2.0)
 
 
+def _score_in_background(eval_fn, net: DenseNet):
+    """Start ``eval_fn`` on a copy of ``net`` on one helper thread; return its join.
+
+    The join waits for the thread and returns the score, or raises what
+    ``eval_fn`` raised.
+    """
+    snapshot = DenseNet(net.hidden_layers, net.width, net.weights, net.biases)
+    outcome = []
+
+    def score():
+        try:
+            outcome.append((eval_fn(snapshot), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=score, name="dpdkit-score")
+    thread.start()
+
+    def join() -> float:
+        thread.join()
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return join
+
+
 def _run_epochs(step_fn, eval_fn, net, cfg, epochs, n_samples, *, iteration, phase, log, rng):
-    """Shared mini-batch loop: shuffle, step, and log one row per epoch."""
+    """Shared mini-batch loop: shuffle, step, and log one row per epoch.
+
+    ``eval_fn(net)`` is the held-out score. Each epoch's score runs on one
+    helper thread, on a copy of the net as that epoch left it, while the
+    next epoch's steps run on the calling thread; ``eval_fn`` must touch no
+    buffer that ``step_fn`` does. An epoch's row is appended after the next
+    epoch's steps, so the log keeps epoch order, and the last score is
+    joined before the loop returns. If a step raises while a score is in
+    flight, the score is joined first, and the first of these is raised: the
+    score's own exception, its row's DivergenceError, the step's error. That
+    is the order a loop that scores each epoch before the next raises them in.
+    """
     state = AdamState.fresh(net)
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n_samples)
-        weighted = 0.0
-        for start in range(0, n_samples, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss, grads = step_fn(batch)
-            adam_step(net, grads, state, cfg)
-            weighted += loss * len(batch)
-        log.append(
-            TrainRecord(
-                iteration=iteration,
-                phase=phase,
-                epoch=epoch,
-                train_mse=weighted / n_samples,
-                val_mse=eval_fn(),
-            )
-        )
+    scoring = None  # (join, row fields) of the epoch whose score is in flight
+
+    def log_scored():
+        nonlocal scoring
+        (join, fields), scoring = scoring, None
+        log.append(TrainRecord(**fields, val_mse=join()))
+
+    try:
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(n_samples)
+            weighted = 0.0
+            for start in range(0, n_samples, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                loss, grads = step_fn(batch)
+                adam_step(net, grads, state, cfg)
+                weighted += loss * len(batch)
+            if scoring is not None:
+                log_scored()
+            fields = dict(iteration=iteration, phase=phase, epoch=epoch,
+                          train_mse=weighted / n_samples)
+            scoring = (_score_in_background(eval_fn, net), fields)
+    finally:
+        if scoring is not None:
+            log_scored()
     return net
 
 
@@ -205,8 +252,8 @@ def train_pa_nn(
             workspace=workspace,
         )
 
-    def evaluate():
-        out = nn_forward(net, val_pairs[0], workspace=workspace)
+    def evaluate(scored):
+        out = nn_forward(scored, val_pairs[0], workspace=workspace)
         return _mse(out.samples, val_pairs[1].samples)
 
     net = _run_epochs(
@@ -241,9 +288,9 @@ def train_dpd_nn(
             dpd, pa_model, IqSignal(x.samples[batch], x.sample_rate_hz), workspace=workspace
         )
 
-    def evaluate():
+    def evaluate(scored):
         cascade = nn_forward(
-            pa_model, nn_forward(dpd, x_val, workspace=workspace), workspace=workspace
+            pa_model, nn_forward(scored, x_val, workspace=workspace), workspace=workspace
         )
         return _mse(cascade.samples, x_val.samples)
 

@@ -1,5 +1,8 @@
 """Tests for the two-phase training loop and the Adam optimizer."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from dpdkit import (
     nn_forward,
     run_full_training,
 )
-from dpdkit.errors import ConfigurationError, DivergenceError
+from dpdkit.errors import ConfigurationError, DivergenceError, InputRangeError
 from dpdkit import training
 from dpdkit.nn import DenseNet
 from dpdkit.training import (
@@ -344,6 +347,115 @@ class TestPhaseWorkspace:
         monkeypatch.setattr(training, "nn_forward",
                             lambda net, x, *, workspace: forward(net, x))
         assert phases() == slot
+
+
+def _cut(pairs, start, stop):
+    return tuple(IqSignal(s.samples[start:stop], s.sample_rate_hz) for s in pairs)
+
+
+def _net_from_flat(like: DenseNet, flat: np.ndarray) -> DenseNet:
+    net = DenseNet.zeros(like.hidden_layers, like.width)
+    net.flat[:] = flat
+    return net
+
+
+class TestScoringThread:
+    """Each epoch's held-out score runs on a helper thread while the next epoch trains."""
+
+    # 2,500 training samples at batch 1,024: three steps per epoch
+    STEPS_PER_EPOCH = 3
+
+    def test_log_matches_sequential_forwards_of_each_epochs_weights(self, pa_pairs,
+                                                                   monkeypatch):
+        cfg = TrainConfig(seed=0)
+        train = _cut(pa_pairs, 0, 2500)
+        # two held-out blocks, the second one short
+        x_val, y_val = _cut(pa_pairs, 2500, 12500)
+        snapshots = []
+        step = training.adam_step
+
+        def recording_step(net, grads, state, cfg):
+            step(net, grads, state, cfg)
+            if state.step % self.STEPS_PER_EPOCH == 0:
+                snapshots.append(net.flat.copy())
+
+        monkeypatch.setattr(training, "adam_step", recording_step)
+        log = TrainLog()
+        interval = sys.getswitchinterval()
+        # switching threads every microsecond interleaves the score with the steps at many
+        # more points than the default 5 ms; a buffer the two threads shared would show
+        sys.setswitchinterval(1e-6)
+        try:
+            pa_net, _ = train_pa_nn(train, glorot_net(2, 24, seed=[cfg.seed, 0]), cfg,
+                                    val_pairs=(x_val, y_val), epochs=3, iteration=1, log=log)
+            pa_snapshots = snapshots[:]
+            snapshots.clear()
+            dpd, _ = train_dpd_nn(glorot_net(1, 14, seed=[cfg.seed, 5]), pa_net, train[0], cfg,
+                                  x_val=x_val, epochs=3, iteration=1, log=log)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert pa_snapshots[-1].tobytes() == pa_net.flat.tobytes()
+        assert snapshots[-1].tobytes() == dpd.flat.tobytes()
+        expected = [
+            training._mse(nn_forward(_net_from_flat(pa_net, flat), x_val).samples, y_val.samples)
+            for flat in pa_snapshots
+        ] + [
+            training._mse(nn_forward(pa_net, nn_forward(_net_from_flat(dpd, flat), x_val)).samples,
+                          x_val.samples)
+            for flat in snapshots
+        ]
+        assert [(r.phase, r.epoch) for r in log.records] == (
+            [("pa_model", e) for e in (1, 2, 3)] + [("dpd", e) for e in (1, 2, 3)]
+        )
+        assert [r.val_mse for r in log.records] == expected
+
+    def fail_epoch_2_step(self, monkeypatch, error):
+        step = training.adam_step
+
+        def failing_step(net, grads, state, cfg):
+            if state.step == self.STEPS_PER_EPOCH:
+                raise error
+            step(net, grads, state, cfg)
+
+        monkeypatch.setattr(training, "adam_step", failing_step)
+
+    def train_short_pa_phase(self, pa_pairs, log=None):
+        train = _cut(pa_pairs, 0, 2500)
+        return train_pa_nn(train, glorot_net(1, 6, seed=0), TrainConfig(seed=0),
+                           val_pairs=_cut(pa_pairs, 2500, 5000), epochs=3, iteration=1,
+                           log=log or TrainLog())
+
+    def test_held_out_forward_error_outranks_the_next_epochs_step_error(self, pa_pairs,
+                                                                         monkeypatch):
+        def failing_forward(net, x, *, workspace):
+            raise InputRangeError("epoch 1's held-out forward")
+
+        monkeypatch.setattr(training, "nn_forward", failing_forward)
+        self.fail_epoch_2_step(monkeypatch, DivergenceError("epoch 2's step"))
+        log = TrainLog()
+        with pytest.raises(InputRangeError, match="held-out forward"):
+            self.train_short_pa_phase(pa_pairs, log)
+        assert log.records == []
+
+    def test_non_finite_score_outranks_the_next_epochs_step_error(self, pa_pairs, monkeypatch):
+        def nan_forward(net, x, *, workspace):
+            return IqSignal(np.full(len(x), np.nan + 0j), x.sample_rate_hz)
+
+        monkeypatch.setattr(training, "nn_forward", nan_forward)
+        self.fail_epoch_2_step(monkeypatch, InputRangeError("epoch 2's step"))
+        with pytest.raises(DivergenceError, match="pa_model epoch 1"):
+            self.train_short_pa_phase(pa_pairs)
+
+    def test_no_thread_outlives_a_phase(self, pa_pairs, monkeypatch):
+        before = threading.active_count()
+        _, log = self.train_short_pa_phase(pa_pairs)
+        assert len(log.records) == 3
+        assert threading.active_count() == before
+        self.fail_epoch_2_step(monkeypatch, DivergenceError("epoch 2's step"))
+        with pytest.raises(DivergenceError, match="epoch 2's step"):
+            self.train_short_pa_phase(pa_pairs)
+        assert threading.active_count() == before
 
 
 class TestRunFullTraining:
