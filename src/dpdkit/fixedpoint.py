@@ -92,17 +92,37 @@ class FixedPointStats:
         return max(pcts) if pcts else 0.0
 
 
-def _quantize_real(x: np.ndarray, fmt: FixedFormat, stats: FixedPointStats | None) -> np.ndarray:
+def _quantize_real(x: np.ndarray, fmt: FixedFormat, stats: FixedPointStats | None,
+                   out: np.ndarray) -> np.ndarray:
+    """Round and saturate the float64 array ``x`` into ``out``, which may be ``x``; return it."""
     scale = 2.0**fmt.frac_bits
-    codes = np.rint(x * scale)
+    codes = np.rint(np.multiply(x, scale, out=out), out=out)
     if np.isnan(codes).any():
         raise InputRangeError("NaN has no code on the fixed-point grid")
     lo = -(2.0 ** (fmt.total_bits - 1))
     hi = 2.0 ** (fmt.total_bits - 1) - 1
-    out_of_range = (codes < lo) | (codes > hi)
     if stats is not None:
-        stats.sat_events += int(np.count_nonzero(out_of_range))
-    return np.clip(codes, lo, hi) / scale
+        stats.sat_events += int(np.count_nonzero(codes < lo)) + int(np.count_nonzero(codes > hi))
+    np.clip(codes, lo, hi, out=codes)
+    codes /= scale
+    return codes
+
+
+def _quantize_complex(z: np.ndarray, fmt: FixedFormat, stats: FixedPointStats | None,
+                      spare: np.ndarray | None = None) -> np.ndarray:
+    """Quantize the C-contiguous complex128 array ``z`` in place and return it.
+
+    Both components round in one pass over the float64 view. The result has
+    the bits of ``q(re) + 1j*q(im)``, whose complex arithmetic adds
+    ``0.0*q(im)`` to the real part and +0.0 to the imaginary part: that only
+    sets the sign of a zero. ``spare``, a float64 array of z's shape, takes
+    the product.
+    """
+    parts = z.reshape(-1).view(np.float64)
+    _quantize_real(parts, fmt, stats, parts)
+    z.real += np.multiply(z.imag, 0.0, out=spare)
+    z.imag += 0.0
+    return z
 
 
 def quantize(x, fmt: FixedFormat | None = None, stats: FixedPointStats | None = None):
@@ -117,11 +137,10 @@ def quantize(x, fmt: FixedFormat | None = None, stats: FixedPointStats | None = 
     fmt = fmt or FixedFormat()
     arr = np.asarray(x)
     if np.iscomplexobj(arr):
-        out = _quantize_real(arr.real.astype(np.float64), fmt, stats) + 1j * _quantize_real(
-            arr.imag.astype(np.float64), fmt, stats
-        )
+        out = _quantize_complex(np.array(arr, dtype=np.complex128, order="C"), fmt, stats)
     else:
-        out = _quantize_real(arr.astype(np.float64), fmt, stats)
+        out = arr.astype(np.float64)
+        _quantize_real(out, fmt, stats, out)
     if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
         return complex(out) if np.iscomplexobj(arr) else float(out)
     return out
@@ -161,23 +180,17 @@ def nn_forward_fixed(
     out = np.empty(n, dtype=np.complex128)
     for start in range(0, n, FORWARD_BLOCK):
         block = x.samples[start : start + FORWARD_BLOCK]
-        xq2 = quantize(np.stack([block.real, block.imag]), fmt, stats)
-        h = xq2
+        xq2 = np.stack([block.real, block.imag])
+        h = _quantize_real(xq2, fmt, stats, xq2)
         for i, (wq, bq) in enumerate(layers):
-            pre = quantize(wq @ h + bq, fmt, stats)
-            h = pre if i == len(layers) - 1 else np.maximum(pre, 0.0)
-        z = quantize(h + xq2, fmt, stats)
+            pre = wq @ h
+            pre += bq
+            h = _quantize_real(pre, fmt, stats, pre)
+            if i < len(layers) - 1:
+                np.maximum(h, 0.0, out=h)
+        z = _quantize_real(np.add(h, xq2, out=h), fmt, stats, h)
         out[start : start + block.size] = z[0] + 1j * z[1]
     return IqSignal(out, x.sample_rate_hz)
-
-
-def _delayed(x: np.ndarray, m: int) -> np.ndarray:
-    """x delayed by m samples, zero before the record start."""
-    if m == 0:
-        return x
-    out = np.zeros_like(x)
-    out[m:] = x[:-m]
-    return out
 
 
 def poly_forward_fixed(
@@ -200,23 +213,39 @@ def poly_forward_fixed(
     _require_finite(x, InputRangeError)
     fmt = fmt or FixedFormat()
     s = model.shape
-    xq = quantize(x.samples, fmt, stats)
-    n = xq.size
-    r2 = quantize(xq.real**2 + xq.imag**2, fmt, stats)
+    n = len(x)
+    # one buffer set per call; tap products go through scratch, and each complex
+    # rounding's spare product through its real part. Three arrays, not one (3, n)
+    # block: freeing that block raised glibc's mmap threshold past a frame, and the
+    # default sweep's peak RSS rose 3 MB.
+    env = np.empty(n)
+    branch, acc, scratch = (np.empty(n, dtype=np.complex128) for _ in range(3))
+    spare = scratch.real
+
+    def rounded(z: np.ndarray) -> np.ndarray:
+        return _quantize_complex(z, fmt, stats, spare)
+
+    xq = rounded(np.array(x.samples, dtype=np.complex128))
+    r2 = np.square(xq.real)
+    r2 += np.square(xq.imag, out=env)
+    _quantize_real(r2, fmt, stats, r2)
 
     def branch_value(base: np.ndarray, order: int) -> np.ndarray:
         if order == 1:
             return base
-        env = r2
+        power = r2
         for _ in range((order - 1) // 2 - 1):
-            env = quantize(env * r2, fmt, stats)
-        return quantize(base * env, fmt, stats)
+            power = _quantize_real(np.multiply(power, r2, out=env), fmt, stats, env)
+        return rounded(np.multiply(base, power, out=branch))
 
     def fir(v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        acc = np.zeros(n, dtype=np.complex128)
+        # delayed zeros are skipped: acc starts at +0, never turns -0, and adding a
+        # signed zero leaves every other value as it is
+        acc.fill(0.0)
         for m, c in enumerate(coeffs):
-            acc += complex(c) * _delayed(v, m)
-        return quantize(acc, fmt, stats)
+            k = max(n - m, 0)
+            acc[m:] += np.multiply(complex(c), v[:k], out=scratch[:k])
+        return rounded(acc)
 
     total = np.zeros(n, dtype=np.complex128)
     coeffs = [*quantize(model.alpha, fmt, stats), *quantize(model.beta, fmt, stats)]
@@ -228,7 +257,9 @@ def poly_forward_fixed(
         if stats is not None:
             label = f"{'p' if kind == 'main' else 'q'}{order}"
             stats.record_branch(label, int(np.count_nonzero(v == 0)), n)
-        total = quantize(total + fir(v, c), fmt, stats)
+        total += fir(v, c)
+        rounded(total)
     if s.include_dc:
-        total = quantize(total + quantize(model.dc, fmt, stats), fmt, stats)
+        total += quantize(model.dc, fmt, stats)
+        rounded(total)
     return IqSignal(total, x.sample_rate_hz)

@@ -178,19 +178,13 @@ def _error_report(descriptor: str, exc: Exception) -> DpdReport:
     )
 
 
-def _evaluate(pa, predistorted: IqSignal, val_cfg: OfdmConfig, ref_grid) -> tuple[float, float, IqSignal]:
-    y = pa.apply(predistorted)
-    aclr = aclr_db_gated(y, val_cfg)
-    evm = evm_percent(ref_grid, demodulate_ofdm(y, val_cfg))
-    return aclr, evm, y
-
-
 def _load_pa(path):
     return load_default_pa() if path in ("default", "", None) else load_pa_profile(path)
 
 
 def _run_descriptor(
-    family, params, report: ComplexityReport, spec: ExperimentSpec, x_train, x_val, val_cfg, ref_grid
+    family, params, report: ComplexityReport, spec: ExperimentSpec, x_train, x_val, val_cfg,
+    ref_grid, helper
 ) -> list[DpdReport]:
     # a fresh amplifier per row: rows never share noise-generator state, so
     # they are order-independent and could run in parallel
@@ -199,8 +193,22 @@ def _run_descriptor(
     row_dir = Path(spec.output_dir) / slug
     model, forward, forward_fixed = family.fit(params, pa, spec, x_train, row_dir)
 
-    aclr, evm, y = _evaluate(pa, forward(model, x_val), val_cfg, ref_grid)
-    emit_psd_overlay([(slug, y)], row_dir / "psd.csv")
+    def score(y: IqSignal) -> tuple[float, float]:
+        return aclr_db_gated(y, val_cfg), evm_percent(ref_grid, demodulate_ofdm(y, val_cfg))
+
+    # only the fixed-point forward runs on the helper: with the float metrics there too,
+    # the helper's malloc arena kept their temporaries and poly_grid's peak RSS rose 7%
+    fmt, stats = spec.fixed_point, FixedPointStats()
+    fixed = None if fmt is None else helper.submit(forward_fixed, model, x_val, fmt, stats)
+    try:
+        y = pa.apply(forward(model, x_val))
+        aclr, evm = score(y)
+        emit_psd_overlay([(slug, y)], row_dir / "psd.csv")
+        # the fixed output's transmit follows the float one, so each keeps its noise draw
+        fixed_scores = None if fixed is None else score(pa.apply(fixed.result()))
+    finally:
+        if fixed is not None:
+            fixed.exception()  # waits: no task of this row outlives it
     float_row = DpdReport(
         descriptor=report.model_descriptor,
         n_params_real=report.n_params_real,
@@ -209,11 +217,9 @@ def _run_descriptor(
         evm_pct=evm,
         train_log_path=f"{slug}/trainlog.csv",
     )
-    if spec.fixed_point is None:
+    if fixed is None:
         return [float_row]
-    stats = FixedPointStats()
-    u_fixed = forward_fixed(model, x_val, spec.fixed_point, stats)
-    aclr_q, evm_q, _ = _evaluate(pa, u_fixed, val_cfg, ref_grid)
+    aclr_q, evm_q = fixed_scores
     fixed_row = replace(float_row, mode="fixed", aclr_db=aclr_q, evm_pct=evm_q,
                         sat_events=stats.sat_events, underflow_pct=stats.underflow_pct())
     return [float_row, fixed_row]
@@ -224,7 +230,20 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
 
     A failure in one row is captured in that row's status column and the
     sweep continues; the CLI maps any failed row to a nonzero exit code.
+
+    The sweep has one helper thread, made here and shut down, its thread
+    joined, before this returns. After each row's fit the helper runs the
+    fixed-point forward while this thread runs the float forward, its
+    transmit, ACLR, EVM and psd.csv; this thread then waits for the fixed
+    output, transmits it and scores it. A row returns only once its helper
+    task is done. Its errors are raised in the serial order: the float
+    forward or transmit, the float metrics or psd.csv, the fixed forward,
+    the fixed transmit or metrics; so psd.csv is written exactly when the
+    float metrics succeed.
     """
+    # imported here, not at module level, where it would lengthen every CLI start
+    from concurrent.futures import ThreadPoolExecutor
+
     _load_pa(spec.pa_profile_path)  # unloadable profiles are a spec error, not a row error
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -234,14 +253,14 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
     ref_grid, x_val = generate_ofdm(val_cfg)
 
     reports: list[DpdReport] = []
-    for desc in spec.dpd_list:
-        family, params, report = parse_descriptor(desc)
-        try:
-            reports.extend(
-                _run_descriptor(family, params, report, spec, x_train, x_val, val_cfg, ref_grid)
-            )
-        except Exception as exc:  # noqa: BLE001 — per-row capture is the contract
-            reports.append(_error_report(report.model_descriptor, exc))
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpdkit-score") as helper:
+        for desc in spec.dpd_list:
+            family, params, report = parse_descriptor(desc)
+            try:
+                reports.extend(_run_descriptor(family, params, report, spec, x_train, x_val,
+                                               val_cfg, ref_grid, helper))
+            except Exception as exc:  # noqa: BLE001 — per-row capture is the contract
+                reports.append(_error_report(report.model_descriptor, exc))
 
     _write_lines(out_dir / "sweep.csv", [SWEEP_COLUMNS], map(astuple, reports))
     return reports

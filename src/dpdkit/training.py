@@ -10,7 +10,6 @@ signal pairs, never coefficients.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field, replace
 
@@ -114,11 +113,18 @@ class TrainLog:
 
 @dataclass
 class AdamState:
-    """Adam's first and second moments, flat in the layout of ``DenseNet.flat``."""
+    """Adam's first and second moments, flat in the layout of ``DenseNet.flat``.
+
+    ``scratch`` holds two vectors of that length for adam_step's temporaries.
+    """
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def fresh(cls, net: DenseNet) -> "AdamState":
@@ -128,6 +134,10 @@ class AdamState:
 
 def adam_step(net: DenseNet, grads: DenseNet, state: AdamState, cfg: TrainConfig) -> None:
     """One bias-corrected Adam update, in place on the net and state.
+
+    The temporaries live in ``state.scratch``; the operations and their order
+    are those of ``params -= lr * (m / corr1) / (sqrt(v / corr2) + eps)``
+    after ``m = b1*m + (1 - b1)*g`` and ``v = b2*v + (1 - b2)*g*g``.
 
     Raises:
         DivergenceError: if any gradient entry is non-finite.
@@ -141,11 +151,17 @@ def adam_step(net: DenseNet, grads: DenseNet, state: AdamState, cfg: TrainConfig
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     m, v, params = state.m, state.v, net.flat
+    step, denom = state.scratch
     m *= b1
-    m += (1 - b1) * g
+    m += np.multiply(g, 1 - b1, out=step)
     v *= b2
-    v += (1 - b2) * g * g
-    params -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+    np.multiply(g, 1 - b2, out=step)
+    v += np.multiply(step, g, out=step)
+    np.divide(m, corr1, out=step)
+    step *= cfg.learning_rate
+    np.sqrt(np.divide(v, corr2, out=denom), out=denom)
+    denom += ADAM_EPS
+    params -= np.divide(step, denom, out=step)
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -153,72 +169,55 @@ def _mse(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.mean(err.real**2) + np.mean(err.imag**2)) / 2.0)
 
 
-def _score_in_background(eval_fn, net: DenseNet):
-    """Start ``eval_fn`` on a copy of ``net`` on one helper thread; return its join.
-
-    The join waits for the thread and returns the score, or raises what
-    ``eval_fn`` raised.
-    """
-    snapshot = DenseNet(net.hidden_layers, net.width, net.weights, net.biases)
-    outcome = []
-
-    def score():
-        try:
-            outcome.append((eval_fn(snapshot), None))
-        except BaseException as exc:
-            outcome.append((None, exc))
-
-    thread = threading.Thread(target=score, name="dpdkit-score")
-    thread.start()
-
-    def join() -> float:
-        thread.join()
-        value, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    return join
-
-
 def _run_epochs(step_fn, eval_fn, net, cfg, epochs, n_samples, *, iteration, phase, log, rng):
     """Shared mini-batch loop: shuffle, step, and log one row per epoch.
 
-    ``eval_fn(net)`` is the held-out score. Each epoch's score runs on one
-    helper thread, on a copy of the net as that epoch left it, while the
-    next epoch's steps run on the calling thread; ``eval_fn`` must touch no
-    buffer that ``step_fn`` does. An epoch's row is appended after the next
-    epoch's steps, so the log keeps epoch order, and the last score is
+    ``eval_fn(net)`` is the held-out score. The phase has one helper thread,
+    which runs two kinds of task in the order they are queued: it draws each
+    epoch's ``rng.permutation`` one epoch ahead, and it scores a copy of the
+    net as each epoch left it while the next epoch's steps run on the calling
+    thread. ``eval_fn`` must touch no buffer that ``step_fn`` does, and
+    nothing else may draw from ``rng``. An epoch's row is appended after the
+    next epoch's steps, so the log keeps epoch order, and the last score is
     joined before the loop returns. If a step raises while a score is in
     flight, the score is joined first, and the first of these is raised: the
     score's own exception, its row's DivergenceError, the step's error. That
     is the order a loop that scores each epoch before the next raises them in.
+    The helper is shut down, and its thread joined, before the loop returns
+    or raises.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, as in harness.run_sweep
+
     state = AdamState.fresh(net)
-    scoring = None  # (join, row fields) of the epoch whose score is in flight
+    scoring = None  # (future, row fields) of the epoch whose score is in flight
 
     def log_scored():
         nonlocal scoring
-        (join, fields), scoring = scoring, None
-        log.append(TrainRecord(**fields, val_mse=join()))
+        (score, fields), scoring = scoring, None
+        log.append(TrainRecord(**fields, val_mse=score.result()))
 
-    try:
-        for epoch in range(1, epochs + 1):
-            order = rng.permutation(n_samples)
-            weighted = 0.0
-            for start in range(0, n_samples, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                loss, grads = step_fn(batch)
-                adam_step(net, grads, state, cfg)
-                weighted += loss * len(batch)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpdkit-train") as helper:
+        next_order = helper.submit(rng.permutation, n_samples)
+        try:
+            for epoch in range(1, epochs + 1):
+                order = next_order.result()
+                if epoch < epochs:
+                    next_order = helper.submit(rng.permutation, n_samples)
+                weighted = 0.0
+                for start in range(0, n_samples, cfg.batch_size):
+                    batch = order[start : start + cfg.batch_size]
+                    loss, grads = step_fn(batch)
+                    adam_step(net, grads, state, cfg)
+                    weighted += loss * len(batch)
+                if scoring is not None:
+                    log_scored()
+                fields = dict(iteration=iteration, phase=phase, epoch=epoch,
+                              train_mse=weighted / n_samples)
+                snapshot = DenseNet(net.hidden_layers, net.width, net.weights, net.biases)
+                scoring = (helper.submit(eval_fn, snapshot), fields)
+        finally:
             if scoring is not None:
                 log_scored()
-            fields = dict(iteration=iteration, phase=phase, epoch=epoch,
-                          train_mse=weighted / n_samples)
-            scoring = (_score_in_background(eval_fn, net), fields)
-    finally:
-        if scoring is not None:
-            log_scored()
     return net
 
 

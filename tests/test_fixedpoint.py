@@ -412,3 +412,186 @@ class TestNonFiniteInput:
         samples[17] = bad
         with pytest.raises(InputRangeError, match="non-finite"):
             self.FORWARDS[name](IqSignal(samples, 61.44e6))
+
+
+# The fixed-point formulas as they were before the forwards rounded in place, one new
+# array per step: the in-place forwards must give their bits and tallies exactly.
+
+def per_call_quantize_real(x, fmt, stats):
+    scale = 2.0**fmt.frac_bits
+    codes = np.rint(x * scale)
+    if np.isnan(codes).any():
+        raise InputRangeError("NaN has no code on the fixed-point grid")
+    lo = -(2.0 ** (fmt.total_bits - 1))
+    hi = 2.0 ** (fmt.total_bits - 1) - 1
+    out_of_range = (codes < lo) | (codes > hi)
+    if stats is not None:
+        stats.sat_events += int(np.count_nonzero(out_of_range))
+    return np.clip(codes, lo, hi) / scale
+
+
+def per_call_quantize(x, fmt, stats=None):
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        return per_call_quantize_real(arr.real.astype(np.float64), fmt, stats) + (
+            1j * per_call_quantize_real(arr.imag.astype(np.float64), fmt, stats))
+    return per_call_quantize_real(arr.astype(np.float64), fmt, stats)
+
+
+def per_call_nn_forward_fixed(net, x, fmt, stats):
+    q = lambda v: per_call_quantize(v, fmt, stats)  # noqa: E731
+    layers = [(q(w), q(b)[:, None]) for w, b in zip(net.weights, net.biases)]
+    n = len(x)
+    out = np.empty(n, dtype=np.complex128)
+    for start in range(0, n, FORWARD_BLOCK):
+        block = x.samples[start : start + FORWARD_BLOCK]
+        xq2 = q(np.stack([block.real, block.imag]))
+        h = xq2
+        for i, (wq, bq) in enumerate(layers):
+            pre = q(wq @ h + bq)
+            h = pre if i == len(layers) - 1 else np.maximum(pre, 0.0)
+        z = q(h + xq2)
+        out[start : start + block.size] = z[0] + 1j * z[1]
+    return out
+
+
+def per_call_poly_forward_fixed(model, x, fmt, stats):
+    q = lambda v: per_call_quantize(v, fmt, stats)  # noqa: E731
+    s = model.shape
+    xq = q(x.samples)
+    n = xq.size
+    r2 = q(xq.real**2 + xq.imag**2)
+
+    def delayed(v, m):
+        if m == 0:
+            return v
+        out = np.zeros_like(v)
+        out[m:] = v[:-m]
+        return out
+
+    def branch_value(base, order):
+        if order == 1:
+            return base
+        env = r2
+        for _ in range((order - 1) // 2 - 1):
+            env = q(env * r2)
+        return q(base * env)
+
+    def fir(v, coeffs):
+        acc = np.zeros(n, dtype=np.complex128)
+        for m, c in enumerate(coeffs):
+            acc += complex(c) * delayed(v, m)
+        return q(acc)
+
+    total = np.zeros(n, dtype=np.complex128)
+    coeffs = [*q(model.alpha), *q(model.beta)]
+    xc = None
+    for (kind, order, _), c in zip(s.branches, coeffs):
+        if kind == "conj" and xc is None:
+            xc = xq.conj()
+        v = branch_value(xq if kind == "main" else xc, order)
+        if stats is not None:
+            label = f"{'p' if kind == 'main' else 'q'}{order}"
+            stats.record_branch(label, int(np.count_nonzero(v == 0)), n)
+        total = q(total + fir(v, c))
+    if s.include_dc:
+        total = q(total + q(model.dc))
+    return total
+
+
+def awkward(n, fmt, seed, top_fraction=1.2):
+    """Reals spread over ±top_fraction of fmt's full scale, with ±0, values that round
+    to -0 or +0, and values far past both ends."""
+    rng = np.random.default_rng(seed)
+    top, lsb = 2.0 ** (fmt.total_bits - fmt.frac_bits - 1), 2.0**-fmt.frac_bits
+    v = top * rng.uniform(-top_fraction, top_fraction, n)
+    v[::9], v[1::9], v[2::9], v[3::9] = 0.0, -0.0, -0.3 * lsb, 0.3 * lsb
+    v[4::13], v[5::13] = 5 * top, -5 * top
+    v[6::17] = -0.5 * lsb  # a tie that rounds to -0
+    return v
+
+
+def cplx(re, im):
+    """re + 1j*im without the arithmetic, which turns an infinite part into NaN."""
+    z = np.empty(np.shape(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+FORMATS_BITWISE = [FixedFormat(16, 15), FixedFormat(12, 11), FixedFormat(20, 17),
+                   FixedFormat(8, 7)]
+FORMAT_IDS = ["Q1.15", "Q1.11", "Q3.17", "Q1.7"]
+POLY_GRID_SHAPES = [PolyShape(5, 2), PolyShape(7, 3), PolyShape(9, 2), PolyShape(11, 4),
+                    PolyShape(13, 3), PolyShape(9, 3, 5, 2), PolyShape(5, 2, 3, 1, include_dc=True)]
+
+
+@pytest.mark.parametrize("fmt", FORMATS_BITWISE, ids=FORMAT_IDS)
+class TestInPlaceMatchesPerCallFormulas:
+    """Bit for bit, with the same sat_events and branch_zeros, against the formulas above."""
+
+    def test_quantize_real_and_complex(self, fmt):
+        re, im = awkward(4000, fmt, 1), awkward(4000, fmt, 2)
+        re[7::31], im[8::37] = np.inf, -np.inf
+        z = cplx(re, im)
+        for x in (re, z, cplx(im, re)[::3], z.reshape(40, 100).T, re.astype(np.float32),
+                  z.astype(np.complex64)):
+            new, old = FixedPointStats(), FixedPointStats()
+            assert same_bits(quantize(x, fmt, new), per_call_quantize(x, fmt, old))
+            assert new.sat_events == old.sat_events > 0
+
+    def test_scalars_keep_their_types(self, fmt):
+        for x, kind in [(0.5, float), (-1e-9, float), (np.float64(3.0), float),
+                        (np.array(-1e-9), float), (0.25 - 1e-9j, complex),
+                        (np.complex128(-1e-9 + 0.5j), complex), (np.array(-1e-9 - 1e-9j), complex)]:
+            got, want = quantize(x, fmt), kind(per_call_quantize(x, fmt))
+            assert type(got) is kind
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_nan_still_raises(self, fmt):
+        for x in (np.array([0.1, np.nan]), np.array([0.1 + 1j * np.nan]), np.nan):
+            with pytest.raises(InputRangeError, match="NaN"):
+                quantize(x, fmt)
+
+    @pytest.mark.parametrize("shape", POLY_GRID_SHAPES, ids=str)
+    def test_poly_forward_fixed(self, fmt, shape):
+        rng = np.random.default_rng(shape.n_basis_columns)
+        p = shape.n_basis_columns
+        theta = 0.6 * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
+        model = MemoryPolyModel.from_coefficients(shape, theta)
+        for n in (3000, 2):
+            x = IqSignal(cplx(awkward(n, fmt, 3, 0.7), awkward(n, fmt, 4, 0.7)), 1.0)
+            new, old = FixedPointStats(), FixedPointStats()
+            out = poly_forward_fixed(model, x, fmt, new).samples
+            assert same_bits(out, per_call_poly_forward_fixed(model, x, fmt, old))
+            assert (new.sat_events, new.branch_zeros, new.branch_samples) == (
+                old.sat_events, old.branch_zeros, old.branch_samples)
+            assert n < 3000 or (new.sat_events > 0 and any(new.branch_zeros.values()))
+
+    def test_poly_frames_shorter_than_the_taps(self, fmt):
+        shape = PolyShape(5, 6, 3, 5)
+        rng = np.random.default_rng(7)
+        p = shape.n_basis_columns
+        model = MemoryPolyModel.from_coefficients(
+            shape, 0.6 * (rng.standard_normal(p) + 1j * rng.standard_normal(p)))
+        for n in range(1, 8):
+            x = IqSignal(cplx(awkward(n, fmt, n, 0.7), awkward(n, fmt, n + 10, 0.7)), 1.0)
+            new, old = FixedPointStats(), FixedPointStats()
+            out = poly_forward_fixed(model, x, fmt, new).samples
+            assert same_bits(out, per_call_poly_forward_fixed(model, x, fmt, old))
+            assert (new.sat_events, new.branch_zeros) == (old.sat_events, old.branch_zeros)
+
+    def test_nn_forward_fixed(self, fmt):
+        n = FORWARD_BLOCK + 5
+        x = IqSignal(cplx(awkward(n, fmt, 5, 0.9), awkward(n, fmt, 6, 0.9)), 1.0)
+        for k, width in [(1, 6), (2, 32)]:
+            net = biased_net(k, width, seed=[k, width])
+            new, old = FixedPointStats(), FixedPointStats()
+            out = nn_forward_fixed(net, x, fmt, new).samples
+            assert same_bits(out, per_call_nn_forward_fixed(net, x, fmt, old))
+            assert new.sat_events == old.sat_events > 0

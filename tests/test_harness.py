@@ -1,11 +1,16 @@
 """Sweep harness and CLI: descriptor parsing, orchestration, artifacts."""
 
+import concurrent.futures
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
+from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +19,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dpdkit
-from dpdkit import complexity
+from dpdkit import complexity, harness
 from dpdkit.cli import main
 from dpdkit.complexity import FAMILIES, nn_count, parse_descriptor, poly_count
-from dpdkit.errors import AlignmentError, ConfigurationError
+from dpdkit.errors import AlignmentError, ConfigurationError, MetricError
 from dpdkit.fixedpoint import FixedFormat
 from dpdkit.harness import (
     DEFAULT_SWEEP,
@@ -445,6 +450,120 @@ class TestRunSweep:
         else:
             assert rows[0].status == "ok"
             assert (row_dir / "psd.csv").exists()
+
+
+class InlineExecutor:
+    """A ThreadPoolExecutor stand-in that runs each task when it is submitted."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:  # noqa: BLE001 — the future carries it
+            future.set_exception(exc)
+        return future
+
+
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def fail_fixed_forward(*args):
+    raise RuntimeError("fixed forward")
+
+
+class TestTwoThreadScoring:
+    """A row's fixed-point forward runs on the sweep's helper thread."""
+
+    # seed 2: one epoch leaves nn K=1 N=4 within the amplifier's drive; seed 0 overdrives it
+    TRAIN = TrainConfig(outer_iterations=1, epochs_per_iteration=(1,), train_symbols=1,
+                        val_symbols=1, seed=2)
+
+    def fixed_spec(self, tmp_path, out="out", **overrides):
+        overrides.setdefault("train", self.TRAIN)
+        return small_spec(tmp_path, fixed_point=FixedFormat(), output_dir=str(tmp_path / out),
+                          **overrides)
+
+    def test_same_tree_as_tasks_run_inline(self, tmp_path, monkeypatch):
+        dpd_list = ["poly P=5 M=2 Q=3 L=1", "nn K=1 N=4"]
+        interval = sys.getswitchinterval()
+        # switching every microsecond interleaves the helpers with the main thread at many
+        # more points than the default 5 ms
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_sweep(self.fixed_spec(tmp_path, "threaded", dpd_list=dpd_list))
+        finally:
+            sys.setswitchinterval(interval)
+        # the training phases' helpers run inline too
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        inline = run_sweep(self.fixed_spec(tmp_path, "inline", dpd_list=dpd_list))
+        assert [row.status for row in threaded] == ["ok"] * 4
+        assert threaded == inline
+        assert tree_bytes(tmp_path / "threaded") == tree_bytes(tmp_path / "inline")
+
+    def test_float_transmit_error_outranks_a_failing_fixed_forward(self, tmp_path, monkeypatch):
+        events = []
+
+        def slow_failing_forward(*args):
+            time.sleep(0.2)
+            events.append("fixed forward")
+            fail_fixed_forward()
+
+        def recorded_fit(*args, _fit=complexity.fit_ila):
+            events.append("next fit")
+            return _fit(*args)
+
+        monkeypatch.setattr(complexity, "nn_forward_fixed", slow_failing_forward)
+        monkeypatch.setattr(complexity, "fit_ila", recorded_fit)
+        rows = run_sweep(self.fixed_spec(tmp_path, dpd_list=["nn K=1 N=4", "poly P=5 M=1"],
+                                         train=replace(self.TRAIN, seed=0)))
+        assert rows[0].status.startswith("error: InputRangeError: input peak")
+        assert not (tmp_path / "out" / "nn_K1_N4" / "psd.csv").exists()
+        assert [row.status for row in rows[1:]] == ["ok", "ok"]
+        # the failed row waited for its helper task before the next row began
+        assert events == ["fixed forward", "next fit"]
+
+    def test_float_metric_error_outranks_a_fixed_chain_error(self, tmp_path, monkeypatch):
+        def failing_aclr(y, cfg):
+            raise MetricError("float ACLR")
+
+        monkeypatch.setattr(complexity, "poly_forward_fixed", fail_fixed_forward)
+        monkeypatch.setattr(harness, "aclr_db_gated", failing_aclr)
+        rows = run_sweep(self.fixed_spec(tmp_path))
+        assert [row.status for row in rows] == ["error: MetricError: float ACLR"]
+        assert not (tmp_path / "out" / "poly_P7_M1" / "psd.csv").exists()
+
+    def test_fixed_transmit_error_leaves_psd_written(self, tmp_path, monkeypatch):
+        run_sweep(self.fixed_spec(tmp_path, "clean"))
+
+        def overdriving_forward(model, x, fmt, stats, _forward=complexity.poly_forward_fixed):
+            out = _forward(model, x, fmt, stats)
+            return IqSignal(4 * out.samples, out.sample_rate_hz)
+
+        monkeypatch.setattr(complexity, "poly_forward_fixed", overdriving_forward)
+        rows = run_sweep(self.fixed_spec(tmp_path))
+        assert len(rows) == 1 and rows[0].status.startswith("error: InputRangeError: input peak")
+        psd = "poly_P7_M1/psd.csv"
+        assert (tmp_path / "out" / psd).read_bytes() == (tmp_path / "clean" / psd).read_bytes()
+
+    def test_no_thread_outlives_a_sweep(self, tmp_path, monkeypatch):
+        before = threading.active_count()
+        rows = run_sweep(self.fixed_spec(tmp_path, dpd_list=["poly P=5 M=1", "nn K=1 N=4"]))
+        assert [row.status for row in rows] == ["ok"] * 4
+        assert threading.active_count() == before
+        monkeypatch.setattr(complexity, "poly_forward_fixed", fail_fixed_forward)
+        rows = run_sweep(self.fixed_spec(tmp_path, dpd_list=["poly P=5 M=1", "nn K=1 N=4"]))
+        assert [row.status for row in rows] == ["error: RuntimeError: fixed forward", "ok", "ok"]
+        assert threading.active_count() == before
 
 
 class TestEmitPsdOverlay:

@@ -180,6 +180,28 @@ class TestAdamStep:
             adam_step(self.net, grads, self.state, self.cfg)
         assert self.state.step == 0
 
+    def test_fifty_steps_match_the_flat_expression_bitwise(self):
+        # adam_step rounds through its scratch vectors; the bits must be the expression's
+        net = glorot_net(2, 5, seed=8)
+        params = net.flat.copy()
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        state = AdamState.fresh(net)
+        grads = DenseNet.zeros(2, 5)
+        rng = np.random.default_rng(10)
+        for t in range(1, 51):
+            g = rng.standard_normal(params.size) * 10.0 ** rng.integers(-8, 4, params.size)
+            grads.flat[:] = g
+            adam_step(net, grads, state, self.cfg)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            params -= self.cfg.learning_rate * (m / (1.0 - ADAM_BETA1**t)) / (
+                np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
+            )
+            assert net.flat.tobytes() == params.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
 
 class TestTrainLog:
     def test_nonfinite_loss_rejected(self):
@@ -456,6 +478,37 @@ class TestScoringThread:
         with pytest.raises(DivergenceError, match="epoch 2's step"):
             self.train_short_pa_phase(pa_pairs)
         assert threading.active_count() == before
+
+
+class TestShuffleOrder:
+    def test_orders_are_the_permutations_drawn_inline(self, pa_pairs, monkeypatch):
+        # the phase's helper draws each epoch's order one epoch ahead, from the same generator
+        seen = {0: [], 1: []}
+
+        def recording_backward(net, x, target, *, workspace, _original=training.nn_backward):
+            seen[0].append(x.samples.copy())
+            return _original(net, x, target, workspace=workspace)
+
+        def recording_frozen(dpd, pa_model, x, *, workspace,
+                             _original=training.nn_backward_through_frozen):
+            seen[1].append(x.samples.copy())
+            return _original(dpd, pa_model, x, workspace=workspace)
+
+        monkeypatch.setattr(training, "nn_backward", recording_backward)
+        monkeypatch.setattr(training, "nn_backward_through_frozen", recording_frozen)
+        cfg, iteration, epochs = TrainConfig(seed=3, batch_size=1000), 2, 3
+        train, val = _cut(pa_pairs, 0, 2500), _cut(pa_pairs, 2500, 5000)
+        log = TrainLog()
+        pa_net, _ = train_pa_nn(train, glorot_net(1, 6, seed=0), cfg, val_pairs=val,
+                                epochs=epochs, iteration=iteration, log=log)
+        train_dpd_nn(glorot_net(1, 6, seed=5), pa_net, train[0], cfg, x_val=val[0],
+                     epochs=epochs, iteration=iteration, log=log)
+        for phase, batches in seen.items():
+            rng = np.random.default_rng([cfg.seed, 10 + iteration, phase])
+            orders = [rng.permutation(2500) for _ in range(epochs)]
+            assert len(batches) == 3 * epochs
+            assert np.concatenate(batches).tobytes() == train[0].samples[
+                np.concatenate(orders)].tobytes()
 
 
 class TestRunFullTraining:
