@@ -53,7 +53,9 @@ class FixedFormat:
             _require_integer(name, getattr(self, name))
         if not 0 < self.frac_bits < self.total_bits:
             raise ConfigurationError(
-                f"need 0 < frac_bits < total_bits, got {self.frac_bits}/{self.total_bits}"
+                f"frac_bits must satisfy 0 < frac_bits < total_bits, "
+                f"got {self.frac_bits}/{self.total_bits}",
+                "frac_bits",
             )
         if self.total_bits > MAX_TOTAL_BITS:
             raise ConfigurationError(

@@ -150,11 +150,7 @@ class NnWorkspace:
     with the first net of two or more layers. A block of another width, or
     a wider or deeper net, reallocates the slot.
 
-    The slot shares no buffer or attribute with the backward set, so two
-    threads may use one workspace at once, one thread per part: a training
-    phase scores an epoch through the slot on a helper thread while the
-    next epoch's steps run through the backward set. Each part serves one
-    caller at a time.
+    A workspace serves one thread, and one call at a time.
     """
 
     _key = None

@@ -63,22 +63,25 @@ class OfdmConfig:
             _require_integer(name, getattr(self, name))
         _require_real("subcarrier_spacing_hz", self.subcarrier_spacing_hz)
         if self.n_subcarriers < 1:
-            raise ConfigurationError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}")
+            raise ConfigurationError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}",
+                                     "n_subcarriers")
         if not self.subcarrier_spacing_hz > 0:
             raise ConfigurationError(
                 f"subcarrier_spacing_hz must be positive, got {self.subcarrier_spacing_hz}",
                 "subcarrier_spacing_hz",
             )
         if self.n_symbols < 1:
-            raise ConfigurationError(f"n_symbols must be >= 1, got {self.n_symbols}")
+            raise ConfigurationError(f"n_symbols must be >= 1, got {self.n_symbols}", "n_symbols")
         if self.constellation not in CONSTELLATIONS:
             raise ConfigurationError(
-                f"unknown constellation {self.constellation!r}; "
-                f"expected one of {sorted(CONSTELLATIONS)}"
+                f"constellation must be one of {sorted(CONSTELLATIONS)}, "
+                f"got {self.constellation!r}",
+                "constellation",
             )
         if self.oversampling_factor < 2:
             raise ConfigurationError(
-                f"oversampling_factor must be >= 2, got {self.oversampling_factor}"
+                f"oversampling_factor must be >= 2, got {self.oversampling_factor}",
+                "oversampling_factor",
             )
         # the data generator takes no negative seed
         if self.seed < 0:

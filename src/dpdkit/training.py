@@ -72,21 +72,28 @@ class TrainConfig:
         _require_real("learning_rate", self.learning_rate)
         # 0 is allowed: run_full_training then returns the passthrough net
         if self.outer_iterations < 0:
-            raise ConfigurationError(f"outer_iterations must be >= 0, got {self.outer_iterations}")
+            raise ConfigurationError(f"outer_iterations must be >= 0, got {self.outer_iterations}",
+                                     "outer_iterations")
         if len(self.epochs_per_iteration) != self.outer_iterations:
             raise ConfigurationError(
                 f"epochs_per_iteration has {len(self.epochs_per_iteration)} entries "
-                f"for {self.outer_iterations} iterations"
+                f"for {self.outer_iterations} iterations",
+                "epochs_per_iteration",
             )
         if any(e < 1 for e in self.epochs_per_iteration):
-            raise ConfigurationError("every epoch count must be positive")
+            raise ConfigurationError(
+                f"epochs_per_iteration entries must be >= 1, got {list(self.epochs_per_iteration)}",
+                "epochs_per_iteration",
+            )
         if self.learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}",
                                      "learning_rate")
-        if self.batch_size < 1 or self.train_symbols < 1 or self.val_symbols < 1:
-            raise ConfigurationError("batch_size and symbol counts must be positive")
+        for name in ("batch_size", "train_symbols", "val_symbols"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}",
+                                         name)
         if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}", "seed")
 
 
 @dataclass(frozen=True)
@@ -170,32 +177,26 @@ def _mse(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _run_epochs(step_fn, eval_fn, net, cfg, epochs, n_samples, *, iteration, phase, log, rng):
-    """Shared mini-batch loop: shuffle, step, and log one row per epoch.
+    """Shared mini-batch loop: shuffle, step, and log one row per epoch; trains net in place.
 
-    ``eval_fn(net)`` is the held-out score. The phase has one helper thread,
-    which runs two kinds of task in the order they are queued: it draws each
-    epoch's ``rng.permutation`` one epoch ahead, and it scores a copy of the
-    net as each epoch left it while the next epoch's steps run on the calling
-    thread. ``eval_fn`` must touch no buffer that ``step_fn`` does, and
-    nothing else may draw from ``rng``. An epoch's row is appended after the
-    next epoch's steps, so the log keeps epoch order, and the last score is
-    joined before the loop returns. If a step raises while a score is in
-    flight, the score is joined first, and the first of these is raised: the
-    score's own exception, its row's DivergenceError, the step's error. That
-    is the order a loop that scores each epoch before the next raises them in.
-    The helper is shut down, and its thread joined, before the loop returns
-    or raises.
+    ``step_fn(batch, workspace)`` returns a minibatch's (loss, gradients), and
+    ``eval_fn(net, workspace)`` the held-out score. The phase has one helper
+    thread, which runs two kinds of task in the order they are queued: it
+    draws each epoch's ``rng.permutation`` one epoch ahead, and it scores a
+    copy of the net as each epoch left it while later epochs' steps run on
+    the calling thread. Each thread has its own workspace, and nothing else
+    may draw from ``rng``. Once the steps end, or a step raises, the rows are
+    appended in epoch order as their scores are joined. So the first failing
+    score is raised, its own exception or its row's DivergenceError, before
+    a step's error: the order a loop that scores each epoch before the next
+    raises them in. The helper is shut down, and its thread joined, before
+    the loop returns or raises.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, as in harness.run_sweep
 
     state = AdamState.fresh(net)
-    scoring = None  # (future, row fields) of the epoch whose score is in flight
-
-    def log_scored():
-        nonlocal scoring
-        (score, fields), scoring = scoring, None
-        log.append(TrainRecord(**fields, val_mse=score.result()))
-
+    steps, scores = NnWorkspace(), NnWorkspace()
+    queued = []  # (epoch, train_mse, score future) per epoch
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpdkit-train") as helper:
         next_order = helper.submit(rng.permutation, n_samples)
         try:
@@ -206,19 +207,15 @@ def _run_epochs(step_fn, eval_fn, net, cfg, epochs, n_samples, *, iteration, pha
                 weighted = 0.0
                 for start in range(0, n_samples, cfg.batch_size):
                     batch = order[start : start + cfg.batch_size]
-                    loss, grads = step_fn(batch)
+                    loss, grads = step_fn(batch, steps)
                     adam_step(net, grads, state, cfg)
                     weighted += loss * len(batch)
-                if scoring is not None:
-                    log_scored()
-                fields = dict(iteration=iteration, phase=phase, epoch=epoch,
-                              train_mse=weighted / n_samples)
                 snapshot = DenseNet(net.hidden_layers, net.width, net.weights, net.biases)
-                scoring = (helper.submit(eval_fn, snapshot), fields)
+                queued.append((epoch, weighted / n_samples,
+                               helper.submit(eval_fn, snapshot, scores)))
         finally:
-            if scoring is not None:
-                log_scored()
-    return net
+            for epoch, train_mse, score in queued:
+                log.append(TrainRecord(iteration, phase, epoch, train_mse, score.result()))
 
 
 def train_pa_nn(
@@ -241,9 +238,8 @@ def train_pa_nn(
     if len(x_hat) != len(y_norm):
         raise ConfigurationError(f"pair length mismatch: {len(x_hat)} vs {len(y_norm)}")
     rng = np.random.default_rng([cfg.seed, 10 + iteration, 0])
-    workspace = NnWorkspace()
 
-    def step(batch):
+    def step(batch, workspace):
         return nn_backward(
             net,
             IqSignal(x_hat.samples[batch], x_hat.sample_rate_hz),
@@ -251,14 +247,12 @@ def train_pa_nn(
             workspace=workspace,
         )
 
-    def evaluate(scored):
+    def evaluate(scored, workspace):
         out = nn_forward(scored, val_pairs[0], workspace=workspace)
         return _mse(out.samples, val_pairs[1].samples)
 
-    net = _run_epochs(
-        step, evaluate, net, cfg, epochs, len(x_hat),
-        iteration=iteration, phase="pa_model", log=log, rng=rng,
-    )
+    _run_epochs(step, evaluate, net, cfg, epochs, len(x_hat),
+                iteration=iteration, phase="pa_model", log=log, rng=rng)
     return net, log
 
 
@@ -280,23 +274,20 @@ def train_dpd_nn(
     scored on; ``iteration`` and ``log`` are as in ``train_pa_nn``.
     """
     rng = np.random.default_rng([cfg.seed, 10 + iteration, 1])
-    workspace = NnWorkspace()
 
-    def step(batch):
+    def step(batch, workspace):
         return nn_backward_through_frozen(
             dpd, pa_model, IqSignal(x.samples[batch], x.sample_rate_hz), workspace=workspace
         )
 
-    def evaluate(scored):
+    def evaluate(scored, workspace):
         cascade = nn_forward(
             pa_model, nn_forward(scored, x_val, workspace=workspace), workspace=workspace
         )
         return _mse(cascade.samples, x_val.samples)
 
-    dpd = _run_epochs(
-        step, evaluate, dpd, cfg, epochs, len(x),
-        iteration=iteration, phase="dpd", log=log, rng=rng,
-    )
+    _run_epochs(step, evaluate, dpd, cfg, epochs, len(x),
+                iteration=iteration, phase="dpd", log=log, rng=rng)
     return dpd, log
 
 

@@ -857,6 +857,20 @@ print(json.dumps(steps))
             ("waveform.subcarrier_spacing_hz", {"waveform": {"subcarrier_spacing_hz": float("nan")}}),
             ("waveform.subcarrier_spacing_hz", {"waveform": {"subcarrier_spacing_hz": -15e3}}),
             ("list of descriptor strings", {"dpd_list": "poly P=3"}),
+            # out-of-range values name their field too
+            ("train.batch_size", {"train": {"batch_size": 0}}),
+            ("train.train_symbols", {"train": {"train_symbols": 0}}),
+            ("train.val_symbols", {"train": {"val_symbols": 0}}),
+            ("train.seed", {"train": {"seed": -1}}),
+            ("train.outer_iterations",
+             {"train": {"outer_iterations": -1, "epochs_per_iteration": []}}),
+            ("train.epochs_per_iteration", {"train": {"epochs_per_iteration": [20, 0]}}),
+            ("train.epochs_per_iteration", {"train": {"outer_iterations": 3}}),
+            ("waveform.n_subcarriers", {"waveform": {"n_subcarriers": 0}}),
+            ("waveform.constellation", {"waveform": {"constellation": "qam8"}}),
+            ("waveform.oversampling_factor", {"waveform": {"oversampling_factor": 1}}),
+            ("fixed_point.frac_bits", {"fixed_point": {"frac_bits": 16}}),
+            ("fixed_point.frac_bits", {"fixed_point": {"total_bits": 8, "frac_bits": 0}}),
         ]
         for raw in bad_specs:
             spec.write_text(json.dumps(raw))

@@ -34,6 +34,15 @@ class TestConfig:
             OfdmConfig(seed=-1)
         assert err.value.field == "seed"
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_subcarriers", 0), ("n_symbols", 0), ("constellation", "qam8"),
+        ("oversampling_factor", 1),
+    ])
+    def test_range_error_names_its_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} ") as err:
+            OfdmConfig(**{field: value})
+        assert err.value.field == field
+
     def test_constellations_unit_power(self):
         for name, points in CONSTELLATIONS.items():
             assert np.mean(np.abs(points) ** 2) == pytest.approx(1.0, rel=1e-12), name

@@ -479,6 +479,60 @@ class TestScoringThread:
             self.train_short_pa_phase(pa_pairs)
         assert threading.active_count() == before
 
+    def test_a_failing_score_mid_phase_is_raised_after_the_steps(self, pa_pairs, monkeypatch):
+        forward, scored, steps = training.nn_forward, [], []
+        step = training.adam_step
+
+        def failing_forward(net, x, *, workspace):
+            scored.append(net)
+            if len(scored) == 2:
+                raise InputRangeError("epoch 2's held-out forward")
+            return forward(net, x, workspace=workspace)
+
+        def counted_step(net, grads, state, cfg):
+            steps.append(state.step)
+            step(net, grads, state, cfg)
+
+        monkeypatch.setattr(training, "nn_forward", failing_forward)
+        monkeypatch.setattr(training, "adam_step", counted_step)
+        before = threading.active_count()
+        log = TrainLog()
+        with pytest.raises(InputRangeError, match="epoch 2's held-out forward"):
+            self.train_short_pa_phase(pa_pairs, log)
+        assert [(r.phase, r.epoch) for r in log.records] == [("pa_model", 1)]
+        # the third epoch still trains and is scored before the error is raised
+        assert len(steps) == 3 * self.STEPS_PER_EPOCH and len(scored) == 3
+        assert threading.active_count() == before
+
+
+class TestWorkspacePerThread:
+    def test_steps_and_scores_use_different_workspaces(self, pa_pairs, monkeypatch):
+        seen = []  # (kind, workspace) per call, in call order on either thread
+
+        def recorded(kind, kernel):
+            def call(*args, workspace):
+                seen.append((kind, workspace))
+                return kernel(*args, workspace=workspace)
+            return call
+
+        for name in ("nn_backward", "nn_backward_through_frozen"):
+            monkeypatch.setattr(training, name, recorded("step", getattr(training, name)))
+        monkeypatch.setattr(training, "nn_forward", recorded("score", training.nn_forward))
+        cfg = TrainConfig(seed=0)
+        train, val = _cut(pa_pairs, 0, 2500), _cut(pa_pairs, 2500, 5000)
+        log = TrainLog()
+        pa_net, _ = train_pa_nn(train, glorot_net(1, 6, seed=0), cfg, val_pairs=val, epochs=2,
+                                iteration=1, log=log)
+        pa_phase = seen[:]
+        seen.clear()
+        train_dpd_nn(glorot_net(1, 6, seed=5), pa_net, train[0], cfg, x_val=val[0], epochs=2,
+                     iteration=1, log=log)
+        for phase in (pa_phase, seen):
+            steps = {id(w) for kind, w in phase if kind == "step"}
+            scores = {id(w) for kind, w in phase if kind == "score"}
+            assert len(steps) == 1 and len(scores) == 1
+            assert steps != scores
+
 
 class TestShuffleOrder:
     def test_orders_are_the_permutations_drawn_inline(self, pa_pairs, monkeypatch):
