@@ -21,14 +21,6 @@ from .signals import (
 )
 
 
-def _add_waveform_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--subcarriers", type=int, help="occupied subcarrier count")
-    p.add_argument("--spacing", type=float, help="subcarrier spacing in Hz")
-    p.add_argument("--constellation", choices=["qpsk", "qam16", "qam64"])
-    p.add_argument("--oversampling", type=int, help="DFT zero-padding factor")
-    p.add_argument("--wave-seed", type=int, help="data symbol seed")
-
-
 def _epoch_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(e) for e in text.split(",") if e != "")
@@ -36,21 +28,32 @@ def _epoch_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected integers like 20,5, got {text!r}") from None
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", help="JSON experiment spec; flags override its values")
-    p.add_argument("--pa", help="PA profile path, or 'default'")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="training seed (model init and shuffling)")
-    p.add_argument("--iterations", type=int, help="outer training iterations (0 = passthrough)")
-    p.add_argument("--epochs", type=_epoch_list, help="epochs per iteration, e.g. 20,5")
-    p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument("--batch", type=int, help="minibatch size")
-    p.add_argument(
-        "--fixed-point",
-        action="store_true",
-        help="also evaluate each model through the 16-bit fixed-point path",
-    )
-    _add_waveform_flags(p)
+#: One row per sweep flag, in --help order: (flag, (section, field) it overrides or None,
+#: argparse options). Section "" is the ExperimentSpec itself; None marks the flags that
+#: _spec_from_args reads itself. The waveform rows are generate's flags too.
+_SWEEP_FLAGS = (
+    ("--dpd", ("", "dpd_list"), dict(
+        action="append", help="descriptor, e.g. 'nn K=1 N=14' or 'poly P=7 M=1' (repeatable); "
+                              "overrides the spec")),
+    ("--spec", None, dict(help="JSON experiment spec; flags override its values")),
+    ("--pa", ("", "pa_profile_path"), dict(help="PA profile path, or 'default'")),
+    ("--out", ("", "output_dir"), dict(help="output directory")),
+    ("--seed", ("train", "seed"), dict(type=int, help="training seed (model init and shuffling)")),
+    ("--iterations", None, dict(type=int, help="outer training iterations (0 = passthrough)")),
+    ("--epochs", None, dict(type=_epoch_list, help="epochs per iteration, e.g. 20,5")),
+    ("--lr", ("train", "learning_rate"), dict(type=float, help="Adam learning rate")),
+    ("--batch", ("train", "batch_size"), dict(type=int, help="minibatch size")),
+    ("--fixed-point", None, dict(
+        action="store_true", help="also evaluate each model through the 16-bit fixed-point path")),
+    ("--subcarriers", ("waveform", "n_subcarriers"),
+     dict(type=int, help="occupied subcarrier count")),
+    ("--spacing", ("waveform", "subcarrier_spacing_hz"),
+     dict(type=float, help="subcarrier spacing in Hz")),
+    ("--constellation", ("waveform", "constellation"), dict(choices=["qpsk", "qam16", "qam64"])),
+    ("--oversampling", ("waveform", "oversampling_factor"),
+     dict(type=int, help="DFT zero-padding factor")),
+    ("--wave-seed", ("waveform", "seed"), dict(type=int, help="data symbol seed")),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,47 +63,44 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     g = sub.add_parser("generate", help="synthesize an OFDM frame to a signal CSV")
-    _add_waveform_flags(g)
+    s = sub.add_parser("sweep", help="train and evaluate a list of predistorters")
+    for flag, target, options in _SWEEP_FLAGS:
+        s.add_argument(flag, **options)
+        if target is not None and target[0] == "waveform":
+            g.add_argument(flag, **options)
     g.add_argument("--symbols", type=int, default=OfdmConfig.n_symbols, help="symbols per frame")
     g.add_argument("--out", required=True, help="output signal CSV path")
-
-    s = sub.add_parser("sweep", help="train and evaluate a list of predistorters")
-    s.add_argument("--dpd", action="append",
-                   help="descriptor, e.g. 'nn K=1 N=14' or 'poly P=7 M=1' (repeatable); "
-                        "overrides the spec")
-    _add_sweep_flags(s)
+    g.set_defaults(run=_cmd_generate)
+    s.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("psd", help="PSD overlay CSV from signal CSVs")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("signals", nargs="+", help="signal CSVs, optionally name=path")
+    p.set_defaults(run=_cmd_psd)
 
     r = sub.add_parser("report", help="condense a sweep.csv into the headline columns")
     r.add_argument("--sweep", required=True, help="sweep directory or sweep.csv path")
     r.add_argument("--out", help="output CSV path (default: print)")
     r.add_argument("--mode", choices=["float", "fixed", "all"], default="float")
+    r.set_defaults(run=_cmd_report)
     return parser
 
 
-def _waveform_from_args(args, base: OfdmConfig) -> OfdmConfig:
+def _with_flags(args, section: str, base):
+    """``base`` with each ``section`` field whose flag was given set to the flag's value."""
     updates = {}
-    if args.subcarriers is not None:
-        updates["n_subcarriers"] = args.subcarriers
-    if args.spacing is not None:
-        updates["subcarrier_spacing_hz"] = args.spacing
-    if args.constellation is not None:
-        updates["constellation"] = args.constellation
-    if args.oversampling is not None:
-        updates["oversampling_factor"] = args.oversampling
-    if args.wave_seed is not None:
-        updates["seed"] = args.wave_seed
-    return replace(base, **updates) if updates else base
+    for flag, target, _ in _SWEEP_FLAGS:
+        if target is not None and target[0] == section:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None:
+                updates[target[1]] = value
+    return replace(base, **updates)
 
 
 def _spec_from_args(args) -> ExperimentSpec:
     spec = ExperimentSpec.from_json(args.spec) if args.spec else ExperimentSpec()
-    if args.dpd:
-        spec = replace(spec, dpd_list=args.dpd)
-    spec = replace(spec, waveform=_waveform_from_args(args, spec.waveform))
+    spec = _with_flags(args, "", spec)
+    spec = replace(spec, waveform=_with_flags(args, "waveform", spec.waveform))
     train = spec.train
     if args.iterations is not None or args.epochs is not None:
         iterations = args.iterations if args.iterations is not None else train.outer_iterations
@@ -113,24 +113,14 @@ def _spec_from_args(args) -> ExperimentSpec:
                 f"--iterations {iterations} needs --epochs with {iterations} entries"
             )
         train = replace(train, outer_iterations=iterations, epochs_per_iteration=epochs)
-    if args.lr is not None:
-        train = replace(train, learning_rate=args.lr)
-    if args.batch is not None:
-        train = replace(train, batch_size=args.batch)
-    if args.seed is not None:
-        train = replace(train, seed=args.seed)
-    spec = replace(spec, train=train)
-    if args.pa is not None:
-        spec = replace(spec, pa_profile_path=args.pa)
-    if args.out is not None:
-        spec = replace(spec, output_dir=args.out)
+    spec = replace(spec, train=_with_flags(args, "train", train))
     if args.fixed_point and spec.fixed_point is None:
         spec = replace(spec, fixed_point=FixedFormat())
     return spec
 
 
 def _cmd_generate(args) -> int:
-    cfg = _waveform_from_args(args, OfdmConfig(n_symbols=args.symbols))
+    cfg = _with_flags(args, "waveform", OfdmConfig(n_symbols=args.symbols))
     _, signal = generate_ofdm(cfg)
     write_signal_csv(signal, args.out, metadata=asdict(cfg))
     print(f"wrote {len(signal)} samples at {signal.sample_rate_hz / 1e6:g} MHz, "
@@ -204,13 +194,7 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "generate":
-            return _cmd_generate(args)
-        if args.verb == "sweep":
-            return _cmd_sweep(args)
-        if args.verb == "psd":
-            return _cmd_psd(args)
-        return _cmd_report(args)
+        return args.run(args)
     except (DpdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

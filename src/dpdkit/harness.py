@@ -131,8 +131,10 @@ class ExperimentSpec:
             if raw.get("fixed_point") is not None:
                 kwargs["fixed_point"] = _section("fixed_point", FixedFormat, raw["fixed_point"])
             if "output_dir" in raw:
-                out = Path(raw["output_dir"])
-                kwargs["output_dir"] = str(out if base_dir is None else base_dir / out)
+                out = raw["output_dir"]
+                if isinstance(out, (str, os.PathLike)):  # the spec's own check names the rest
+                    out = str(Path(out) if base_dir is None else base_dir / out)
+                kwargs["output_dir"] = out
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad spec value: {exc}") from exc

@@ -11,6 +11,7 @@ it without side-band information.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ class OfdmConfig:
             )
         if self.n_symbols < 1:
             raise ConfigurationError(f"n_symbols must be >= 1, got {self.n_symbols}", "n_symbols")
-        if self.constellation not in CONSTELLATIONS:
+        if not isinstance(self.constellation, str) or self.constellation not in CONSTELLATIONS:
             raise ConfigurationError(
                 f"constellation must be one of {sorted(CONSTELLATIONS)}, "
                 f"got {self.constellation!r}",
@@ -82,6 +83,13 @@ class OfdmConfig:
             raise ConfigurationError(
                 f"oversampling_factor must be >= 2, got {self.oversampling_factor}",
                 "oversampling_factor",
+            )
+        # dft_size x spacing overflows before the spacing itself does
+        if not math.isfinite(self.sample_rate_hz):
+            raise ConfigurationError(
+                f"subcarrier_spacing_hz must give a finite sample rate, got "
+                f"{self.subcarrier_spacing_hz} ({self.dft_size} x that overflows)",
+                "subcarrier_spacing_hz",
             )
         # the data generator takes no negative seed
         if self.seed < 0:

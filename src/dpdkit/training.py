@@ -120,18 +120,11 @@ class TrainLog:
 
 @dataclass
 class AdamState:
-    """Adam's first and second moments, flat in the layout of ``DenseNet.flat``.
-
-    ``scratch`` holds two vectors of that length for adam_step's temporaries.
-    """
+    """Adam's first and second moments, flat in the layout of ``DenseNet.flat``."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def fresh(cls, net: DenseNet) -> "AdamState":
@@ -141,10 +134,6 @@ class AdamState:
 
 def adam_step(net: DenseNet, grads: DenseNet, state: AdamState, cfg: TrainConfig) -> None:
     """One bias-corrected Adam update, in place on the net and state.
-
-    The temporaries live in ``state.scratch``; the operations and their order
-    are those of ``params -= lr * (m / corr1) / (sqrt(v / corr2) + eps)``
-    after ``m = b1*m + (1 - b1)*g`` and ``v = b2*v + (1 - b2)*g*g``.
 
     Raises:
         DivergenceError: if any gradient entry is non-finite.
@@ -158,17 +147,11 @@ def adam_step(net: DenseNet, grads: DenseNet, state: AdamState, cfg: TrainConfig
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     m, v, params = state.m, state.v, net.flat
-    step, denom = state.scratch
     m *= b1
-    m += np.multiply(g, 1 - b1, out=step)
+    m += (1 - b1) * g
     v *= b2
-    np.multiply(g, 1 - b2, out=step)
-    v += np.multiply(step, g, out=step)
-    np.divide(m, corr1, out=step)
-    step *= cfg.learning_rate
-    np.sqrt(np.divide(v, corr2, out=denom), out=denom)
-    denom += ADAM_EPS
-    params -= np.divide(step, denom, out=step)
+    v += (1 - b2) * g * g
+    params -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> float:

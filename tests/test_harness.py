@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import dpdkit
 from dpdkit import complexity, harness
-from dpdkit.cli import main
+from dpdkit.cli import _SWEEP_FLAGS, _build_parser, _spec_from_args, main
 from dpdkit.complexity import FAMILIES, nn_count, parse_descriptor, poly_count
 from dpdkit.errors import AlignmentError, ConfigurationError, MetricError
 from dpdkit.fixedpoint import FixedFormat
@@ -598,6 +598,24 @@ class TestEmitPsdOverlay:
             emit_psd_overlay([], tmp_path / "x.csv")
 
 
+# the (section, field) each sweep flag overrides, and a (command-line text, parsed value)
+# for it that differs from the default spec's
+_FLAG_TARGETS = {flag: target for flag, target, _ in _SWEEP_FLAGS if target}
+_FLAG_VALUES = {
+    "--dpd": ("poly P=3", ["poly P=3"]),
+    "--pa": ("pa.txt", "pa.txt"),
+    "--out": ("elsewhere", "elsewhere"),
+    "--seed": ("3", 3),
+    "--lr": ("0.01", 0.01),
+    "--batch": ("256", 256),
+    "--subcarriers": ("300", 300),
+    "--spacing": ("30000", 30000.0),
+    "--constellation": ("qpsk", "qpsk"),
+    "--oversampling": ("3", 3),
+    "--wave-seed": ("5", 5),
+}
+
+
 class TestCli:
     def test_generate_writes_signal(self, tmp_path):
         out = tmp_path / "frame.csv"
@@ -803,6 +821,34 @@ print(json.dumps(steps))
         assert f"{bad}: not UTF-8 text: byte 0xff at offset 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", _FLAG_TARGETS)
+    def test_a_sweep_flag_overrides_its_one_field(self, flag):
+        text, value = _FLAG_VALUES[flag]
+        spec = _spec_from_args(_build_parser().parse_args(["sweep", flag, text]))
+        section, name = _FLAG_TARGETS[flag]
+        default = ExperimentSpec()
+        if section:
+            expected = replace(default, **{section: replace(getattr(default, section),
+                                                            **{name: value})})
+        else:
+            expected = replace(default, **{name: value})
+        assert expected != default
+        assert spec == expected
+
+    @pytest.mark.parametrize("flag", [f for f, t in _FLAG_TARGETS.items() if t[0] == "waveform"])
+    def test_generate_records_each_waveform_flag(self, tmp_path, flag):
+        text, value = _FLAG_VALUES[flag]
+        out = tmp_path / "frame.csv"
+        assert main(["generate", "--symbols", "1", flag, text, "--out", str(out)]) == 0
+        meta = Path(f"{out}.meta").read_text().splitlines()
+        assert f"{_FLAG_TARGETS[flag][1]}: {value}" in meta
+
+    def test_generate_names_an_overflowing_spacing(self, tmp_path, capsys):
+        out = tmp_path / "frame.csv"
+        assert main(["generate", "--spacing", "1e308", "--out", str(out)]) == 2
+        assert "subcarrier_spacing_hz" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert main(["sweep", "--spec", str(tmp_path / "nope.json")]) == 2
 
@@ -871,6 +917,12 @@ print(json.dumps(steps))
             ("waveform.oversampling_factor", {"waveform": {"oversampling_factor": 1}}),
             ("fixed_point.frac_bits", {"fixed_point": {"frac_bits": 16}}),
             ("fixed_point.frac_bits", {"fixed_point": {"total_bits": 8, "frac_bits": 0}}),
+            # wrong-typed values are named too, not left to Path() or a dict lookup
+            ("output_dir", {"output_dir": None}),
+            ("output_dir", {"output_dir": 5}),
+            ("waveform.constellation", {"waveform": {"constellation": ["qam16"]}}),
+            # 4096 x 1e308 Hz overflows the sample rate
+            ("waveform.subcarrier_spacing_hz", {"waveform": {"subcarrier_spacing_hz": 1e308}}),
         ]
         for raw in bad_specs:
             spec.write_text(json.dumps(raw))

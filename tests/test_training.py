@@ -181,7 +181,7 @@ class TestAdamStep:
         assert self.state.step == 0
 
     def test_fifty_steps_match_the_flat_expression_bitwise(self):
-        # adam_step rounds through its scratch vectors; the bits must be the expression's
+        # adam_step's bits must be those of this expression, evaluated in this order
         net = glorot_net(2, 5, seed=8)
         params = net.flat.copy()
         m, v = np.zeros_like(params), np.zeros_like(params)
