@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _require_integer
 from .fixedpoint import nn_forward_fixed, poly_forward_fixed
 from .mempoly import PolyShape, fit_ila, poly_predistort, rescale_cascade_gain, save_poly_model
 from .nn import _weight_shapes, nn_forward, save_net
@@ -47,8 +47,8 @@ class ComplexityReport:
     model_descriptor: str
 
     def __post_init__(self):
-        if self.n_params_real < 0 or self.n_mults < 0:
-            raise ConfigurationError("complexity counts cannot be negative")
+        for name in ("n_params_real", "n_mults"):
+            _require_integer(name, getattr(self, name), 0)
 
 
 def poly_count(shape: PolyShape) -> ComplexityReport:

@@ -20,26 +20,36 @@ class ConfigurationError(DpdError):
         self.field = field
 
 
-def _require_integer(field: str, value) -> None:
-    """Reject a count given as a float, a string or a bool, naming its field.
+def _require_integer(field: str, value, minimum: int | None = None) -> None:
+    """Reject a count given as a float, a string or a bool, or below ``minimum``, naming its field.
 
     Only Python and NumPy integers define ``__index__``, so 2.0 fails too;
     bool is an int subclass, and JSON reads true and false into it.
     """
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ConfigurationError(f"{field} must be an integer, got {value!r}", field)
+    _require_at_least(field, value, minimum)
 
 
-def _require_real(field: str, value) -> None:
+def _require_real(field: str, value, minimum=None, *, positive: bool = False) -> None:
     """Reject a real setting given as a string, a bool or a NaN/inf, naming its field.
 
     JSON reads NaN, Infinity and true into values that slip past a ``> 0``
-    check or fail later with a message that does not name the field.
+    check or fail later with a message that does not name the field. The
+    value must also be at least ``minimum`` and, if ``positive``, above 0.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{field} must be a real number, got {value!r}", field)
     if not math.isfinite(value):
         raise ConfigurationError(f"{field} must be finite, got {value!r}", field)
+    _require_at_least(field, value, minimum)
+    if positive and not value > 0:
+        raise ConfigurationError(f"{field} must be positive, got {value}", field)
+
+
+def _require_at_least(field: str, value, minimum) -> None:
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{field} must be >= {minimum}, got {value}", field)
 
 
 class FramingError(DpdError):

@@ -180,17 +180,10 @@ def _error_report(descriptor: str, exc: Exception) -> DpdReport:
     )
 
 
-def _load_pa(path):
-    return load_default_pa() if path in ("default", "", None) else load_pa_profile(path)
-
-
 def _run_descriptor(
-    family, params, report: ComplexityReport, spec: ExperimentSpec, x_train, x_val, val_cfg,
+    family, params, report: ComplexityReport, spec: ExperimentSpec, pa, x_train, x_val, val_cfg,
     ref_grid, helper
 ) -> list[DpdReport]:
-    # a fresh amplifier per row: rows never share noise-generator state, so
-    # they are order-independent and could run in parallel
-    pa = _load_pa(spec.pa_profile_path)
     slug = descriptor_slug(report.model_descriptor)
     row_dir = Path(spec.output_dir) / slug
     model, forward, forward_fixed = family.fit(params, pa, spec, x_train, row_dir)
@@ -246,7 +239,10 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
     # imported here, not at module level, where it would lengthen every CLI start
     from concurrent.futures import ThreadPoolExecutor
 
-    _load_pa(spec.pa_profile_path)  # unloadable profiles are a spec error, not a row error
+    # read once: an unloadable profile is a spec error, not a row error, and every row gets
+    # the same amplifier, even if the file changes mid-sweep
+    path = spec.pa_profile_path
+    pa = load_default_pa() if path in ("default", "", None) else load_pa_profile(path)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -259,8 +255,9 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
         for desc in spec.dpd_list:
             family, params, report = parse_descriptor(desc)
             try:
-                reports.extend(_run_descriptor(family, params, report, spec, x_train, x_val,
-                                               val_cfg, ref_grid, helper))
+                # a fresh copy (_calls == 0) per row: rows share no noise-generator state
+                reports.extend(_run_descriptor(family, params, report, spec, replace(pa), x_train,
+                                               x_val, val_cfg, ref_grid, helper))
             except Exception as exc:  # noqa: BLE001 — per-row capture is the contract
                 reports.append(_error_report(report.model_descriptor, exc))
 

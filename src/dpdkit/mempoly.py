@@ -45,19 +45,17 @@ class PolyShape:
     include_dc: bool = False
 
     def __post_init__(self):
-        if self.p_max < 1 or self.p_max % 2 == 0:
-            raise ConfigurationError(f"p_max must be odd and >= 1, got {self.p_max}", "p_max")
-        if self.main_taps < 1:
-            raise ConfigurationError(f"main_taps must be >= 1, got {self.main_taps}", "main_taps")
-        if self.q_max < 0 or (self.q_max > 0 and self.q_max % 2 == 0):
-            raise ConfigurationError(f"q_max must be 0 or odd, got {self.q_max}")
+        _require_integer("p_max", self.p_max, 1)
+        if self.p_max % 2 == 0:
+            raise ConfigurationError(f"p_max must be odd, got {self.p_max}", "p_max")
+        _require_integer("main_taps", self.main_taps, 1)
+        _require_integer("q_max", self.q_max, 0)
+        if self.q_max % 2 == 0 and self.q_max:
+            raise ConfigurationError(f"q_max must be 0 or odd, got {self.q_max}", "q_max")
         if (self.q_max == 0) != (self.conj_taps == 0):
-            raise ConfigurationError(
-                f"conjugate branch needs both q_max and conj_taps set "
-                f"(got q_max={self.q_max}, conj_taps={self.conj_taps})"
-            )
-        if self.conj_taps < 0:
-            raise ConfigurationError(f"conj_taps must be >= 0, got {self.conj_taps}")
+            raise ConfigurationError(f"conj_taps must be set exactly when q_max is (got q_max="
+                                     f"{self.q_max}, conj_taps={self.conj_taps})", "conj_taps")
+        _require_integer("conj_taps", self.conj_taps, 0)
 
     @property
     def branches(self) -> list[tuple[str, int, int]]:
@@ -239,9 +237,7 @@ def rescale_cascade_gain(model: MemoryPolyModel, gain: float) -> MemoryPolyModel
     unit gain and then shrinking every coefficient under the Q1.15 ceiling —
     a fitted linear term typically lands a couple percent above 1.0.
     """
-    _require_real("gain", gain)
-    if gain <= 0:
-        raise ConfigurationError(f"gain must be positive, got {gain!r}", "gain")
+    _require_real("gain", gain, positive=True)
     gain = float(gain)
     s = model.shape
     alpha = model.alpha.copy()
@@ -417,9 +413,7 @@ def fit_ila(
         (model, residuals): the final model and the relative LS residual
         ||A theta - b|| / ||b|| of each iteration.
     """
-    _require_integer("n_iterations", n_iterations)
-    if n_iterations < 0:
-        raise ConfigurationError(f"n_iterations must be >= 0, got {n_iterations}")
+    _require_integer("n_iterations", n_iterations, 0)
     n_cols = shape.n_basis_columns
     if n_iterations and len(x_train) < 10 * n_cols:
         raise ConfigurationError(

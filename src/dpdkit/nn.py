@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, InputRangeError
+from .errors import ConfigurationError, FormatError, InputRangeError, _require_integer
 from .signals import (
     IqSignal, _content_lines, _read_rows, _read_text, _require_finite, _write_rows
 )
@@ -42,8 +42,8 @@ FORWARD_BLOCK = 8192
 
 
 def _weight_shapes(k: int, n: int) -> list[tuple[int, int]]:
-    if k < 1 or n < 1:
-        raise ConfigurationError(f"need hidden_layers >= 1 and width >= 1, got K={k}, N={n}")
+    _require_integer("hidden_layers", k, 1)
+    _require_integer("width", n, 1)
     return [(n, 2)] + [(n, n)] * (k - 1) + [(2, n)]
 
 

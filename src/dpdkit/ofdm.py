@@ -63,27 +63,24 @@ class OfdmConfig:
         for name in ("n_subcarriers", "n_symbols", "oversampling_factor", "seed"):
             _require_integer(name, getattr(self, name))
         _require_real("subcarrier_spacing_hz", self.subcarrier_spacing_hz)
-        if self.n_subcarriers < 1:
-            raise ConfigurationError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}",
-                                     "n_subcarriers")
-        if not self.subcarrier_spacing_hz > 0:
-            raise ConfigurationError(
-                f"subcarrier_spacing_hz must be positive, got {self.subcarrier_spacing_hz}",
-                "subcarrier_spacing_hz",
-            )
-        if self.n_symbols < 1:
-            raise ConfigurationError(f"n_symbols must be >= 1, got {self.n_symbols}", "n_symbols")
+        _require_integer("n_subcarriers", self.n_subcarriers, 1)
+        _require_real("subcarrier_spacing_hz", self.subcarrier_spacing_hz, positive=True)
+        _require_integer("n_symbols", self.n_symbols, 1)
         if not isinstance(self.constellation, str) or self.constellation not in CONSTELLATIONS:
             raise ConfigurationError(
                 f"constellation must be one of {sorted(CONSTELLATIONS)}, "
                 f"got {self.constellation!r}",
                 "constellation",
             )
-        if self.oversampling_factor < 2:
-            raise ConfigurationError(
-                f"oversampling_factor must be >= 2, got {self.oversampling_factor}",
-                "oversampling_factor",
-            )
+        _require_integer("oversampling_factor", self.oversampling_factor, 2)
+        # numpy refuses, naming no field, an array whose size in bytes overflows intp; the first
+        # field whose factor takes the frame's complex128 samples past that is named here
+        limit = np.iinfo(np.intp).max // 16
+        for name, samples in zip(("n_subcarriers", "oversampling_factor", "n_symbols"),
+                                 (self.base_dft_size, self.dft_size, self.n_samples)):
+            if samples > limit:
+                raise ConfigurationError(f"{name} makes a frame of more than {limit} samples, "
+                                         f"too many for one numpy array", name)
         # dft_size x spacing overflows before the spacing itself does
         if not math.isfinite(self.sample_rate_hz):
             raise ConfigurationError(
@@ -92,8 +89,7 @@ class OfdmConfig:
                 "subcarrier_spacing_hz",
             )
         # the data generator takes no negative seed
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}", "seed")
+        _require_integer("seed", self.seed, 0)
 
     @property
     def base_dft_size(self) -> int:

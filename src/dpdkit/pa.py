@@ -80,12 +80,9 @@ class SimulatedPa:
         if isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit > 0:
             raise ConfigurationError(f"saturation_output_limit must be a positive real number, "
                                      f"got {limit!r}", "saturation_output_limit")
-        if self.noise_stddev < 0:
-            raise ConfigurationError(f"noise_stddev must be >= 0, got {self.noise_stddev}",
-                                     "noise_stddev")
+        _require_real("noise_stddev", self.noise_stddev, 0)
         # the noise generator takes no negative seed; every apply() would fail
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}", "seed")
+        _require_integer("seed", self.seed, 0)
 
     def apply(self, signal: IqSignal) -> IqSignal:
         """Transmit a signal through the PA.

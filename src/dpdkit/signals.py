@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DpdError, FormatError, MetricError
+from .errors import ConfigurationError, DpdError, FormatError, MetricError, _require_real
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,7 @@ class IqSignal:
             raise ConfigurationError(f"samples must be 1-D, got shape {samples.shape}")
         if samples.size == 0:
             raise ConfigurationError("signal must contain at least one sample")
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ConfigurationError(
-                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}",
-                "sample_rate_hz",
-            )
+        _require_real("sample_rate_hz", self.sample_rate_hz, positive=True)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 

@@ -71,29 +71,19 @@ class TrainConfig:
             _require_integer("epochs_per_iteration", e)
         _require_real("learning_rate", self.learning_rate)
         # 0 is allowed: run_full_training then returns the passthrough net
-        if self.outer_iterations < 0:
-            raise ConfigurationError(f"outer_iterations must be >= 0, got {self.outer_iterations}",
-                                     "outer_iterations")
+        _require_integer("outer_iterations", self.outer_iterations, 0)
         if len(self.epochs_per_iteration) != self.outer_iterations:
             raise ConfigurationError(
                 f"epochs_per_iteration has {len(self.epochs_per_iteration)} entries "
                 f"for {self.outer_iterations} iterations",
                 "epochs_per_iteration",
             )
-        if any(e < 1 for e in self.epochs_per_iteration):
-            raise ConfigurationError(
-                f"epochs_per_iteration entries must be >= 1, got {list(self.epochs_per_iteration)}",
-                "epochs_per_iteration",
-            )
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}",
-                                     "learning_rate")
+        for e in self.epochs_per_iteration:
+            _require_integer("epochs_per_iteration", e, 1)
+        _require_real("learning_rate", self.learning_rate, positive=True)
         for name in ("batch_size", "train_symbols", "val_symbols"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}",
-                                         name)
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}", "seed")
+            _require_integer(name, getattr(self, name), 1)
+        _require_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

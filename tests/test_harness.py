@@ -377,6 +377,20 @@ class TestRunSweep:
             models.append((tmp_path / f"seed{seed}" / "nn_K1_N4" / "model.txt").read_bytes())
         assert models[0] != models[1]
 
+    def test_amplifier_profile_is_read_once_per_sweep(self, tmp_path, monkeypatch):
+        # each row gets a fresh copy of the one amplifier, so a profile edited mid-sweep
+        # cannot give two rows different amplifiers
+        loads = []
+
+        def counted_load():
+            loads.append(1)
+            return load_default_pa()
+
+        monkeypatch.setattr(harness, "load_default_pa", counted_load)
+        spec = small_spec(tmp_path, dpd_list=["poly P=3 M=1", "poly P=5 M=1"], train=PASSTHROUGH)
+        assert [row.status for row in run_sweep(spec)] == ["ok", "ok"]
+        assert len(loads) == 1
+
     def test_rows_call_the_family_functions_through_module_globals(self, tmp_path, monkeypatch):
         # a family record holds no public function, so a rebinding of the family module's
         # globals (a tracing wrapper, say) reaches every fit and forward a sweep row makes
@@ -923,6 +937,9 @@ print(json.dumps(steps))
             ("waveform.constellation", {"waveform": {"constellation": ["qam16"]}}),
             # 4096 x 1e308 Hz overflows the sample rate
             ("waveform.subcarrier_spacing_hz", {"waveform": {"subcarrier_spacing_hz": 1e308}}),
+            # frames too large for a numpy array, and a count too large for a float
+            ("waveform.n_subcarriers", {"waveform": {"n_subcarriers": 10**30}}),
+            ("waveform.n_subcarriers", {"waveform": {"n_subcarriers": 10**400}}),
         ]
         for raw in bad_specs:
             spec.write_text(json.dumps(raw))

@@ -37,11 +37,21 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("n_subcarriers", 0), ("n_symbols", 0), ("constellation", "qam8"),
         ("oversampling_factor", 1),
+        # frames too large for one numpy array; 10**400 would also overflow the float sample rate
+        ("n_subcarriers", 10**30), ("n_subcarriers", 10**400),
+        ("oversampling_factor", 2**62), ("n_symbols", 2**47),
     ])
     def test_range_error_names_its_field(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} ") as err:
             OfdmConfig(**{field: value})
         assert err.value.field == field
+
+    def test_frame_size_bound_is_numpys(self):
+        # 2**47 symbols of 4096 samples are 2**59 complex128 samples, 2**63 bytes
+        limit = 2**59 - 1
+        assert OfdmConfig(n_symbols=2**47 - 1).n_samples <= limit
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty(limit + 1, dtype=np.complex128)
 
     def test_constellations_unit_power(self):
         for name, points in CONSTELLATIONS.items():
