@@ -19,15 +19,14 @@ one that writes or reads it: ``poly_count`` and ``nn_count`` write it,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable
 
 from .errors import ConfigurationError, _require_integer
 from .fixedpoint import nn_forward_fixed, poly_forward_fixed
 from .mempoly import PolyShape, fit_ila, poly_predistort, rescale_cascade_gain, save_poly_model
 from .nn import _weight_shapes, nn_forward, save_net
-from .signals import _write_lines
-from .training import DEFAULT_PA_MODEL_SHAPE, run_full_training
+from .training import DEFAULT_PA_MODEL_SHAPE, TrainRecord, run_full_training
 
 __all__ = [
     "FAMILIES",
@@ -88,33 +87,28 @@ POLY_FIXED_BACKOFF = 0.95
 
 @dataclass(frozen=True)
 class Family:
-    """A predistorter family. It holds no public function: count and fit name each one as a
-    module global at call time, so a rebinding of that global reaches every call."""
+    """A predistorter family. It holds no public function: each callable names its function as
+    a module global at call time, so a rebinding of that global reaches every call."""
 
     fields: tuple[str, ...]  # the descriptor's field names
     params: Callable[[dict], object]  # {field name: text} -> the family's parameters
     count: Callable[[object], ComplexityReport]
-    # fit(params, pa, spec, x_train, row_dir) -> (model, forward, forward_fixed); only after the
-    # fit succeeds does it create row_dir and write model.txt and trainlog.csv there
-    fit: Callable
+    fit: Callable  # (params, pa, spec, x_train) -> (model, trainlog header, trainlog rows)
+    forward: Callable  # (model, x) -> the float predistorter's output
+    forward_fixed: Callable  # (model, x, fmt, stats) -> the fixed-point predistorter's output
+    save: Callable  # (model, path) -> None: writes the model file
 
 
-def _fit_poly(shape, pa, spec, x_train, row_dir):
+def _fit_poly(shape, pa, spec, x_train):
     model, residuals = fit_ila(pa, shape, x_train, spec.train.outer_iterations)
     if spec.fixed_point is not None:
         model = rescale_cascade_gain(model, POLY_FIXED_BACKOFF)
-    row_dir.mkdir(parents=True, exist_ok=True)
-    save_poly_model(model, str(row_dir / "model.txt"))
-    _write_lines(row_dir / "trainlog.csv", ["iteration,residual"], enumerate(residuals, start=1))
-    return model, poly_predistort, poly_forward_fixed
+    return model, "iteration,residual", list(enumerate(residuals, start=1))
 
 
-def _fit_nn(kn, pa, spec, x_train, row_dir):
+def _fit_nn(kn, pa, spec, x_train):
     net, log = run_full_training(pa, (kn, DEFAULT_PA_MODEL_SHAPE), spec.train, spec.waveform)
-    row_dir.mkdir(parents=True, exist_ok=True)
-    save_net(net, str(row_dir / "model.txt"))
-    log.to_csv(str(row_dir / "trainlog.csv"))
-    return net, nn_forward, nn_forward_fixed
+    return net, ",".join(f.name for f in fields(TrainRecord)), list(map(astuple, log.records))
 
 
 # keyed by the descriptor's leading word
@@ -125,9 +119,15 @@ FAMILIES = {
                                    int(f.get("L", 0)), include_dc="+dc" in f),
         count=lambda shape: poly_count(shape),
         fit=_fit_poly,
+        forward=lambda model, x: poly_predistort(model, x),
+        forward_fixed=lambda model, x, fmt, stats: poly_forward_fixed(model, x, fmt, stats),
+        save=lambda model, path: save_poly_model(model, path),
     ),
     "nn": Family(fields=("K", "N"), params=lambda f: (int(f["K"]), int(f["N"])),
-                 count=lambda kn: nn_count(*kn), fit=_fit_nn),
+                 count=lambda kn: nn_count(*kn), fit=_fit_nn,
+                 forward=lambda net, x: nn_forward(net, x),
+                 forward_fixed=lambda net, x, fmt, stats: nn_forward_fixed(net, x, fmt, stats),
+                 save=lambda net, path: save_net(net, path)),
 }
 _NN_SLUG = re.compile(r"nn_K([0-9]+)_N([0-9]+)")
 _FIELD = re.compile(r"([A-Z])=([0-9]+)|\+dc")

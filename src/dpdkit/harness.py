@@ -3,10 +3,10 @@
 Each sweep row fits a predistorter through its record in complexity.FAMILIES,
 which alone knows the families, evaluates ACLR and EVM on a held-out
 validation frame with the counts from the descriptor, and optionally
-re-runs inference through the 16-bit fixed-point path. Artifacts
-land in one directory per descriptor; the top-level sweep.csv is written
-with round-tripping float formatting so a rerun of the same spec produces
-identical bytes.
+re-runs inference through the 16-bit fixed-point path. This module alone
+lays out the run directory: a fitted row's directory holds model.txt,
+trainlog.csv and psd.csv, and the top-level sweep.csv is written with
+round-tripping float formatting so a rerun of a spec gives identical bytes.
 """
 
 from __future__ import annotations
@@ -185,8 +185,11 @@ def _run_descriptor(
     ref_grid, helper
 ) -> list[DpdReport]:
     slug = descriptor_slug(report.model_descriptor)
+    model, log_header, log_rows = family.fit(params, pa, spec, x_train)
     row_dir = Path(spec.output_dir) / slug
-    model, forward, forward_fixed = family.fit(params, pa, spec, x_train, row_dir)
+    row_dir.mkdir(parents=True, exist_ok=True)
+    family.save(model, str(row_dir / "model.txt"))
+    _write_lines(row_dir / "trainlog.csv", [log_header], log_rows)
 
     def score(y: IqSignal) -> tuple[float, float]:
         return aclr_db_gated(y, val_cfg), evm_percent(ref_grid, demodulate_ofdm(y, val_cfg))
@@ -194,9 +197,9 @@ def _run_descriptor(
     # only the fixed-point forward runs on the helper: with the float metrics there too,
     # the helper's malloc arena kept their temporaries and poly_grid's peak RSS rose 7%
     fmt, stats = spec.fixed_point, FixedPointStats()
-    fixed = None if fmt is None else helper.submit(forward_fixed, model, x_val, fmt, stats)
+    fixed = None if fmt is None else helper.submit(family.forward_fixed, model, x_val, fmt, stats)
     try:
-        y = pa.apply(forward(model, x_val))
+        y = pa.apply(family.forward(model, x_val))
         aclr, evm = score(y)
         emit_psd_overlay([(slug, y)], row_dir / "psd.csv")
         # the fixed output's transmit follows the float one, so each keeps its noise draw
@@ -227,14 +230,14 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
     sweep continues; the CLI maps any failed row to a nonzero exit code.
 
     The sweep has one helper thread, made here and shut down, its thread
-    joined, before this returns. After each row's fit the helper runs the
-    fixed-point forward while this thread runs the float forward, its
-    transmit, ACLR, EVM and psd.csv; this thread then waits for the fixed
-    output, transmits it and scores it. A row returns only once its helper
-    task is done. Its errors are raised in the serial order: the float
-    forward or transmit, the float metrics or psd.csv, the fixed forward,
-    the fixed transmit or metrics; so psd.csv is written exactly when the
-    float metrics succeed.
+    joined, before this returns. Once a row is fitted, this thread writes
+    its model.txt and trainlog.csv; then the helper runs the fixed-point
+    forward while this thread runs the float forward, its transmit, ACLR,
+    EVM and psd.csv, and waits for the fixed output, transmits it and
+    scores it. A row returns only once its helper task is done. Its errors
+    are raised in the serial order: the float forward or transmit, the
+    float metrics or psd.csv, the fixed forward, the fixed transmit or
+    metrics; so psd.csv is written exactly when the float metrics succeed.
     """
     # imported here, not at module level, where it would lengthen every CLI start
     from concurrent.futures import ThreadPoolExecutor

@@ -11,7 +11,7 @@ signal pairs, never coefficients.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .nn import (
     nn_forward,
 )
 from .ofdm import OfdmConfig, generate_ofdm
-from .signals import IqSignal, estimate_gain, _write_lines
+from .signals import IqSignal, estimate_gain
 
 __all__ = [
     "DEFAULT_PA_MODEL_SHAPE",
@@ -103,9 +103,6 @@ class TrainLog:
         if not (np.isfinite(record.train_mse) and np.isfinite(record.val_mse)):
             raise DivergenceError(f"non-finite loss in {record.phase} epoch {record.epoch}")
         self.records.append(record)
-
-    def to_csv(self, path) -> None:
-        _write_lines(path, ["iteration,phase,epoch,train_mse,val_mse"], map(astuple, self.records))
 
 
 @dataclass

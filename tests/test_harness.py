@@ -10,7 +10,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dpdkit
-from dpdkit import complexity, harness
+from dpdkit import complexity, harness, training
 from dpdkit.cli import _SWEEP_FLAGS, _build_parser, _spec_from_args, main
 from dpdkit.complexity import FAMILIES, nn_count, parse_descriptor, poly_count
 from dpdkit.errors import AlignmentError, ConfigurationError, MetricError
@@ -338,7 +338,15 @@ class TestRunSweep:
         model = load_poly_model(str(tmp_path / "out" / "poly_P7_M1" / "model.txt"))
         assert np.abs(model.alpha.real).max() < 1.0
 
-    def test_nn_row_trains_and_persists(self, tmp_path):
+    def test_nn_row_trains_and_persists(self, tmp_path, monkeypatch):
+        logs = []
+
+        def logged(*args):
+            net, log = training.run_full_training(*args)
+            logs.append(log)
+            return net, log
+
+        monkeypatch.setattr(complexity, "run_full_training", logged)
         spec = small_spec(
             tmp_path,
             dpd_list=["nn K=1 N=4"],
@@ -356,6 +364,11 @@ class TestRunSweep:
         log_lines = (tmp_path / "out" / "nn_K1_N4" / "trainlog.csv").read_text().splitlines()
         assert log_lines[0] == "iteration,phase,epoch,train_mse,val_mse"
         assert len(log_lines) == 1 + 60  # 30 amplifier-model epochs + 30 predistorter epochs
+        # each row reads back to the logged record, its losses to the same floats
+        rows = [line.split(",") for line in log_lines[1:]]
+        assert [(int(i), phase, int(e), float(t), float(v)) for i, phase, e, t, v in rows] == [
+            astuple(record) for record in logs[0].records
+        ]
 
     def test_train_seed_reaches_training(self, tmp_path):
         models = []
@@ -393,9 +406,9 @@ class TestRunSweep:
 
     def test_rows_call_the_family_functions_through_module_globals(self, tmp_path, monkeypatch):
         # a family record holds no public function, so a rebinding of the family module's
-        # globals (a tracing wrapper, say) reaches every fit and forward a sweep row makes
-        names = ("fit_ila", "poly_predistort", "poly_forward_fixed",
-                 "run_full_training", "nn_forward", "nn_forward_fixed")
+        # globals (a tracing wrapper, say) reaches every fit, forward and save a sweep row makes
+        names = ("fit_ila", "poly_predistort", "poly_forward_fixed", "save_poly_model",
+                 "run_full_training", "nn_forward", "nn_forward_fixed", "save_net")
         calls = Counter()
         for name in names:
             def counted(*args, _name=name, _original=getattr(complexity, name), **kwargs):

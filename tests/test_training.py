@@ -209,18 +209,6 @@ class TestTrainLog:
         with pytest.raises(DivergenceError):
             log.append(TrainRecord(1, "dpd", 1, float("inf"), 1.0))
 
-    def test_csv_format(self, tmp_path):
-        log = TrainLog()
-        log.append(TrainRecord(1, "pa_model", 1, 0.5, 0.25))
-        log.append(TrainRecord(1, "dpd", 1, 0.125, 0.0625))
-        path = tmp_path / "trainlog.csv"
-        log.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "iteration,phase,epoch,train_mse,val_mse"
-        assert lines[1].startswith("1,pa_model,1,")
-        parts = lines[2].split(",")
-        assert float(parts[3]) == 0.125 and float(parts[4]) == 0.0625
-
 
 class TestTrainPaNn:
     def test_pure_gain_target_reaches_identity(self, frame):
