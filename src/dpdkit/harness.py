@@ -70,6 +70,13 @@ class ExperimentSpec:
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigurationError(f"output_dir must be a path, got {self.output_dir!r}",
                                      "output_dir")
+        # from_dict builds each section; a spec built in Python could hold a dict there
+        for name, kinds in [("waveform", (OfdmConfig,)), ("train", (TrainConfig,)),
+                            ("fixed_point", (FixedFormat, type(None)))]:
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise ConfigurationError(f"{name} must be of type {names}, got {value!r}", name)
         # a bare string would otherwise be read one character per descriptor
         if not isinstance(self.dpd_list, list) or not all(isinstance(d, str) for d in self.dpd_list):
             raise ConfigurationError(
@@ -88,6 +95,12 @@ class ExperimentSpec:
         if self.waveform.n_symbols != OfdmConfig.n_symbols:
             raise ConfigurationError("waveform.n_symbols is not a spec setting; "
                                      "train.train_symbols/val_symbols size the frames")
+        # the sweep's two frames: one too large for a numpy array is named by the count sizing it
+        for name in ("train_symbols", "val_symbols"):
+            try:
+                replace(self.waveform, n_symbols=getattr(self.train, name))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"train.{name}: {exc}", f"train.{name}") from None
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -246,12 +259,11 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
     # the same amplifier, even if the file changes mid-sweep
     path = spec.pa_profile_path
     pa = load_default_pa() if path in ("default", "", None) else load_pa_profile(path)
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     train_cfg, val_cfg = _frame_configs(spec.waveform, spec.train)
     _, x_train = generate_ofdm(train_cfg)
     ref_grid, x_val = generate_ofdm(val_cfg)
+    out_dir = Path(spec.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[DpdReport] = []
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpdkit-score") as helper:

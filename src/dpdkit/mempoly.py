@@ -52,10 +52,10 @@ class PolyShape:
         _require_integer("q_max", self.q_max, 0)
         if self.q_max % 2 == 0 and self.q_max:
             raise ConfigurationError(f"q_max must be 0 or odd, got {self.q_max}", "q_max")
+        _require_integer("conj_taps", self.conj_taps, 0)
         if (self.q_max == 0) != (self.conj_taps == 0):
             raise ConfigurationError(f"conj_taps must be set exactly when q_max is (got q_max="
                                      f"{self.q_max}, conj_taps={self.conj_taps})", "conj_taps")
-        _require_integer("conj_taps", self.conj_taps, 0)
 
     @property
     def branches(self) -> list[tuple[str, int, int]]:

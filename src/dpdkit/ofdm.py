@@ -59,10 +59,7 @@ class OfdmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a float or string count fails before any frame is built
-        for name in ("n_subcarriers", "n_symbols", "oversampling_factor", "seed"):
-            _require_integer(name, getattr(self, name))
-        _require_real("subcarrier_spacing_hz", self.subcarrier_spacing_hz)
+        # a bad count fails before any frame is built; the data generator takes no negative seed
         _require_integer("n_subcarriers", self.n_subcarriers, 1)
         _require_real("subcarrier_spacing_hz", self.subcarrier_spacing_hz, positive=True)
         _require_integer("n_symbols", self.n_symbols, 1)
@@ -73,6 +70,7 @@ class OfdmConfig:
                 "constellation",
             )
         _require_integer("oversampling_factor", self.oversampling_factor, 2)
+        _require_integer("seed", self.seed, 0)
         # numpy refuses, naming no field, an array whose size in bytes overflows intp; the first
         # field whose factor takes the frame's complex128 samples past that is named here
         limit = np.iinfo(np.intp).max // 16
@@ -88,8 +86,6 @@ class OfdmConfig:
                 f"{self.subcarrier_spacing_hz} ({self.dft_size} x that overflows)",
                 "subcarrier_spacing_hz",
             )
-        # the data generator takes no negative seed
-        _require_integer("seed", self.seed, 0)
 
     @property
     def base_dft_size(self) -> int:

@@ -72,17 +72,14 @@ class SimulatedPa:
     _calls: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        # a wrong-typed setting fails here, naming its field, not inside apply
-        _require_integer("seed", self.seed)
-        _require_real("noise_stddev", self.noise_stddev)
+        # a wrong-typed setting or a negative seed fails here, naming its field, not in apply()
+        _require_integer("seed", self.seed, 0)
+        _require_real("noise_stddev", self.noise_stddev, 0)
         limit = self.saturation_output_limit
         # inf is a limit (no clip), so the type is checked but not finiteness
         if isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit > 0:
             raise ConfigurationError(f"saturation_output_limit must be a positive real number, "
                                      f"got {limit!r}", "saturation_output_limit")
-        _require_real("noise_stddev", self.noise_stddev, 0)
-        # the noise generator takes no negative seed; every apply() would fail
-        _require_integer("seed", self.seed, 0)
 
     def apply(self, signal: IqSignal) -> IqSignal:
         """Transmit a signal through the PA.

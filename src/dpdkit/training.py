@@ -64,22 +64,17 @@ class TrainConfig:
                 "epochs_per_iteration",
             )
         object.__setattr__(self, "epochs_per_iteration", tuple(epochs))
-        # a float or string count fails here, not inside a sweep row
-        for name in ("outer_iterations", "batch_size", "train_symbols", "val_symbols", "seed"):
-            _require_integer(name, getattr(self, name))
-        for e in self.epochs_per_iteration:
-            _require_integer("epochs_per_iteration", e)
-        _require_real("learning_rate", self.learning_rate)
-        # 0 is allowed: run_full_training then returns the passthrough net
+        # a float or string count fails here, not inside a sweep row;
+        # 0 iterations is allowed: run_full_training then returns the passthrough net
         _require_integer("outer_iterations", self.outer_iterations, 0)
+        for e in self.epochs_per_iteration:
+            _require_integer("epochs_per_iteration", e, 1)
         if len(self.epochs_per_iteration) != self.outer_iterations:
             raise ConfigurationError(
                 f"epochs_per_iteration has {len(self.epochs_per_iteration)} entries "
                 f"for {self.outer_iterations} iterations",
                 "epochs_per_iteration",
             )
-        for e in self.epochs_per_iteration:
-            _require_integer("epochs_per_iteration", e, 1)
         _require_real("learning_rate", self.learning_rate, positive=True)
         for name in ("batch_size", "train_symbols", "val_symbols"):
             _require_integer(name, getattr(self, name), 1)

@@ -171,6 +171,17 @@ class TestExperimentSpec:
             with pytest.raises(ConfigurationError, match="list of descriptor strings"):
                 ExperimentSpec(dpd_list=bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("waveform", {"seed": 1}), ("waveform", TrainConfig()), ("train", {"seed": 1}),
+        ("train", None), ("fixed_point", {"frac_bits": 15}), ("fixed_point", "q15"),
+    ])
+    def test_section_of_the_wrong_type_rejected(self, tmp_path, field, value):
+        # from_dict builds each section, but a spec built in Python used to take a dict there
+        # and fail in the sweep, after making its output directory
+        with pytest.raises(ConfigurationError, match=f"^{field} must be of type") as info:
+            ExperimentSpec(**{field: value}, output_dir=str(tmp_path / "out"))
+        assert info.value.field == field
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(seed=-1)
@@ -953,16 +964,20 @@ print(json.dumps(steps))
             # frames too large for a numpy array, and a count too large for a float
             ("waveform.n_subcarriers", {"waveform": {"n_subcarriers": 10**30}}),
             ("waveform.n_subcarriers", {"waveform": {"n_subcarriers": 10**400}}),
+            ("train.train_symbols", {"train": {"train_symbols": 10**18}}),
+            ("train.val_symbols", {"train": {"val_symbols": 10**18}}),
         ]
         for raw in bad_specs:
             spec.write_text(json.dumps(raw))
             assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
+            assert not (tmp_path / "run").exists()  # a spec error writes nothing
             if raw in ({"waveform": None}, {"waveform": 5}):
                 assert "bad spec value in waveform:" in capsys.readouterr().err
         capsys.readouterr()
         for field, raw in named:
             spec.write_text(json.dumps(raw))
             assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
+            assert not (tmp_path / "run").exists()
             err = capsys.readouterr().err
             assert field in err
             # a string of epochs is quoted whole, not read one character at a time
