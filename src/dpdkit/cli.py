@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psd", help="PSD overlay CSV from signal CSVs")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("signals", nargs="+", help="signal CSVs, optionally name=path")
+    p.add_argument("signals", nargs="+", help="signal CSVs, each a path or name=path (split at "
+                                              "the first '='; an existing file is a path)")
     p.set_defaults(run=_cmd_psd)
 
     r = sub.add_parser("report", help="condense a sweep.csv into the headline columns")
@@ -101,17 +102,15 @@ def _spec_from_args(args) -> ExperimentSpec:
     spec = ExperimentSpec.from_json(args.spec) if args.spec else ExperimentSpec()
     spec = _with_flags(args, "", spec)
     spec = replace(spec, waveform=_with_flags(args, "waveform", spec.waveform))
-    train = spec.train
-    if args.iterations is not None or args.epochs is not None:
-        iterations = args.iterations if args.iterations is not None else train.outer_iterations
-        if args.epochs is not None:
-            epochs = args.epochs
-        elif iterations <= len(train.epochs_per_iteration):
-            epochs = train.epochs_per_iteration[:iterations]
-        else:
+    train, iterations, epochs = spec.train, args.iterations, args.epochs
+    if epochs is None and iterations is not None:
+        if iterations > len(train.epochs_per_iteration):
             raise ConfigurationError(
                 f"--iterations {iterations} needs --epochs with {iterations} entries"
             )
+        epochs = train.epochs_per_iteration[:iterations]
+    if epochs is not None:  # --epochs alone gives one iteration per entry
+        iterations = len(epochs) if iterations is None else iterations
         train = replace(train, outer_iterations=iterations, epochs_per_iteration=epochs)
     spec = replace(spec, train=_with_flags(args, "train", train))
     if args.fixed_point and spec.fixed_point is None:
@@ -150,11 +149,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_psd(args) -> int:
     named = []
     for item in args.signals:
-        name, _, path = item.rpartition("=")
-        if not name:
-            name, path = Path(path).stem, path
+        # an existing file is read as a path, "=" and all; anything else splits at its first "="
+        name, sep, path = item.partition("=")
+        if not sep or Path(item).is_file():
+            name, path = "", item
         signal, _ = read_signal_csv(path)
-        named.append((name, signal))
+        named.append((name or Path(path).stem, signal))
     emit_psd_overlay(named, args.out)
     print(f"wrote {args.out}")
     return 0

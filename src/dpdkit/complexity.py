@@ -107,7 +107,7 @@ def _fit_poly(shape, pa, spec, x_train):
 
 
 def _fit_nn(kn, pa, spec, x_train):
-    net, log = run_full_training(pa, (kn, DEFAULT_PA_MODEL_SHAPE), spec.train, spec.waveform)
+    net, log = run_full_training(pa, (kn, DEFAULT_PA_MODEL_SHAPE), spec.train, spec.frames())
     return net, ",".join(f.name for f in fields(TrainRecord)), list(map(astuple, log.records))
 
 

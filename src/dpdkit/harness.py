@@ -25,7 +25,7 @@ from .metrics import aclr_db_gated, default_segment_len, evm_percent, psd_welch
 from .ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
 from .pa import load_default_pa, load_pa_profile
 from .signals import IqSignal, _read_text, _write_lines
-from .training import TrainConfig, _frame_configs
+from .training import TrainConfig
 
 __all__ = [
     "DEFAULT_SWEEP",
@@ -45,15 +45,21 @@ SWEEP_COLUMNS = (
     "mode,sat_events,underflow_pct,train_log_path,status"
 )
 
+#: each spec section's config type; fixed_point alone may be None, which means no fixed-point rows
+_SECTIONS = {"waveform": OfdmConfig, "train": TrainConfig, "fixed_point": FixedFormat}
+#: the pa_profile_path spellings that name the packaged amplifier profile
+_PACKAGED_PROFILE = ("default", "", None)
+
 
 def descriptor_slug(descriptor: str) -> str:
     """Directory-safe form of a descriptor string."""
     return descriptor.replace("=", "").replace(" ", "_").replace("+", "")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything run_sweep needs; mirrors the CLI flags and the JSON file."""
+    """Everything run_sweep needs; mirrors the CLI flags and the JSON file. Frozen, so its
+    checks hold for its lifetime: ``dataclasses.replace`` makes a changed copy and reruns them."""
 
     pa_profile_path: str = "default"
     waveform: OfdmConfig = field(default_factory=lambda: OfdmConfig(seed=1))
@@ -71,11 +77,11 @@ class ExperimentSpec:
             raise ConfigurationError(f"output_dir must be a path, got {self.output_dir!r}",
                                      "output_dir")
         # from_dict builds each section; a spec built in Python could hold a dict there
-        for name, kinds in [("waveform", (OfdmConfig,)), ("train", (TrainConfig,)),
-                            ("fixed_point", (FixedFormat, type(None)))]:
+        for name, kind in _SECTIONS.items():
+            kinds = (kind, type(None)) if name == "fixed_point" else (kind,)
             value = getattr(self, name)
             if not isinstance(value, kinds):
-                names = " or ".join(kind.__name__ for kind in kinds)
+                names = " or ".join(k.__name__ for k in kinds)
                 raise ConfigurationError(f"{name} must be of type {names}, got {value!r}", name)
         # a bare string would otherwise be read one character per descriptor
         if not isinstance(self.dpd_list, list) or not all(isinstance(d, str) for d in self.dpd_list):
@@ -95,12 +101,19 @@ class ExperimentSpec:
         if self.waveform.n_symbols != OfdmConfig.n_symbols:
             raise ConfigurationError("waveform.n_symbols is not a spec setting; "
                                      "train.train_symbols/val_symbols size the frames")
-        # the sweep's two frames: one too large for a numpy array is named by the count sizing it
-        for name in ("train_symbols", "val_symbols"):
+        self.frames()
+
+    def frames(self) -> tuple[OfdmConfig, OfdmConfig]:
+        """The sweep's (training, held-out) frame configs, sized by ``train``; the held-out one
+        takes the next seed. A frame too large for numpy is named by the count sizing it."""
+        configs, wave = [], self.waveform
+        for offset, name in enumerate(("train_symbols", "val_symbols")):
             try:
-                replace(self.waveform, n_symbols=getattr(self.train, name))
+                n_symbols = getattr(self.train, name)
+                configs.append(replace(wave, n_symbols=n_symbols, seed=wave.seed + offset))
             except ConfigurationError as exc:
                 raise ConfigurationError(f"train.{name}: {exc}", f"train.{name}") from None
+        return tuple(configs)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -120,29 +133,22 @@ class ExperimentSpec:
         extra = set(raw) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigurationError(f"unknown spec keys: {sorted(extra)}")
+        # refused at any value, the default too: the frames' sizes live under train;
+        # a section that is not an object is named by _section
+        if isinstance(raw.get("waveform"), dict) and "n_symbols" in raw["waveform"]:
+            raise ConfigurationError("waveform.n_symbols is not a spec key; "
+                                     "train.train_symbols/val_symbols size the frames",
+                                     "waveform.n_symbols")
         # Path() and the spec's own checks raise TypeError on a wrong-typed top-level value
         try:
-            kwargs = {}
-            if "pa_profile_path" in raw:
-                pa_path = raw["pa_profile_path"]
-                a_file = isinstance(pa_path, str) and pa_path not in ("default", "")
-                if base_dir is not None and a_file:  # the spec's own check names a non-string
-                    pa_path = str(base_dir / pa_path)  # an absolute path stays as it is
-                kwargs["pa_profile_path"] = pa_path
-            if "waveform" in raw:
-                # refused at any value, the default too: the frames' sizes live under train;
-                # a section that is not an object is named by _section
-                if isinstance(raw["waveform"], dict) and "n_symbols" in raw["waveform"]:
-                    raise ConfigurationError("waveform.n_symbols is not a spec key; "
-                                             "train.train_symbols/val_symbols size the frames",
-                                             "waveform.n_symbols")
-                kwargs["waveform"] = _section("waveform", OfdmConfig, raw["waveform"])
-            if "dpd_list" in raw:
-                kwargs["dpd_list"] = raw["dpd_list"]
-            if "train" in raw:
-                kwargs["train"] = _section("train", TrainConfig, raw["train"])
-            if raw.get("fixed_point") is not None:
-                kwargs["fixed_point"] = _section("fixed_point", FixedFormat, raw["fixed_point"])
+            kwargs = {key: raw[key] for key in ("pa_profile_path", "dpd_list") if key in raw}
+            pa_path = raw.get("pa_profile_path")
+            a_file = isinstance(pa_path, str) and pa_path not in _PACKAGED_PROFILE
+            if base_dir is not None and a_file:  # the spec's own check names a non-string
+                kwargs["pa_profile_path"] = str(base_dir / pa_path)  # an absolute path stays
+            for key, kind in _SECTIONS.items():
+                if key in raw and (raw[key] is not None or key != "fixed_point"):
+                    kwargs[key] = _section(key, kind, raw[key])
             if "output_dir" in raw:
                 out = raw["output_dir"]
                 if isinstance(out, (str, os.PathLike)):  # the spec's own check names the rest
@@ -258,8 +264,8 @@ def run_sweep(spec: ExperimentSpec) -> list[DpdReport]:
     # read once: an unloadable profile is a spec error, not a row error, and every row gets
     # the same amplifier, even if the file changes mid-sweep
     path = spec.pa_profile_path
-    pa = load_default_pa() if path in ("default", "", None) else load_pa_profile(path)
-    train_cfg, val_cfg = _frame_configs(spec.waveform, spec.train)
+    pa = load_default_pa() if path in _PACKAGED_PROFILE else load_pa_profile(path)
+    train_cfg, val_cfg = spec.frames()
     _, x_train = generate_ofdm(train_cfg)
     ref_grid, x_val = generate_ofdm(val_cfg)
     out_dir = Path(spec.output_dir)

@@ -11,7 +11,7 @@ signal pairs, never coefficients.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -263,25 +263,17 @@ def train_dpd_nn(
 DEFAULT_PA_MODEL_SHAPE = (2, 24)
 
 
-def _frame_configs(waveform: OfdmConfig, cfg: TrainConfig) -> tuple[OfdmConfig, OfdmConfig]:
-    """(training, held-out) frames: ``cfg`` sizes both; the held-out one takes the next seed."""
-    return (
-        replace(waveform, n_symbols=cfg.train_symbols),
-        replace(waveform, n_symbols=cfg.val_symbols, seed=waveform.seed + 1),
-    )
-
-
 def run_full_training(
     pa,
     shapes: tuple[tuple[int, int], tuple[int, int]],
     cfg: TrainConfig,
-    waveform: OfdmConfig,
+    frames: tuple[OfdmConfig, OfdmConfig],
 ) -> tuple[DenseNet, TrainLog]:
     """The full iterative procedure; returns the final predistorter and log.
 
     ``shapes`` is a pair ((dpd_hidden_layers, dpd_width),
-    (model_hidden_layers, model_width)). ``waveform`` sets the frames' OFDM
-    parameters and ``cfg`` their symbol counts.
+    (model_hidden_layers, model_width)), and ``frames`` the (training,
+    held-out) frame configs, such as ``ExperimentSpec.frames()`` gives.
     Iteration 1 transmits the raw frame; later iterations transmit the
     current predistorter's output, so the model sees the amplifier in the
     region the predistorter actually drives. With zero outer iterations the
@@ -290,9 +282,8 @@ def run_full_training(
     dpd_shape, model_shape = shapes
     if cfg.outer_iterations == 0:
         return DenseNet.zeros(*dpd_shape), TrainLog()
-    train_cfg, val_cfg = _frame_configs(waveform, cfg)
-    _, x_train = generate_ofdm(train_cfg)
-    _, x_val = generate_ofdm(val_cfg)
+    _, x_train = generate_ofdm(frames[0])
+    _, x_val = generate_ofdm(frames[1])
 
     pa_net = glorot_net(*model_shape, seed=[cfg.seed, 0])
     dpd = glorot_net(*dpd_shape, seed=[cfg.seed, 5])

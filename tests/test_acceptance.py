@@ -63,7 +63,7 @@ def trained_nets():
             pa,
             shapes=((1, width), DEFAULT_PA_MODEL_SHAPE),
             cfg=TrainConfig(),
-            waveform=TRAIN_WAVE,
+            frames=(TRAIN_WAVE, VAL_WAVE),
         )
         nets[width] = (net, log)
     return nets

@@ -1,6 +1,7 @@
 """Sweep harness and CLI: descriptor parsing, orchestration, artifacts."""
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 import re
@@ -181,6 +182,19 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError, match=f"^{field} must be of type") as info:
             ExperimentSpec(**{field: value}, output_dir=str(tmp_path / "out"))
         assert info.value.field == field
+
+    def test_frozen_spec_rechecks_through_replace(self):
+        # an assigned section used to bypass every check and fail in the sweep with AttributeError
+        spec = ExperimentSpec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.train = {"seed": 1}
+        with pytest.raises(ConfigurationError, match="^train must be of type") as info:
+            replace(spec, train={"seed": 1})
+        assert info.value.field == "train"
+        # dpd_list stays a list, and replace refuses a tuple as the constructor does
+        assert isinstance(spec.dpd_list, list)
+        with pytest.raises(ConfigurationError, match="list of descriptor strings"):
+            replace(spec, dpd_list=tuple(spec.dpd_list))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -380,6 +394,37 @@ class TestRunSweep:
         assert [(int(i), phase, int(e), float(t), float(v)) for i, phase, e, t, v in rows] == [
             astuple(record) for record in logs[0].records
         ]
+
+    def test_one_derivation_serves_the_whole_sweep(self, tmp_path, monkeypatch):
+        # the harness and an nn row's training both build their frames from spec.frames()
+        generated = []
+
+        def recording(module):
+            generate = module.generate_ofdm
+
+            def wrapper(cfg):
+                generated.append((module, cfg))
+                return generate(cfg)
+            monkeypatch.setattr(module, "generate_ofdm", wrapper)
+
+        recording(harness)
+        recording(training)
+        scored = []
+        aclr, demodulate = harness.aclr_db_gated, harness.demodulate_ofdm
+        monkeypatch.setattr(harness, "aclr_db_gated",
+                            lambda y, cfg: scored.append(cfg) or aclr(y, cfg))
+        monkeypatch.setattr(harness, "demodulate_ofdm",
+                            lambda y, cfg: scored.append(cfg) or demodulate(y, cfg))
+        train = TrainConfig(outer_iterations=1, epochs_per_iteration=(30,), train_symbols=2,
+                            val_symbols=1)
+        spec = small_spec(tmp_path, dpd_list=["nn K=1 N=4"], train=train)
+        assert [row.status for row in run_sweep(spec)] == ["ok"]
+        # train sizes both frames, and the held-out one takes the next seed
+        frames = list(spec.frames())
+        assert frames == [replace(SMALL_WAVE, n_symbols=2), replace(SMALL_WAVE, seed=2)]
+        assert [cfg for module, cfg in generated if module is harness] == frames
+        assert [cfg for module, cfg in generated if module is training] == frames
+        assert len(scored) == 2 and all(cfg == frames[1] for cfg in scored)
 
     def test_train_seed_reaches_training(self, tmp_path):
         models = []
@@ -697,6 +742,14 @@ class TestCli:
         lines = overlay.read_text().splitlines()
         assert lines[0] == "freq_hz,base_db,frame_db"
 
+    def test_psd_verb_reads_a_path_holding_an_equals_sign(self, tmp_path, monkeypatch):
+        # an existing file is read as a path; name=path splits at the first "="
+        monkeypatch.chdir(tmp_path)
+        Path("run=1").mkdir()
+        main(["generate", "--symbols", "1", "--wave-seed", "3", "--out", "run=1/sig.csv"])
+        assert main(["psd", "--out", "psd.csv", "run=1/sig.csv", "named=run=1/sig.csv"]) == 0
+        assert Path("psd.csv").read_text().splitlines()[0] == "freq_hz,sig_db,named_db"
+
     def test_psd_verb_on_a_short_frame(self, tmp_path):
         sig = tmp_path / "short.csv"
         assert main(["generate", "--subcarriers", "100", "--symbols", "1", "--out", str(sig)]) == 0
@@ -752,6 +805,14 @@ class TestCli:
             assert main(argv) == 2
             assert "pa.txt" in capsys.readouterr().err
             assert not (tmp_path / "run").exists()
+
+    def test_epochs_alone_sets_the_iteration_count(self, tmp_path):
+        spec = _spec_from_args(_build_parser().parse_args(["sweep", "--epochs", "3,2,1"]))
+        assert spec.train.outer_iterations == 3 and spec.train.epochs_per_iteration == (3, 2, 1)
+        out = tmp_path / "run"
+        assert main(["sweep", "--dpd", "poly P=3", "--epochs", "1", "--out", str(out)]) == 0
+        # one ILA iteration: the header and one residual row
+        assert len((out / "poly_P3_M1" / "trainlog.csv").read_text().splitlines()) == 2
 
     def test_small_waveform_sweep_rows_ok(self, tmp_path):
         out = tmp_path / "out"

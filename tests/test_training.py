@@ -40,6 +40,7 @@ from dpdkit.training import (
 
 WAVEFORM = OfdmConfig(n_subcarriers=600, n_symbols=10, constellation="qam16", seed=1)
 VAL_WAVEFORM = OfdmConfig(n_subcarriers=600, n_symbols=10, constellation="qam16", seed=2)
+FRAMES = (WAVEFORM, VAL_WAVEFORM)  # run_full_training's (training, held-out) frames
 # the headline predistorter, nn K=1 N=14, trained through the default amplifier model
 HEADLINE_SHAPES = ((1, 14), training.DEFAULT_PA_MODEL_SHAPE)
 
@@ -555,7 +556,7 @@ class TestShuffleOrder:
 
 class TestRunFullTraining:
     def test_default_schedule_log_structure_and_descent(self):
-        dpd, log = run_full_training(load_default_pa(), HEADLINE_SHAPES, TrainConfig(), WAVEFORM)
+        dpd, log = run_full_training(load_default_pa(), HEADLINE_SHAPES, TrainConfig(), FRAMES)
         pa_recs = [r for r in log.records if r.phase == "pa_model"]
         dpd_recs = [r for r in log.records if r.phase == "dpd"]
         assert len(pa_recs) == 25 and len(dpd_recs) == 25
@@ -581,7 +582,7 @@ class TestRunFullTraining:
     def test_linear_pa_leaves_evm_unchanged(self):
         cfg = TrainConfig(outer_iterations=1, epochs_per_iteration=(25,), batch_size=128)
         pa = linear_pa()
-        dpd, _ = run_full_training(pa, ((1, 6), (1, 6)), cfg, WAVEFORM)
+        dpd, _ = run_full_training(pa, ((1, 6), (1, 6)), cfg, FRAMES)
         grid, x_val = generate_ofdm(VAL_WAVEFORM)
         y0 = pa.apply(x_val)
         evm0 = evm_percent(
@@ -603,7 +604,7 @@ class TestRunFullTraining:
             TrainConfig(outer_iterations=1, epochs_per_iteration=(8,)),
             TrainConfig(outer_iterations=2, epochs_per_iteration=(8, 4)),
         ):
-            dpd, _ = run_full_training(load_default_pa(), HEADLINE_SHAPES, cfg, WAVEFORM)
+            dpd, _ = run_full_training(load_default_pa(), HEADLINE_SHAPES, cfg, FRAMES)
             y = load_default_pa().apply(nn_forward(dpd, x_val))
             results.append(aclr_db_gated(y, VAL_WAVEFORM))
         assert results[1] <= results[0]
@@ -618,7 +619,7 @@ class TestRunFullTraining:
 
         monkeypatch.setattr(training, "generate_ofdm", no_frames)
         cfg = TrainConfig(outer_iterations=0, epochs_per_iteration=())
-        net, log = run_full_training(UntouchablePa(), ((1, 6), (1, 8)), cfg, WAVEFORM)
+        net, log = run_full_training(UntouchablePa(), ((1, 6), (1, 8)), cfg, FRAMES)
         zero = DenseNet.zeros(1, 6)
         assert log.records == []
         for a, b in zip(net.weights + net.biases, zero.weights + zero.biases):
@@ -627,7 +628,7 @@ class TestRunFullTraining:
     def test_rerun_reproduces_weights_bitwise(self):
         cfg = TrainConfig(outer_iterations=1, epochs_per_iteration=(3,), seed=5)
         nets = [
-            run_full_training(load_default_pa(), ((1, 6), (1, 8)), cfg, WAVEFORM)[0]
+            run_full_training(load_default_pa(), ((1, 6), (1, 8)), cfg, FRAMES)[0]
             for _ in range(2)
         ]
         for w0, w1 in zip(nets[0].weights, nets[1].weights):
@@ -639,4 +640,4 @@ class TestRunFullTraining:
         cfg = TrainConfig(outer_iterations=1, epochs_per_iteration=(2,), learning_rate=1e160)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError):
-                run_full_training(load_default_pa(), ((1, 4), (1, 4)), cfg, WAVEFORM)
+                run_full_training(load_default_pa(), ((1, 4), (1, 4)), cfg, FRAMES)
