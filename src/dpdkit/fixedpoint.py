@@ -250,9 +250,9 @@ def poly_forward_fixed(
         return rounded(acc)
 
     total = np.zeros(n, dtype=np.complex128)
-    coeffs = [*quantize(model.alpha, fmt, stats), *quantize(model.beta, fmt, stats)]
+    quantized = MemoryPolyModel(s, quantize(model.theta, fmt, stats))
     xc = None
-    for (kind, order, _), c in zip(s.branches, coeffs):
+    for (kind, order, _), c in zip(s.branches, quantized.branch_taps()):
         if kind == "conj" and xc is None:
             xc = xq.conj()
         v = branch_value(xq if kind == "main" else xc, order)
@@ -262,6 +262,6 @@ def poly_forward_fixed(
         total += fir(v, c)
         rounded(total)
     if s.include_dc:
-        total += quantize(model.dc, fmt, stats)
+        total += quantized.theta[-1]
         rounded(total)
     return IqSignal(total, x.sample_rate_hz)

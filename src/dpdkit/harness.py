@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 # The four headline design points: two nets, two polynomials.
-DEFAULT_SWEEP = ["nn K=1 N=6", "nn K=1 N=14", "poly P=7 M=1", "poly P=11 M=2"]
+DEFAULT_SWEEP = ("nn K=1 N=6", "nn K=1 N=14", "poly P=7 M=1", "poly P=11 M=2")
 
 # one column per DpdReport field, in field order: a sweep.csv row is astuple(report)
 SWEEP_COLUMNS = (
@@ -63,7 +63,7 @@ class ExperimentSpec:
 
     pa_profile_path: str = "default"
     waveform: OfdmConfig = field(default_factory=lambda: OfdmConfig(seed=1))
-    dpd_list: list[str] = field(default_factory=lambda: list(DEFAULT_SWEEP))
+    dpd_list: tuple[str, ...] = DEFAULT_SWEEP  # a list is stored as a tuple
     train: TrainConfig = field(default_factory=TrainConfig)
     fixed_point: FixedFormat | None = None
     output_dir: str = "sweep_out"
@@ -84,10 +84,12 @@ class ExperimentSpec:
                 names = " or ".join(k.__name__ for k in kinds)
                 raise ConfigurationError(f"{name} must be of type {names}, got {value!r}", name)
         # a bare string would otherwise be read one character per descriptor
-        if not isinstance(self.dpd_list, list) or not all(isinstance(d, str) for d in self.dpd_list):
+        dpd_list = self.dpd_list
+        if not isinstance(dpd_list, (list, tuple)) or not all(isinstance(d, str) for d in dpd_list):
             raise ConfigurationError(
-                f"dpd_list must be a list of descriptor strings, got {self.dpd_list!r}", "dpd_list"
+                f"dpd_list must be a list of descriptor strings, got {dpd_list!r}", "dpd_list"
             )
+        object.__setattr__(self, "dpd_list", tuple(dpd_list))  # no edit in place skips the checks
         if not self.dpd_list:
             raise ConfigurationError("dpd_list must not be empty")
         # two texts naming one design point would fit twice into one row directory

@@ -10,7 +10,7 @@ branch and optional DC term:
 M and L count taps (delays 0..M-1), and samples before the start of the
 record are taken as zero.  The basis matrix orders columns canonically:
 main branch with p ascending outer and tap inner, then the conjugate branch
-the same way, then the DC column.
+the same way, then the DC column: the order of a model's coefficient vector.
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ class PolyShape:
                 + [("conj", q, self.conj_taps) for q in range(1, self.q_max + 1, 2)])
 
     @property
-    def n_main_orders(self) -> int:
-        return (self.p_max + 1) // 2
-
-    @property
-    def n_conj_orders(self) -> int:
-        return (self.q_max + 1) // 2 if self.q_max else 0
-
-    @property
     def n_complex_coeffs(self) -> int:
         """Branch coefficient count, DC excluded (the headline count)."""
         return sum(taps for _, _, taps in self.branches)
@@ -81,55 +73,35 @@ class PolyShape:
         return self.n_complex_coeffs + (1 if self.include_dc else 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryPolyModel:
-    """A memory polynomial with concrete coefficients."""
+    """A memory polynomial with concrete coefficients.
+
+    ``theta`` holds them in basis column order: the taps of each of ``shape.branches``,
+    then dc if the shape has it. The constructor copies it into a contiguous complex128
+    vector of its own, which is written in place, never rebound.
+    """
 
     shape: PolyShape
-    alpha: np.ndarray  # (n_main_orders, main_taps) complex
-    beta: np.ndarray  # (n_conj_orders, conj_taps) complex
-    dc: complex = 0.0
+    theta: np.ndarray
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.complex128)
-        self.beta = np.asarray(self.beta, dtype=np.complex128)
-        want_a = (self.shape.n_main_orders, self.shape.main_taps)
-        want_b = (self.shape.n_conj_orders, self.shape.conj_taps)
-        if self.alpha.shape != want_a:
-            raise ConfigurationError(f"alpha shape {self.alpha.shape} != {want_a}")
-        if self.beta.shape != want_b:
-            raise ConfigurationError(f"beta shape {self.beta.shape} != {want_b}")
-        self.dc = complex(self.dc)
+        theta = np.array(self.theta, dtype=np.complex128, order="C")
+        n = self.shape.n_basis_columns
+        if theta.shape != (n,):
+            raise ConfigurationError(f"theta must be a vector of {n} coefficients, "
+                                     f"got shape {theta.shape}", "theta")
+        object.__setattr__(self, "theta", theta)
 
     @classmethod
     def identity(cls, shape: PolyShape) -> "MemoryPolyModel":
-        """The passthrough model: alpha[p=1, m=0] = 1, everything else 0."""
-        alpha = np.zeros((shape.n_main_orders, shape.main_taps), dtype=np.complex128)
-        alpha[0, 0] = 1.0
-        beta = np.zeros((shape.n_conj_orders, shape.conj_taps), dtype=np.complex128)
-        return cls(shape, alpha, beta, 0.0)
+        """The passthrough model: the p=1, m=0 coefficient 1, everything else 0."""
+        return cls(shape, np.eye(1, shape.n_basis_columns)[0])
 
-    @classmethod
-    def from_coefficients(cls, shape: PolyShape, theta: np.ndarray) -> "MemoryPolyModel":
-        """Unpack a canonical coefficient vector."""
-        theta = np.asarray(theta, dtype=np.complex128)
-        if theta.size != shape.n_basis_columns:
-            raise ConfigurationError(
-                f"expected {shape.n_basis_columns} coefficients, got {theta.size}"
-            )
-        n_main = shape.n_main_orders * shape.main_taps
-        n_conj = shape.n_conj_orders * shape.conj_taps
-        alpha = theta[:n_main].reshape(shape.n_main_orders, shape.main_taps)
-        beta = theta[n_main : n_main + n_conj].reshape(shape.n_conj_orders, shape.conj_taps)
-        dc = theta[-1] if shape.include_dc else 0.0
-        return cls(shape, alpha, beta, dc)
-
-    def coefficient_vector(self) -> np.ndarray:
-        """Pack coefficients in canonical basis order."""
-        parts = [self.alpha.ravel(), self.beta.ravel()]
-        if self.shape.include_dc:
-            parts.append(np.array([self.dc]))
-        return np.concatenate(parts)
+    def branch_taps(self) -> list[np.ndarray]:
+        """The tap coefficients of each of shape.branches, in its order, as views of theta."""
+        ends = np.cumsum([taps for _, _, taps in self.shape.branches])
+        return np.split(self.theta[: ends[-1]], ends[:-1])
 
 
 #: Rows per block of the basis. Each block is built from the order columns of
@@ -208,7 +180,7 @@ def _apply(model: MemoryPolyModel, x: np.ndarray) -> np.ndarray:
     defined blockwise (see BASIS_BLOCK).
     """
     x = np.asarray(x, dtype=np.complex128)
-    theta = model.coefficient_vector()
+    theta = model.theta
     y = np.empty(x.size, dtype=np.complex128)
     rows = np.empty((min(x.size, BASIS_BLOCK), theta.size), dtype=np.complex128)
     for start, stop, block in _basis_blocks(x, model.shape):
@@ -240,16 +212,15 @@ def rescale_cascade_gain(model: MemoryPolyModel, gain: float) -> MemoryPolyModel
     _require_real("gain", gain, positive=True)
     gain = float(gain)
     s = model.shape
-    alpha = model.alpha.copy()
-    beta = model.beta.copy()
+    scaled = MemoryPolyModel(s, model.theta)
     try:
-        for row, (_, order, _) in zip([*alpha, *beta], s.branches):  # rows are views
-            row *= gain**order
+        for taps, (_, order, _) in zip(scaled.branch_taps(), s.branches):
+            taps *= gain**order
     except OverflowError:  # a Python float power raises where numpy would give inf
         raise ConfigurationError(
             f"gain {gain!r} raised to the power {max(s.p_max, s.q_max)} overflows float64", "gain"
         ) from None
-    return MemoryPolyModel(s, alpha, beta, model.dc)
+    return scaled
 
 
 def _fill_stack(stack: np.ndarray, fill, n: int) -> None:
@@ -431,7 +402,7 @@ def fit_ila(
         b = x_hat.samples
         fill = functools.partial(build_basis, y_norm, shape)
         theta = solve_regularized_ls(fill, n_cols, b, stack=stack)
-        model = MemoryPolyModel.from_coefficients(shape, theta)
+        model = MemoryPolyModel(shape, theta)
         # A @ theta is the postdistorter's output on y_norm
         residuals.append(float(np.linalg.norm(_apply(model, y_norm) - b) / np.linalg.norm(b)))
         # the next iteration drives the amplifier beside the stack alone
@@ -440,7 +411,7 @@ def fit_ila(
 
 
 def _poly_keys(shape: PolyShape) -> list[str]:
-    """A model file's row keys, in coefficient_vector order."""
+    """A model file's row keys, one per entry of a model's theta, in its order."""
     return ([f"{kind},{order},{m}" for kind, order, taps in shape.branches for m in range(taps)]
             + ["dc"] * shape.include_dc)
 
@@ -455,7 +426,7 @@ def save_poly_model(model: MemoryPolyModel, path: str) -> None:
         f"shape: p_max={s.p_max} main_taps={s.main_taps} "
         f"q_max={s.q_max} conj_taps={s.conj_taps} include_dc={int(s.include_dc)}"
     )
-    values = model.coefficient_vector().view(np.float64).reshape(-1, 2)
+    values = model.theta.view(np.float64).reshape(-1, 2)
     _write_rows(path, [header], _poly_keys(s), values)
 
 
@@ -495,4 +466,4 @@ def load_poly_model(path: str) -> MemoryPolyModel:
         raise FormatError(f"{path}: empty model file")
     shape = _parse_shape_header(*lines[0], path)
     values = _read_rows(path, lines[1:], _poly_keys(shape), 2)
-    return MemoryPolyModel.from_coefficients(shape, values.view(np.complex128).ravel())
+    return MemoryPolyModel(shape, values.view(np.complex128).ravel())

@@ -110,7 +110,7 @@ _PROFILE_HEADER = {"p_max": int, "main_taps": int, "saturation_output_limit": fl
 
 
 def _profile_keys(shape: PolyShape) -> list[str]:
-    """A profile's `p,m` coefficient row keys, in alpha's row-major order."""
+    """A profile's `p,m` coefficient row keys: the main-branch keys of _poly_keys, in its order."""
     return [key.removeprefix("main,") for key in _poly_keys(shape) if key.startswith("main,")]
 
 
@@ -124,8 +124,9 @@ def save_pa_profile(pa: SimulatedPa, path: str) -> None:
         f"noise_stddev: {_fmt(pa.noise_stddev)}",
         f"seed: {pa.seed}",
     ]
-    values = pa.core.alpha.ravel().view(np.float64).reshape(-1, 2)
-    _write_rows(path, header, _profile_keys(s), values)
+    keys = _profile_keys(s)  # the main branch alone: theta's leading entries
+    values = pa.core.theta[: len(keys)].view(np.float64).reshape(-1, 2)
+    _write_rows(path, header, keys, values)
 
 
 def _profile_from_text(text: str, origin: str) -> SimulatedPa:
@@ -135,8 +136,8 @@ def _profile_from_text(text: str, origin: str) -> SimulatedPa:
     rows = [(i, line) for i, line in lines if ":" not in line]
     try:
         shape = PolyShape(p_max=header["p_max"], main_taps=header["main_taps"])
-        alpha = _read_rows(origin, rows, _profile_keys(shape), 2).view(np.complex128).ravel()
-        core = MemoryPolyModel.from_coefficients(shape, alpha)
+        theta = _read_rows(origin, rows, _profile_keys(shape), 2).view(np.complex128).ravel()
+        core = MemoryPolyModel(shape, theta)
         return SimulatedPa(core=core, saturation_output_limit=header["saturation_output_limit"],
                            noise_stddev=header["noise_stddev"], seed=header["seed"])
     except ConfigurationError as exc:  # each check on a header value names its field, so its line

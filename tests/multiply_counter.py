@@ -56,38 +56,38 @@ def count_poly_multiplies(model: MemoryPolyModel, samples) -> tuple[np.ndarray, 
     if x.ndim != 1 or x.size == 0:
         raise ConfigurationError("need a non-empty 1-D sample sequence")
     s = model.shape
+    main_orders = range(1, s.p_max + 1, 2)
+    conj_orders = range(1, s.q_max + 1, 2)
     counter = _MultiplyCounter()
-    main_lines = [
-        [0j] * s.main_taps for _ in range(s.n_main_orders)
-    ]  # delay line per order, newest first
-    conj_lines = [[0j] * s.conj_taps for _ in range(s.n_conj_orders)]
+    main_lines = [[0j] * s.main_taps for _ in main_orders]  # delay line per order, newest first
+    conj_lines = [[0j] * s.conj_taps for _ in conj_orders]
     out = np.empty_like(x)
 
     for n, xn in enumerate(x):
         xn = complex(xn)
         main_env = counter.envelope_powers(xn, s.p_max)
-        for i, p in enumerate(range(1, s.p_max + 1, 2)):
+        for i, p in enumerate(main_orders):
             v = xn if p == 1 else counter.complex_by_real(xn, main_env[p])
             line = main_lines[i]
             line.insert(0, v)
             line.pop()
         zc = xn.conjugate()
         conj_env = counter.envelope_powers(zc, s.q_max)
-        for i, q in enumerate(range(1, s.q_max + 1, 2)):
+        for i, q in enumerate(conj_orders):
             v = zc if q == 1 else counter.complex_by_real(zc, conj_env[q])
             line = conj_lines[i]
             line.insert(0, v)
             line.pop()
 
         acc = 0j
-        for i in range(s.n_main_orders):
-            for m in range(s.main_taps):
-                acc += counter.complex(complex(model.alpha[i, m]), main_lines[i][m])
-        for i in range(s.n_conj_orders):
-            for l in range(s.conj_taps):
-                acc += counter.complex(complex(model.beta[i, l]), conj_lines[i][l])
+        k = 0  # theta's index: main orders up, then conjugate orders, tap inner; then dc
+        for lines, taps in ((main_lines, s.main_taps), (conj_lines, s.conj_taps)):
+            for line in lines:
+                for m in range(taps):
+                    acc += counter.complex(complex(model.theta[k]), line[m])
+                    k += 1
         if s.include_dc:
-            acc += model.dc
+            acc += model.theta[k]
         out[n] = acc
 
     per_sample, rem = divmod(counter.events, x.size)

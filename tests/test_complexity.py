@@ -23,7 +23,7 @@ def random_model(shape: PolyShape, seed: int) -> MemoryPolyModel:
     rng = np.random.default_rng(seed)
     n = shape.n_basis_columns
     theta = 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return MemoryPolyModel.from_coefficients(shape, theta)
+    return MemoryPolyModel(shape, theta)
 
 
 def short_frame(seed: int, n: int = 64) -> np.ndarray:

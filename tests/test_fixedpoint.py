@@ -322,7 +322,7 @@ class TestPolyForwardFixed:
 
     def test_exact_when_everything_representable(self):
         shape = PolyShape(3, 1)
-        model = MemoryPolyModel(shape, np.array([[0.25], [0.375]]), np.zeros((0, 0)))
+        model = MemoryPolyModel(shape, np.array([0.25, 0.375]))
         rng = np.random.default_rng(8)
         x = IqSignal((rng.integers(-4, 5, 64) + 1j * rng.integers(-4, 5, 64)) / 8.0, 1.0)
         f = poly_predistort(model, x).samples
@@ -337,7 +337,7 @@ class TestPolyForwardFixed:
         n = shape.n_basis_columns
         theta = 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         theta[0] = 0.9
-        model = MemoryPolyModel.from_coefficients(shape, theta)
+        model = MemoryPolyModel(shape, theta)
         half = IqSignal(0.5 * frame.samples, frame.sample_rate_hz)
         f = poly_predistort(model, half).samples
         q = poly_forward_fixed(model, half, Q15).samples
@@ -349,7 +349,7 @@ class TestPolyForwardFixed:
         n = shape.n_basis_columns
         theta = 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         theta[0] = 1.0
-        model = MemoryPolyModel.from_coefficients(shape, theta)
+        model = MemoryPolyModel(shape, theta)
         low = IqSignal(0.3 * frame.samples / np.abs(frame.samples).max(), frame.sample_rate_hz)
         stats = FixedPointStats()
         poly_forward_fixed(model, low, Q15, stats)
@@ -362,7 +362,7 @@ class TestPolyForwardFixed:
         shape = PolyShape(9, 3, 5, 2, True)
         n = shape.n_basis_columns
         theta = 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        model = MemoryPolyModel.from_coefficients(shape, theta)
+        model = MemoryPolyModel(shape, theta)
         low = IqSignal(0.3 * frame.samples / np.abs(frame.samples).max(), frame.sample_rate_hz)
         stats = FixedPointStats()
         poly_forward_fixed(model, low, Q15, stats)
@@ -378,7 +378,7 @@ class TestPolyForwardFixed:
 
     def test_dc_term_survives_zero_model(self):
         shape = PolyShape(1, 1, include_dc=True)
-        model = MemoryPolyModel(shape, np.zeros((1, 1)), np.zeros((0, 0)), dc=0.25 + 0.125j)
+        model = MemoryPolyModel(shape, np.array([0, 0.25 + 0.125j]))
         x = IqSignal(np.zeros(16, dtype=np.complex128), 1.0)
         out = poly_forward_fixed(model, x, Q15)
         assert np.all(out.samples == 0.25 + 0.125j)
@@ -388,7 +388,7 @@ class TestPolyForwardFixed:
         shape = PolyShape(9, 3)
         n = shape.n_basis_columns
         theta = 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        model = MemoryPolyModel.from_coefficients(shape, theta)
+        model = MemoryPolyModel(shape, theta)
         a = poly_forward_fixed(model, frame, Q15).samples
         b = poly_forward_fixed(model, frame, Q15).samples
         assert np.array_equal(a, b)
@@ -484,7 +484,11 @@ def per_call_poly_forward_fixed(model, x, fmt, stats):
         return q(acc)
 
     total = np.zeros(n, dtype=np.complex128)
-    coeffs = [*q(model.alpha), *q(model.beta)]
+    theta = q(model.theta)
+    coeffs, k = [], 0  # each branch's taps, by index into theta; dc after them
+    for _, _, taps in s.branches:
+        coeffs.append([theta[k + m] for m in range(taps)])
+        k += taps
     xc = None
     for (kind, order, _), c in zip(s.branches, coeffs):
         if kind == "conj" and xc is None:
@@ -495,7 +499,7 @@ def per_call_poly_forward_fixed(model, x, fmt, stats):
             stats.record_branch(label, int(np.count_nonzero(v == 0)), n)
         total = q(total + fir(v, c))
     if s.include_dc:
-        total = q(total + q(model.dc))
+        total = q(total + theta[k])
     return total
 
 
@@ -563,7 +567,7 @@ class TestInPlaceMatchesPerCallFormulas:
         rng = np.random.default_rng(shape.n_basis_columns)
         p = shape.n_basis_columns
         theta = 0.6 * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
-        model = MemoryPolyModel.from_coefficients(shape, theta)
+        model = MemoryPolyModel(shape, theta)
         for n in (3000, 2):
             x = IqSignal(cplx(awkward(n, fmt, 3, 0.7), awkward(n, fmt, 4, 0.7)), 1.0)
             new, old = FixedPointStats(), FixedPointStats()
@@ -577,7 +581,7 @@ class TestInPlaceMatchesPerCallFormulas:
         shape = PolyShape(5, 6, 3, 5)
         rng = np.random.default_rng(7)
         p = shape.n_basis_columns
-        model = MemoryPolyModel.from_coefficients(
+        model = MemoryPolyModel(
             shape, 0.6 * (rng.standard_normal(p) + 1j * rng.standard_normal(p)))
         for n in range(1, 8):
             x = IqSignal(cplx(awkward(n, fmt, n, 0.7), awkward(n, fmt, n + 10, 0.7)), 1.0)

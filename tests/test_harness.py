@@ -168,7 +168,7 @@ class TestExperimentSpec:
 
     def test_dpd_list_must_be_a_list_of_strings(self):
         # a bare string used to be read one character per descriptor
-        for bad in ("poly P=3", ("poly P=3",), ["poly P=3", 7], [{"type": "poly", "P": 3}]):
+        for bad in ("poly P=3", ("poly P=3", 7), ["poly P=3", 7], [{"type": "poly", "P": 3}]):
             with pytest.raises(ConfigurationError, match="list of descriptor strings"):
                 ExperimentSpec(dpd_list=bad)
 
@@ -191,10 +191,24 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError, match="^train must be of type") as info:
             replace(spec, train={"seed": 1})
         assert info.value.field == "train"
-        # dpd_list stays a list, and replace refuses a tuple as the constructor does
-        assert isinstance(spec.dpd_list, list)
-        with pytest.raises(ConfigurationError, match="list of descriptor strings"):
-            replace(spec, dpd_list=tuple(spec.dpd_list))
+        # dpd_list is stored as a tuple, and replace rechecks a tuple as the constructor does
+        assert isinstance(spec.dpd_list, tuple) and spec.dpd_list == DEFAULT_SWEEP
+        with pytest.raises(ConfigurationError, match="both name the design point"):
+            replace(spec, dpd_list=(*spec.dpd_list, "poly P=7"))
+
+    def test_dpd_list_cannot_change_in_place(self):
+        # a list field used to take extend() past the checks, the caller's list stayed shared
+        # with the spec, and an append() to a list DEFAULT_SWEEP changed every later default
+        descriptors = ["poly P=3"]
+        spec = ExperimentSpec(dpd_list=descriptors)
+        descriptors.append("poly P=3 M=1")
+        assert spec.dpd_list == ("poly P=3",)
+        with pytest.raises(AttributeError):
+            spec.dpd_list.extend(["poly P=3 M=1", 7])
+        with pytest.raises(AttributeError):
+            DEFAULT_SWEEP.append("poly P=3")
+        assert ExperimentSpec().dpd_list == DEFAULT_SWEEP == (
+            "nn K=1 N=6", "nn K=1 N=14", "poly P=7 M=1", "poly P=11 M=2")
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -361,7 +375,7 @@ class TestRunSweep:
         assert abs(fl.aclr_db - fx.aclr_db) < 1.5
         # the deployed model is backed off below the Q1.15 ceiling
         model = load_poly_model(str(tmp_path / "out" / "poly_P7_M1" / "model.txt"))
-        assert np.abs(model.alpha.real).max() < 1.0
+        assert np.abs(model.theta.real).max() < 1.0
 
     def test_nn_row_trains_and_persists(self, tmp_path, monkeypatch):
         logs = []

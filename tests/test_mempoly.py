@@ -1,5 +1,6 @@
 """Tests for the memory-polynomial model, basis, LS solver, and ILA fit."""
 
+import dataclasses
 import json
 import math
 import mmap
@@ -51,7 +52,7 @@ POLY_SHAPES = st.tuples(
 def seeded_model(shape: PolyShape, seed: int) -> MemoryPolyModel:
     rng = np.random.default_rng(seed)
     n = shape.n_basis_columns
-    return MemoryPolyModel.from_coefficients(shape, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return MemoryPolyModel(shape, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def random_signal(n, seed, scale=0.3):
@@ -63,14 +64,11 @@ def random_signal(n, seed, scale=0.3):
 class TestPolyShape:
     def test_counts_main_only(self):
         shape = PolyShape(p_max=7, main_taps=1)
-        assert shape.n_main_orders == 4
         assert shape.n_complex_coeffs == 4
         assert shape.n_basis_columns == 4
 
     def test_counts_with_conjugate_and_dc(self):
         shape = PolyShape(p_max=5, main_taps=2, q_max=3, conj_taps=2, include_dc=True)
-        assert shape.n_main_orders == 3
-        assert shape.n_conj_orders == 2
         assert shape.n_complex_coeffs == 3 * 2 + 2 * 2
         assert shape.n_basis_columns == shape.n_complex_coeffs + 1
 
@@ -259,13 +257,52 @@ class TestModel:
         np.testing.assert_array_equal(out.samples, sig.samples)
         assert out.sample_rate_hz == sig.sample_rate_hz
 
-    def test_coefficient_vector_round_trip(self):
-        shape = PolyShape(p_max=5, main_taps=2, q_max=3, conj_taps=1, include_dc=True)
-        rng = np.random.default_rng(7)
-        n = shape.n_basis_columns
-        theta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        model = MemoryPolyModel.from_coefficients(shape, theta)
-        np.testing.assert_array_equal(model.coefficient_vector(), theta)
+    @given(shape=POLY_SHAPES, seed=st.integers(0, 2**32 - 1))
+    def test_branch_taps_are_views_of_theta_in_branch_order(self, shape, seed):
+        model = seeded_model(shape, seed)
+        taps = model.branch_taps()
+        assert [t.size for t in taps] == [n for _, _, n in shape.branches]
+        assert model.theta.shape == (shape.n_complex_coeffs + shape.include_dc,)
+        dc = model.theta[-1]
+        for i, t in enumerate(taps):
+            t[...] = i + 1  # each write reaches theta
+        labels = [i + 1 for i, (_, _, n) in enumerate(shape.branches) for _ in range(n)]
+        np.testing.assert_array_equal(model.theta[: shape.n_complex_coeffs], labels)
+        # dc is theta's last entry exactly when the shape has it; else that is the last tap
+        assert model.theta[-1] == (dc if shape.include_dc else len(taps))
+        if shape.include_dc:
+            model.theta[:-1] = 0
+            out = poly_predistort(model, random_signal(8, seed=seed % 100)).samples
+            assert np.all(out == dc)
+
+    def test_model_is_frozen_and_owns_a_checked_theta(self):
+        shape = PolyShape(5, 2, 3, 1, include_dc=True)  # 3 * 2 + 2 * 1 taps and dc
+        model = MemoryPolyModel.identity(shape)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.theta = np.zeros(9, dtype=np.complex128)
+        for bad in (np.zeros(8), np.zeros(10), np.zeros((9, 1)), np.zeros((3, 3))):
+            with pytest.raises(ConfigurationError,
+                               match=r"^theta must be a vector of 9 coefficients, got shape") as info:
+                MemoryPolyModel(shape, bad)
+            assert info.value.field == "theta"
+        # the constructor copies into a contiguous complex128 vector of its own
+        given_theta = np.arange(18.0)[::2]
+        model = MemoryPolyModel(shape, given_theta)
+        given_theta[0] = -1.0
+        assert model.theta[0] == 0.0
+        assert model.theta.dtype == np.complex128 and model.theta.flags.c_contiguous
+        assert model.theta.flags.owndata
+
+    @given(shape=POLY_SHAPES, seed=st.integers(0, 2**32 - 1), gain=st.floats(0.05, 20.0))
+    def test_rescale_is_the_model_on_the_scaled_input(self, shape, seed, gain):
+        # the defining contract D'(x) = D(gain * x); dc does not scale
+        model = seeded_model(shape, seed)
+        scaled = rescale_cascade_gain(model, gain)
+        x = random_signal(64, seed=seed)
+        want = poly_predistort(model, IqSignal(gain * x.samples, RATE)).samples
+        np.testing.assert_allclose(poly_predistort(scaled, x).samples, want, rtol=1e-12, atol=0)
+        if shape.include_dc:
+            assert scaled.theta[-1] == model.theta[-1]
 
     def test_predistort_matches_direct_summation(self):
         shape = PolyShape(p_max=5, main_taps=2, q_max=1, conj_taps=1, include_dc=True)
@@ -273,7 +310,7 @@ class TestModel:
         n_cols = shape.n_basis_columns
         theta = 0.1 * (rng.standard_normal(n_cols) + 1j * rng.standard_normal(n_cols))
         theta[0] = 1.0
-        model = MemoryPolyModel.from_coefficients(shape, theta)
+        model = MemoryPolyModel(shape, theta)
         sig = random_signal(200, seed=23)
         out = poly_predistort(model, sig)
 
@@ -303,8 +340,7 @@ class TestModel:
         model = seeded_model(shape, seed)
         twice = rescale_cascade_gain(rescale_cascade_gain(model, a), b)
         once = rescale_cascade_gain(model, a * b)
-        np.testing.assert_allclose(twice.coefficient_vector(), once.coefficient_vector(),
-                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(twice.theta, once.theta, rtol=1e-12, atol=0)
 
     def test_rescale_rejects_nonfinite_bool_and_nonpositive_gains(self):
         model = seeded_model(PolyShape(5, 2), 0)
@@ -342,7 +378,7 @@ class TestStreamedBasisProduct:
     def test_pa_apply_and_poly_predistort(self, shape, n):
         x = IqSignal(0.5 * raw_samples(n, seed=n), RATE)
         model = seeded_model(shape, seed=n + shape.n_basis_columns)
-        want = reference_product(build_basis(x.samples, shape), model.coefficient_vector())
+        want = reference_product(build_basis(x.samples, shape), model.theta)
         bare_pa = SimulatedPa(model, saturation_output_limit=math.inf, noise_stddev=0.0)
         assert bare_pa.apply(x).samples.tobytes() == want.tobytes()
         assert poly_predistort(model, x).samples.tobytes() == want.tobytes()
@@ -627,7 +663,7 @@ class TestSolverMemory:
         assert stack.shape == (5, 3) and stack.dtype == np.complex128
         assert stack.flags.f_contiguous and stack.flags.owndata
         model, residuals = fit_ila(load_default_pa(), shape, x, 2)
-        assert model.coefficient_vector().tobytes() == mapped_fit[0].coefficient_vector().tobytes()
+        assert model.theta.tobytes() == mapped_fit[0].theta.tobytes()
         assert residuals == mapped_fit[1]
 
     def test_fit_maps_its_stack_once(self, monkeypatch):
@@ -691,7 +727,7 @@ class TestIla:
     def test_pure_gain_pa_yields_identity(self):
         sig = random_signal(2000, seed=31)
         model, residuals = fit_ila(PureGainPa(1.7 - 0.4j), PolyShape(p_max=7, main_taps=2), sig, 2)
-        theta = model.coefficient_vector()
+        theta = model.theta
         assert abs(theta[0] - 1.0) < 1e-6
         assert np.max(np.abs(theta[1:])) < 1e-6
         assert residuals[-1] < 1e-7
@@ -708,9 +744,7 @@ class TestIla:
         # a signal far shorter than the fit needs: no fit runs, so no length check
         model, residuals = fit_ila(UntouchablePa(), shape, random_signal(3, seed=4), 0)
         assert residuals == []
-        np.testing.assert_array_equal(
-            model.coefficient_vector(), MemoryPolyModel.identity(shape).coefficient_vector()
-        )
+        np.testing.assert_array_equal(model.theta, MemoryPolyModel.identity(shape).theta)
 
     @pytest.mark.parametrize("bad", [-1, 2.0])
     def test_bad_iteration_count_rejected(self, bad):
@@ -729,26 +763,26 @@ class TestModelIo:
         rng = np.random.default_rng(13)
         n = shape.n_basis_columns
         theta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        model = MemoryPolyModel.from_coefficients(shape, theta)
+        model = MemoryPolyModel(shape, theta)
         path = tmp_path / "model.txt"
         save_poly_model(model, path)
         back = load_poly_model(path)
         assert back.shape == shape
-        np.testing.assert_array_equal(back.alpha, model.alpha)
-        np.testing.assert_array_equal(back.beta, model.beta)
-        assert back.dc == model.dc
+        for got, want in zip(back.branch_taps(), model.branch_taps(), strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert back.theta[-1] == model.theta[-1]  # dc
 
     @given(shape=POLY_SHAPES, data=st.data())
     def test_round_trip_bitwise_over_shapes(self, shape, data):
         parts = st.floats(allow_nan=False, allow_infinity=False)
         theta = [complex(data.draw(parts), data.draw(parts)) for _ in range(shape.n_basis_columns)]
-        model = MemoryPolyModel.from_coefficients(shape, theta)
+        model = MemoryPolyModel(shape, theta)
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "model.txt")
             save_poly_model(model, path)
             back = load_poly_model(path)
         assert back.shape == shape
-        np.testing.assert_array_equal(back.coefficient_vector(), model.coefficient_vector())
+        np.testing.assert_array_equal(back.theta, model.theta)
 
     @given(shape=POLY_SHAPES, seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_every_row_exactly_once(self, shape, seed, data):

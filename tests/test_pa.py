@@ -21,8 +21,8 @@ RATE = 61.44e6
 
 def gain_core(gain, p_max=1, taps=1):
     core = MemoryPolyModel.identity(PolyShape(p_max=p_max, main_taps=taps))
-    core.alpha[:] = 0
-    core.alpha[0, 0] = gain
+    core.theta[:] = 0
+    core.theta[0] = gain
     return core
 
 
@@ -42,8 +42,8 @@ class TestLinearAndPolynomialCore:
 
     def test_cubic_matches_per_sample_oracle(self):
         core = MemoryPolyModel.identity(PolyShape(p_max=3, main_taps=1))
-        core.alpha[0, 0] = 1.0
-        core.alpha[1, 0] = -0.2 + 0.1j
+        core.branch_taps()[0][0] = 1.0
+        core.branch_taps()[1][0] = -0.2 + 0.1j
         pa = SimulatedPa(core=core, saturation_output_limit=10.0, noise_stddev=0.0)
         sig = random_signal(200, seed=2)
         out = pa.apply(sig)
@@ -54,8 +54,8 @@ class TestLinearAndPolynomialCore:
 
     def test_memory_tap_matches_manual_shift(self):
         core = MemoryPolyModel.identity(PolyShape(p_max=1, main_taps=2))
-        core.alpha[0, 0] = 1.0
-        core.alpha[0, 1] = 0.5j
+        core.branch_taps()[0][0] = 1.0
+        core.branch_taps()[0][1] = 0.5j
         pa = SimulatedPa(core=core, saturation_output_limit=10.0, noise_stddev=0.0)
         sig = random_signal(64, seed=3)
         out = pa.apply(sig)
@@ -155,13 +155,13 @@ class TestNoise:
 class TestProfileIo:
     def test_round_trip(self, tmp_path):
         core = MemoryPolyModel.identity(PolyShape(p_max=5, main_taps=2))
-        core.alpha[1, 0] = 0.01 - 0.02j
-        core.alpha[2, 1] = -3e-4 + 1e-5j
+        core.branch_taps()[1][0] = 0.01 - 0.02j
+        core.branch_taps()[2][1] = -3e-4 + 1e-5j
         pa = SimulatedPa(core=core, saturation_output_limit=1.25, noise_stddev=2e-4, seed=11)
         path = tmp_path / "profile.txt"
         save_pa_profile(pa, path)
         back = load_pa_profile(path)
-        np.testing.assert_array_equal(back.core.alpha, core.alpha)
+        np.testing.assert_array_equal(back.core.theta, core.theta)
         assert back.saturation_output_limit == 1.25
         assert back.noise_stddev == 2e-4
         assert back.seed == 11
@@ -177,14 +177,14 @@ class TestProfileIo:
     )
     def test_round_trip_bitwise_over_profiles(self, p_max, taps, coefficients, limit, noise, seed):
         core = MemoryPolyModel.identity(PolyShape(p_max=p_max, main_taps=taps))
-        core.alpha[:] = np.reshape(coefficients[: core.alpha.size], core.alpha.shape)
+        core.theta[:] = coefficients[: core.theta.size]
         pa = SimulatedPa(core=core, saturation_output_limit=limit, noise_stddev=noise, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "profile.txt"
             save_pa_profile(pa, path)
             back = load_pa_profile(path)
         assert back.core.shape == core.shape
-        assert back.core.alpha.tobytes() == core.alpha.tobytes()
+        assert back.core.theta.tobytes() == core.theta.tobytes()
         for a, b in ((back.saturation_output_limit, limit), (back.noise_stddev, noise)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         assert back.seed == seed
@@ -212,8 +212,8 @@ class TestProfileIo:
     )
     def test_every_row_exactly_once(self, p_max, taps, seed, data):
         core = MemoryPolyModel.identity(PolyShape(p_max=p_max, main_taps=taps))
-        rng, shape = np.random.default_rng(seed), core.alpha.shape
-        core.alpha[:] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rng, n = np.random.default_rng(seed), core.theta.size
+        core.theta[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         pa = SimulatedPa(core=core, saturation_output_limit=1.25, noise_stddev=2e-4, seed=seed)
         check_row_edits(data, pa, save_pa_profile, load_pa_profile, n_header=5, n_values=2)
 
@@ -252,7 +252,7 @@ class TestProfileIo:
         legacy_line = "nominal_gain: 0.97,0.26\n"
         path.write_text(path.read_text().replace("noise_stddev:", legacy_line + "noise_stddev:"))
         legacy = load_pa_profile(path)
-        assert legacy.core.alpha.tobytes() == plain.core.alpha.tobytes()
+        assert legacy.core.theta.tobytes() == plain.core.theta.tobytes()
         assert (legacy.saturation_output_limit, legacy.noise_stddev, legacy.seed) == (
             plain.saturation_output_limit, plain.noise_stddev, plain.seed
         )
@@ -261,7 +261,7 @@ class TestProfileIo:
         pa = load_default_pa()
         assert pa.core.shape.p_max == 7
         assert pa.core.shape.main_taps == 3
-        assert pa.core.alpha[0, 0] == 0.97 + 0.26j
+        assert pa.core.theta[0] == 0.97 + 0.26j
         assert pa.saturation_output_limit == 2.0
         assert pa.noise_stddev == pytest.approx(1.3e-3)
 
@@ -282,7 +282,7 @@ class TestDefaultProfileCalibration:
 
     def test_uncorrected_evm_matches_recorded_value(self):
         received = demodulate_ofdm(
-            IqSignal(self.y.samples / self.pa.core.alpha[0, 0], self.y.sample_rate_hz),
+            IqSignal(self.y.samples / self.pa.core.theta[0], self.y.sample_rate_hz),
             self.cfg,
         )
         value = evm_percent(self.grid, received)

@@ -73,7 +73,7 @@ def learned_pa_model(pa_pairs):
 def linear_pa(noise=0.0):
     gain = 0.97 + 0.26j
     core = MemoryPolyModel.identity(PolyShape(1, 1))
-    core.alpha[0, 0] = gain
+    core.theta[0] = gain
     return SimulatedPa(
         core=core,
         saturation_output_limit=2.0,
@@ -587,7 +587,7 @@ class TestRunFullTraining:
         y0 = pa.apply(x_val)
         evm0 = evm_percent(
             grid,
-            demodulate_ofdm(IqSignal(y0.samples / pa.core.alpha[0, 0], y0.sample_rate_hz), VAL_WAVEFORM),
+            demodulate_ofdm(IqSignal(y0.samples / pa.core.theta[0], y0.sample_rate_hz), VAL_WAVEFORM),
         )
         x_hat = nn_forward(dpd, x_val)
         y1 = pa.apply(x_hat)
