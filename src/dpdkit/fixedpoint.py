@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputRangeError, _require_integer
 from .mempoly import MemoryPolyModel
-from .nn import FORWARD_BLOCK, DenseNet
+from .nn import FORWARD_BLOCK, DenseNet, _split_into
 from .signals import IqSignal, _require_finite
 
 __all__ = [
@@ -180,18 +180,23 @@ def nn_forward_fixed(
     ]
     n = len(x)
     out = np.empty(n, dtype=np.complex128)
+    # one buffer set per call: the input rows, then each layer's pre-activation; each
+    # is flat, so a short last block's leading part reshapes to contiguous rows
+    cols = min(n, FORWARD_BLOCK)
+    rows, *pres = (np.empty(width * cols) for width in [2] + [wq.shape[0] for wq, _ in layers])
     for start in range(0, n, FORWARD_BLOCK):
         block = x.samples[start : start + FORWARD_BLOCK]
-        xq2 = np.stack([block.real, block.imag])
+        m = block.size
+        xq2 = _split_into(rows[: 2 * m].reshape(2, m), block)
         h = _quantize_real(xq2, fmt, stats, xq2)
-        for i, (wq, bq) in enumerate(layers):
-            pre = wq @ h
+        for i, ((wq, bq), buf) in enumerate(zip(layers, pres)):
+            pre = np.matmul(wq, h, out=buf[: wq.shape[0] * m].reshape(-1, m))
             pre += bq
             h = _quantize_real(pre, fmt, stats, pre)
             if i < len(layers) - 1:
                 np.maximum(h, 0.0, out=h)
         z = _quantize_real(np.add(h, xq2, out=h), fmt, stats, h)
-        out[start : start + block.size] = z[0] + 1j * z[1]
+        out[start : start + m] = z[0] + 1j * z[1]
     return IqSignal(out, x.sample_rate_hz)
 
 

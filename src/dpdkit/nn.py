@@ -117,8 +117,9 @@ class _Pass:
     """One net's forward buffers over n columns.
 
     ``acts`` holds each hidden layer's pre-activation, overwritten in place by
-    its ReLU output; the backward pass keeps those outputs instead of
-    recomputing them. ``z`` is the (2, n) output.
+    its ReLU output; the backward pass reads those outputs instead of
+    recomputing them, then overwrites each with its layer's upstream gradient.
+    ``z`` is the (2, n) output.
     """
 
     def __init__(self, acts: list[np.ndarray], z: np.ndarray):
@@ -135,12 +136,13 @@ class NnWorkspace:
 
     The set holds the input, target, squared-error and input-gradient rows,
     one pass per net, the per-layer scratch and the trained net's gradients.
-    The scratch is a ``mask`` and the two ``up`` buffers (which a backward
-    pass alternates between), as wide as the widest net. The nets' backward
-    passes run one after the other, so they share that scratch, each using
-    its leading ``width`` rows. A call at another batch width or with other
-    net shapes reallocates every buffer. Gradients returned from a call given
-    this workspace are views into it, valid until its next backward call.
+    The scratch is a ``mask`` alone, as wide as the widest net: in a backward
+    call each pass's activations become its upstream gradients, layer by
+    layer. The nets' backward passes run one after the other, so they share
+    the mask, each using its leading ``width`` rows. A call at another batch
+    width or with other net shapes reallocates every buffer. Gradients
+    returned from a call given this workspace are views into it, valid until
+    its next backward call.
 
     The forward slot serves nn_forward's blocks: an input row pair ``fx2``
     and a pass ``forward`` of one or two activation buffers, as wide as the
@@ -178,7 +180,6 @@ class NnWorkspace:
             self.sq = np.empty((2, n))
             self.dx = np.empty((2, n))
             self.mask = np.empty((widest, n), dtype=bool)
-            self.up = (np.empty((widest, n)), np.empty((widest, n)))
             # the trained net's gradients; every call overwrites all of them
             self.grads = DenseNet.zeros(*shapes[0])
         return self
@@ -208,9 +209,11 @@ def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, ws: NnWorkspace, dz: np.n
               grads=None, dx=None):
     """Back-propagate dLoss/dz through the pass _forward recorded in p.
 
-    The per-layer scratch is the leading rows of the workspace's mask and
-    upstream buffers. Writes the trainables' gradients into ``grads`` and
-    the input gradient into ``dx``, each only when given.
+    The per-layer scratch is the leading rows of the workspace's mask. Each
+    hidden layer's upstream gradient is written over its activations in p
+    once the layer's mask is taken, so p no longer holds the forward pass.
+    Writes the trainables' gradients into ``grads`` and the input gradient
+    into ``dx``, each only when given.
     A unit's mask is ``act > 0``, which equals ``pre > 0`` (ReLU is positive
     exactly where its input is, and a NaN fails both); the mask multiplies
     rather than selects, so a NaN upstream gradient survives a closed unit.
@@ -220,20 +223,19 @@ def _backward(net: DenseNet, x2: np.ndarray, p: _Pass, ws: NnWorkspace, dz: np.n
         np.matmul(dz, inputs[-1].T, out=grads.weights[-1])
         np.add.reduce(dz, axis=1, out=grads.biases[-1])
     mask = ws.mask[: net.width]
-    up, spare = (buf[: net.width] for buf in ws.up)
-    np.matmul(net.weights[-1].T, dz, out=up)
+    above = dz  # the gradient at the output of the layer above
     for i in range(net.hidden_layers - 1, -1, -1):
-        np.greater(p.acts[i], 0.0, out=mask)
+        up = p.acts[i]  # the activation gives the mask, then takes the gradient
+        np.greater(up, 0.0, out=mask)
+        np.matmul(net.weights[i + 1].T, above, out=up)
         np.multiply(up, mask, out=up)
         if grads is not None:
             np.matmul(up, inputs[i].T, out=grads.weights[i])
             np.add.reduce(up, axis=1, out=grads.biases[i])
-        if i > 0:
-            np.matmul(net.weights[i].T, up, out=spare)
-            up, spare = spare, up
-        elif dx is not None:
-            np.matmul(net.weights[0].T, up, out=dx)
-            dx += dz
+        above = up
+    if dx is not None:
+        np.matmul(net.weights[0].T, above, out=dx)
+        dx += dz
 
 
 def _loss_and_dz(z: np.ndarray, target2: np.ndarray, sq: np.ndarray) -> float:

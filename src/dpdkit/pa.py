@@ -115,8 +115,18 @@ def _profile_keys(shape: PolyShape) -> list[str]:
 
 
 def save_pa_profile(pa: SimulatedPa, path: str) -> None:
-    """Write a PA profile: `name: value` header lines plus a `p,m,re,im` row per key."""
+    """Write a PA profile: `name: value` header lines plus a `p,m,re,im` row per key.
+
+    Raises:
+        ConfigurationError: before the file is opened, if the core has a
+            conjugate branch or a dc term, which a profile cannot hold.
+    """
     s = pa.core.shape
+    extra = [f"{name}={getattr(s, name)}" for name in ("q_max", "conj_taps", "include_dc")
+             if getattr(s, name)]
+    if extra:
+        raise ConfigurationError(f"a PA profile holds only the core's main branch, "
+                                 f"not its {', '.join(extra)}")
     header = [
         f"p_max: {s.p_max}",
         f"main_taps: {s.main_taps}",

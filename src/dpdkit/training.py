@@ -300,12 +300,14 @@ def run_full_training(
         g = estimate_gain(x_hat, y)
         y_norm = IqSignal(y.samples / g, y.sample_rate_hz)
         y_val_norm = IqSignal(y_val.samples / g, y_val.sample_rate_hz)
+        del y, y_val  # the model phase reads only their normalized copies
 
         pa_net, _ = train_pa_nn(
             (x_hat, y_norm), pa_net, cfg,
             val_pairs=(x_hat_val, y_val_norm),
             epochs=epochs, iteration=iteration, log=log,
         )
+        del x_hat, x_hat_val, y_norm, y_val_norm  # the predistorter phase reads the raw frames
         dpd, _ = train_dpd_nn(
             dpd, pa_net, x_train, cfg,
             x_val=x_val, epochs=epochs, iteration=iteration, log=log,

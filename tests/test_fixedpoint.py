@@ -593,7 +593,7 @@ class TestInPlaceMatchesPerCallFormulas:
     def test_nn_forward_fixed(self, fmt):
         n = FORWARD_BLOCK + 5
         x = IqSignal(cplx(awkward(n, fmt, 5, 0.9), awkward(n, fmt, 6, 0.9)), 1.0)
-        for k, width in [(1, 6), (2, 32)]:
+        for k, width in [(1, 6), (2, 32), (3, 10)]:  # each layer has a buffer of its own
             net = biased_net(k, width, seed=[k, width])
             new, old = FixedPointStats(), FixedPointStats()
             out = nn_forward_fixed(net, x, fmt, new).samples

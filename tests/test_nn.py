@@ -2,6 +2,8 @@
 
 import dataclasses
 import tempfile
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -337,19 +339,21 @@ class TestKernelOracle:
 
     def test_one_workspace_matches_reference_across_shapes_and_widths(self, frame):
         workspace = NnWorkspace()
-        pa_model = random_net(2, 24, seed=70)
-        for k, n in self.SHAPES:
+        # a three-layer net writes an upstream gradient over a middle layer's activations
+        pa_models = [random_net(2, 24, seed=70), random_net(3, 10, seed=69)]
+        for k, n in self.SHAPES + [(3, 10)]:
             net = random_net(k, n, seed=71 + n)
             for offset, width in enumerate(self.WIDTHS):
                 x = IqSignal(frame.samples[offset : offset + width], RATE)
                 target = IqSignal(0.9 * frame.samples[offset + 3 : offset + 3 + width], RATE)
                 # compare each call before the next: its gradients alias the workspace
-                for call, reference in (
-                    (lambda: nn_backward(net, x, target, workspace=workspace),
-                     lambda: reference_backward(net, x, target)),
-                    (lambda: nn_backward_through_frozen(net, pa_model, x, workspace=workspace),
-                     lambda: reference_backward_through_frozen(net, pa_model, x)),
-                ):
+                for call, reference in [
+                    (partial(nn_backward, net, x, target, workspace=workspace),
+                     partial(reference_backward, net, x, target)),
+                    *((partial(nn_backward_through_frozen, net, pa, x, workspace=workspace),
+                       partial(reference_backward_through_frozen, net, pa, x))
+                      for pa in pa_models),
+                ]:
                     (got_loss, got), (loss, gw, gb) = call(), reference()
                     assert got_loss == loss
                     assert_same_bytes(got.weights + got.biases, gw + gb)
@@ -391,18 +395,36 @@ class TestKernelOracle:
         for i, call in enumerate(self.calls_in_turn(dpd, pa_model, frame, FORWARD_BLOCK, 0)):
             call(ws)
             # the forwards run through the slot: the set is the latest backward call's
-            assert ws.mask.shape[0] == ws.up[0].shape[0] == max(p.acts[0].shape[0]
-                                                                for p in ws.passes)
+            assert ws.mask.shape[0] == max(p.acts[0].shape[0] for p in ws.passes)
             # each net's forward outputs stay live while the other net runs and while
-            # the shared per-layer scratch and the gradients are written; the forward
-            # slot is a set of its own, as wide as the widest net it has served
-            buffers = [ws.x2, ws.t2, ws.sq, ws.dx, ws.mask, *ws.up, ws.grads.flat,
+            # the shared mask and the gradients are written; the forward slot is a
+            # set of its own, as wide as the widest net it has served
+            buffers = [ws.x2, ws.t2, ws.sq, ws.dx, ws.mask, ws.grads.flat,
                        *(buf for p in ws.passes for buf in [*p.acts, p.z])]
             if i > 0:  # one K1N14 forward, then the K2N24 model's too
                 assert [a.shape[0] for a in ws.forward.acts] == ([14] if i == 1 else [24, 24])
                 buffers += [ws.fx2, *ws.forward.acts, ws.forward.z]
             for i, mine in enumerate(buffers):
                 assert not any(np.shares_memory(mine, other) for other in buffers[i + 1 :])
+
+    def test_a_call_keeps_only_the_listed_buffers(self, frame):
+        # what one call on a fresh workspace leaves allocated is the docstring's buffer
+        # set and a few Python objects: the backward makes no scratch of its own
+        dpd, pa_model = random_net(2, 32, seed=99), random_net(2, 24, seed=100)
+        x = IqSignal(frame.samples[:FORWARD_BLOCK], RATE)
+        target = IqSignal(0.9 * frame.samples[5 : 5 + FORWARD_BLOCK], RATE)
+        for call in (partial(nn_backward_through_frozen, dpd, pa_model, x),
+                     partial(nn_backward, pa_model, x, target)):
+            ws = NnWorkspace()
+            tracemalloc.start()
+            try:
+                call(workspace=ws)
+                retained, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            listed = [ws.x2, ws.t2, ws.sq, ws.dx, ws.mask, ws.grads.flat,
+                      *(buf for p in ws.passes for buf in [*p.acts, p.z])]
+            assert abs(retained - sum(buf.nbytes for buf in listed)) < 16 * 1024
 
     def test_nan_reaches_every_gradient_like_the_reference(self):
         # a NaN sample reaches closed ReLUs through their mask: multiplying by

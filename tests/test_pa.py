@@ -189,6 +189,21 @@ class TestProfileIo:
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         assert back.seed == seed
 
+    def test_core_beyond_the_main_branch_is_refused_unwritten(self, tmp_path):
+        # a profile holds p_max, main_taps and the main-branch rows alone, so the
+        # conjugate branch and the dc term would be dropped on the way to the file
+        for shape, fields in (
+            (PolyShape(3, 1, 1, 1, True), "q_max=1, conj_taps=1, include_dc=True"),
+            (PolyShape(5, 2, 3, 1), "q_max=3, conj_taps=1"),
+            (PolyShape(1, 1, include_dc=True), "include_dc=True"),
+        ):
+            pa = SimulatedPa(core=MemoryPolyModel.identity(shape), saturation_output_limit=1.0,
+                             noise_stddev=0.0)
+            path = tmp_path / "profile.txt"
+            with pytest.raises(ConfigurationError, match=f"not its {fields}$"):
+                save_pa_profile(pa, path)
+            assert not path.exists()
+
     def test_malformed_coefficient_row(self, tmp_path):
         path = tmp_path / "bad.txt"
         # a non-finite coefficient, a row outside the p_max=1 M=1 shape and a

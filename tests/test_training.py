@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -635,6 +636,36 @@ class TestRunFullTraining:
             np.testing.assert_array_equal(w0, w1)
         for b0, b1 in zip(nets[0].biases, nets[1].biases):
             np.testing.assert_array_equal(b0, b1)
+
+    def test_model_phase_data_is_freed_before_the_predistorter_phase(self, monkeypatch):
+        # the predistorter phase holds only the frames it reads: the amplifier's
+        # outputs and the model phase's pairs are freed once train_pa_nn returns
+        pa, amplified, watched, checked = load_default_pa(), [], {}, []
+
+        class WatchedPa:
+            def apply(self, signal):
+                y = pa.apply(signal)
+                amplified.append(weakref.ref(y))
+                return y
+
+        def watched_pa_phase(pairs, net, cfg, *, val_pairs, iteration, **kwargs):
+            # in iteration 1 the model's inputs are the raw frames the next phase reads
+            signals = [*pairs, *val_pairs] if iteration > 1 else [pairs[1], val_pairs[1]]
+            watched[iteration] = [weakref.ref(obj) for s in signals for obj in (s, s.samples)]
+            return train_pa_nn(pairs, net, cfg, val_pairs=val_pairs, iteration=iteration,
+                               **kwargs)
+
+        def checked_dpd_phase(*args, iteration, **kwargs):
+            live = [ref for ref in amplified + watched[iteration] if ref() is not None]
+            assert live == []
+            checked.append(iteration)
+            return train_dpd_nn(*args, iteration=iteration, **kwargs)
+
+        monkeypatch.setattr(training, "train_pa_nn", watched_pa_phase)
+        monkeypatch.setattr(training, "train_dpd_nn", checked_dpd_phase)
+        cfg = TrainConfig(outer_iterations=2, epochs_per_iteration=(1, 1))
+        run_full_training(WatchedPa(), ((1, 6), (1, 6)), cfg, FRAMES)
+        assert checked == [1, 2] and len(amplified) == 4
 
     def test_overflowing_learning_rate_raises_divergence(self):
         cfg = TrainConfig(outer_iterations=1, epochs_per_iteration=(2,), learning_rate=1e160)
