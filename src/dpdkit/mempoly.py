@@ -114,47 +114,45 @@ class MemoryPolyModel:
 BASIS_BLOCK = 4096
 
 
-def _basis_blocks(x: np.ndarray, shape: PolyShape):
-    """Yield (start, stop, block) for each BASIS_BLOCK rows of the basis of x.
+def _write_basis_block(x: np.ndarray, shape: PolyShape, start: int, stop: int,
+                       block: np.ndarray) -> None:
+    """Write rows start..stop-1 of the basis of x into ``block``.
 
-    ``block`` is a (n_basis_columns, stop - start) view of one scratch array
-    that every block overwrites: its row j holds basis column j over rows
-    start..stop-1. Each order's column is computed for those rows and the
-    taps - 1 rows before them only; the column for tap m is that column
-    delayed by m samples, with +0+0j before the record start.
+    ``block`` is any (n_basis_columns, stop - start) complex128 array or
+    view: its row j receives basis column j over those rows. Each order's
+    column is computed for those rows and the taps - 1 rows before them
+    only; the column for tap m is that column delayed by m samples, with
+    +0+0j before the record start.
     """
-    n = x.size
-    reach = max(taps for _, _, taps in shape.branches) - 1
-    scratch = np.empty((shape.n_basis_columns, min(n, BASIS_BLOCK)), dtype=np.complex128)
-    for start in range(0, n, BASIS_BLOCK):
-        stop = min(start + BASIS_BLOCK, n)
-        lo = max(start - reach, 0)  # the order columns below cover rows lo..stop-1
-        seg = x[lo:stop]
-        # |z|^(p-1) as an integer power of re^2 + im^2 — no square root,
-        # matching how a datapath with only multipliers would build it
-        r2 = seg.real**2 + seg.imag**2
-        segc = None
-        block = scratch[:, : stop - start]
-        j = 0
-        for kind, order, taps in shape.branches:
-            if kind == "conj" and segc is None:
-                segc = np.conj(seg)
-            col = (seg if kind == "main" else segc) * r2 ** ((order - 1) // 2)
-            for m in range(taps):
-                pad = min(max(m - start, 0), stop - start)  # rows before the record start
-                block[j, :pad] = 0
-                block[j, pad:] = col[start + pad - m - lo : stop - m - lo]
-                j += 1
-        if shape.include_dc:
-            block[j] = 1
-        yield start, stop, block
+    branches = shape.branches
+    reach = max(taps for _, _, taps in branches) - 1
+    lo = max(start - reach, 0)  # the order columns below cover rows lo..stop-1
+    seg = x[lo:stop]
+    # |z|^(p-1) as an integer power of re^2 + im^2 — no square root,
+    # matching how a datapath with only multipliers would build it
+    r2 = seg.real**2 + seg.imag**2
+    segc = None
+    j = 0
+    for kind, order, taps in branches:
+        if kind == "conj" and segc is None:
+            segc = np.conj(seg)
+        col = (seg if kind == "main" else segc) * r2 ** ((order - 1) // 2)
+        for m in range(taps):
+            pad = min(max(m - start, 0), stop - start)  # rows before the record start
+            block[j, :pad] = 0
+            block[j, pad:] = col[start + pad - m - lo : stop - m - lo]
+            j += 1
+    if shape.include_dc:
+        block[j] = 1
 
 
 def build_basis(x: np.ndarray, shape: PolyShape, out: np.ndarray | None = None) -> np.ndarray:
     """Basis matrix (len(x) rows, shape.n_basis_columns columns), canonical order.
 
     ``out``, if given, is any (len(x), n_basis_columns) complex128 array, in
-    either memory order, and receives the same bytes; it is returned.
+    either memory order, and receives the same bytes; it is returned. Each
+    BASIS_BLOCK of rows is written straight into ``out``, so a column-major
+    ``out`` (the solve's stack) is filled one contiguous column run at a time.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
@@ -165,25 +163,33 @@ def build_basis(x: np.ndarray, shape: PolyShape, out: np.ndarray | None = None) 
             f"out must be complex128 of shape {(n, shape.n_basis_columns)}, "
             f"got {out.dtype} {out.shape}"
         )
-    for start, stop, block in _basis_blocks(x, shape):
-        out[start:stop] = block.T
+    for start in range(0, n, BASIS_BLOCK):
+        stop = min(start + BASIS_BLOCK, n)
+        _write_basis_block(x, shape, start, stop, out[start:stop].T)
     return out
 
 
 def _apply(model: MemoryPolyModel, x: np.ndarray) -> np.ndarray:
     """The model's output on x: build_basis(x, model.shape) @ theta, one BASIS_BLOCK at a time.
 
-    Each block of basis rows is copied to row-major, the whole basis's
-    layout, and multiplied by the coefficient vector into its rows of the
-    output, so no full-length basis is built. The bits are the whole-basis
-    product's when len(x) is a multiple of BASIS_BLOCK; otherwise they are
-    defined blockwise (see BASIS_BLOCK).
+    Each block of basis rows is written into a scratch block, copied to
+    row-major, the whole basis's layout, and multiplied by the coefficient
+    vector into its rows of the output, so no full-length basis is built.
+    Written straight into the row-major rows, every column write strides,
+    and a P=11 M=4 model on 81,920 samples took ~9% longer on a 2-vCPU x86
+    host. The bits are the whole-basis product's when
+    len(x) is a multiple of BASIS_BLOCK; otherwise they are defined
+    blockwise (see BASIS_BLOCK).
     """
     x = np.asarray(x, dtype=np.complex128)
     theta = model.theta
     y = np.empty(x.size, dtype=np.complex128)
+    scratch = np.empty((theta.size, min(x.size, BASIS_BLOCK)), dtype=np.complex128)
     rows = np.empty((min(x.size, BASIS_BLOCK), theta.size), dtype=np.complex128)
-    for start, stop, block in _basis_blocks(x, model.shape):
+    for start in range(0, x.size, BASIS_BLOCK):
+        stop = min(start + BASIS_BLOCK, x.size)
+        block = scratch[:, : stop - start]
+        _write_basis_block(x, model.shape, start, stop, block)
         a = rows[: stop - start]
         a[...] = block.T
         np.matmul(a, theta, out=y[start:stop])
@@ -246,24 +252,32 @@ def _mapped_stack(rows: int, cols: int) -> np.ndarray:
     return np.ndarray((rows, cols), dtype=np.complex128, buffer=buf, order="F")
 
 
-def _mean_column_energy(basis: np.ndarray) -> float:
+def _mean_column_energy(basis: np.ndarray, runs=None) -> float:
     """mean_j sum_i |basis[i, j]|^2, rounded as np.sum(axis=0) rounds it over a row-major basis.
 
     np.sum(axis=0) adds the rows of a row-major array one after another, but
     sums a column-major one pairwise, which rounds differently. So each
     column, contiguous in the solve's column-major stack, is summed in row
-    order by a cumulative sum into one reused buffer. numpy sums a lone
-    column pairwise whatever its layout, so a one-column basis is reduced as
-    numpy reduces it.
+    order by a cumulative sum into one reused buffer. ``runs`` splits the
+    columns into runs, in order, in which column m of a run is its first
+    column delayed by m rows of +0+0j, as one branch's taps are. Adding
+    those zeros first changes no bit, so column m's row-order total is the
+    first column's cumulative sum at row n - 1 - m, and each run takes one
+    cumulative sum. By default each column is a run of its own. numpy sums
+    a lone column pairwise whatever its layout, so a one-column basis is
+    reduced as numpy reduces it.
     """
     n, n_cols = basis.shape
     if n == 0 or n_cols == 1:
         return float(np.mean(np.sum(np.square(np.abs(basis)), axis=0)))
     energy = np.empty(n)
-    total = np.empty(n_cols)
-    for j, column in enumerate(basis.T):
-        np.square(np.abs(column, out=energy), out=energy)
-        total[j] = np.cumsum(energy, out=energy)[-1]
+    total = np.zeros(n_cols)
+    j = 0
+    for taps in (1,) * n_cols if runs is None else runs:
+        np.square(np.abs(basis[:, j], out=energy), out=energy)
+        totals = np.cumsum(energy, out=energy)[::-1][:taps]  # a delay past row n - 1 sums to 0
+        total[j : j + totals.size] = totals
+        j += taps
     return float(np.mean(total))
 
 
@@ -295,12 +309,16 @@ def _zgelsy():
     return flapack.zgelsy, flapack.zgelsy_lwork
 
 
-def solve_regularized_ls(fill, n_cols: int, b: np.ndarray, *, stack: np.ndarray) -> np.ndarray:
+def solve_regularized_ls(fill, n_cols: int, b: np.ndarray, *, stack: np.ndarray,
+                         runs=None) -> np.ndarray:
     """Solve min ||A theta - b||^2 + lam ||theta||^2 by QR on the stacked matrix.
 
     A is the (len(b), n_cols) complex basis that ``fill(out)`` writes into
     ``out``, e.g. ``functools.partial(build_basis, x, shape)``. lam is 1e-8
-    times the mean column energy of A. The stacked system
+    times the mean column energy of A. ``runs``, if given, lists the lengths
+    of A's runs of delayed columns (see _mean_column_energy), such as a
+    basis's taps per branch then 1 for dc; by default each column is a run
+    of its own, which is right for any A. The stacked system
     [A; sqrt(lam) I] theta = [b; 0] is laid out column-major, ``fill``
     writes A straight into its top rows, and LAPACK gelsy (complete
     orthogonal factorization) overwrites it in place, so the solve holds one
@@ -326,7 +344,7 @@ def solve_regularized_ls(fill, n_cols: int, b: np.ndarray, *, stack: np.ndarray)
         raise ValueError(f"stack must be complex128, got {stack.dtype}")
     n = len(b)
     _fill_stack(stack, fill, n)
-    lam = 1e-8 * _mean_column_energy(stack[:n])
+    lam = 1e-8 * _mean_column_energy(stack[:n], runs)
     # lam is finite exactly when every entry of [A; sqrt(lam) I] is
     if not (np.isfinite(lam) and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
@@ -394,6 +412,7 @@ def fit_ila(
     model = MemoryPolyModel.identity(shape)
     residuals: list[float] = []
     stack = _mapped_stack(len(x_train) + n_cols, n_cols) if n_iterations else None
+    runs = [taps for _, _, taps in shape.branches] + [1] * shape.include_dc
     for _ in range(n_iterations):
         x_hat = poly_predistort(model, x_train)
         y = pa.apply(x_hat)
@@ -401,7 +420,7 @@ def fit_ila(
         del y  # the fit reads only its normalized copy
         b = x_hat.samples
         fill = functools.partial(build_basis, y_norm, shape)
-        theta = solve_regularized_ls(fill, n_cols, b, stack=stack)
+        theta = solve_regularized_ls(fill, n_cols, b, stack=stack, runs=runs)
         model = MemoryPolyModel(shape, theta)
         # A @ theta is the postdistorter's output on y_norm
         residuals.append(float(np.linalg.norm(_apply(model, y_norm) - b) / np.linalg.norm(b)))

@@ -29,22 +29,27 @@ class PsdEstimate:
 def _welch(x: np.ndarray, fs: float, nperseg: int, noverlap: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided Welch density with a periodic Hann window, mean over segments.
 
+    ``x`` may carry leading batch axes; each row along the last axis gets its
+    own estimate, with the bits of a 1-D call on that row. Every segment of
+    every row is gathered by one index array and transformed by one FFT call.
     The arithmetic is scipy.signal.welch's (scipy 1.17, detrend=False,
     scaling="density") operation for operation, so the bytes match it: the
     window's scale uses Python's sequential sum, and the periodograms are the
-    columns of an (nperseg, p) array so the mean reduces along the same
-    contiguous axis. The FFT is numpy.fft, which runs the same pocketfft
-    as scipy.fft, so metrics never imports scipy.
+    columns of a C-ordered (..., nperseg, p) array so the mean reduces along
+    the same contiguous axis. The FFT is numpy.fft, which runs the same
+    pocketfft as scipy.fft, so metrics never imports scipy.
     """
     t = 1 / fs
     # scipy adds 0.5*cos(0*phi) == 0.5 to zeros, then 0.5*cos(phi): the same bits
     w = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)))[:-1]
     w = w * (1 / np.sqrt(sum(w**2) / t))
     hop = nperseg - noverlap
-    p = (len(x) - noverlap) // hop
-    spec = np.empty((nperseg, p), dtype=complex)
-    for k in range(p):
-        spec[:, k] = np.fft.fft(x[k * hop : k * hop + nperseg] * w)
+    p = (x.shape[-1] - noverlap) // hop
+    segments = x[..., hop * np.arange(p)[:, None] + np.arange(nperseg)]
+    segments *= w
+    spec = np.empty(x.shape[:-1] + (nperseg, p), dtype=complex)
+    np.fft.fft(segments, out=np.swapaxes(spec, -1, -2))
+    del segments  # freed before the periodograms' temporaries are made
     psd = (spec.real**2 + spec.imag**2).mean(axis=-1)
     return np.fft.fftfreq(nperseg, t), psd
 
@@ -56,23 +61,27 @@ def default_segment_len(n_samples: int) -> int:
     return min(1024, 1 << (int(n_samples).bit_length() - 1))
 
 
-def _welch_linear(signal: IqSignal) -> tuple[np.ndarray, np.ndarray]:
+def _welch_linear(samples: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Averaged Hann-window periodogram, fftshifted, Parseval-renormalized.
 
-    Segments are default_segment_len(len(signal)) samples with half a segment
-    of overlap. The raw Welch estimate integrates to a window-weighted mean
-    power; the final scaling pins the integral to the exact time-domain mean
-    power so downstream absolute-power reasoning is bias-free.
+    ``samples`` is one signal, or a (rows, n) array of signals that share
+    one _welch call and get one estimate row each. Segments are
+    default_segment_len(n) samples with half a segment of overlap. The raw
+    Welch estimate integrates to a window-weighted mean power; the final
+    scaling pins each row's integral to the exact time-domain mean power of
+    its signal so downstream absolute-power reasoning is bias-free. Each
+    row is summed and scaled by 1-D calls, as a lone signal would be: a
+    2-D sum rounds some rows differently.
     """
-    segment_len = default_segment_len(len(signal))
-    freqs, psd = _welch(signal.samples, signal.sample_rate_hz, segment_len, segment_len // 2)
+    segment_len = default_segment_len(samples.shape[-1])
+    freqs, psd = _welch(samples, fs, segment_len, segment_len // 2)
     freqs = np.fft.fftshift(freqs)
-    psd = np.fft.fftshift(psd)
-    df = signal.sample_rate_hz / segment_len
-    total = float(np.sum(psd) * df)
-    mean_power = signal.mean_power()
-    if total > 0:
-        psd = psd * (mean_power / total)
+    psd = np.fft.fftshift(psd, axes=-1)
+    df = fs / segment_len
+    for row, x in zip(psd.reshape(-1, segment_len), samples.reshape(-1, samples.shape[-1])):
+        total = float(np.sum(row) * df)
+        if total > 0:
+            row *= IqSignal(x, fs).mean_power() / total
     return freqs, psd
 
 
@@ -83,7 +92,7 @@ def psd_welch(signal: IqSignal) -> PsdEstimate:
         MetricError: for a signal with NaN/inf samples or an all-zero signal.
     """
     _require_finite(signal, MetricError)
-    freqs, psd = _welch_linear(signal)
+    freqs, psd = _welch_linear(signal.samples, signal.sample_rate_hz)
     peak = float(np.max(psd))
     if peak <= 0:
         raise MetricError("PSD peak normalization is undefined for an all-zero signal")
@@ -99,8 +108,9 @@ def aclr_db_gated(signal: IqSignal, waveform: OfdmConfig) -> float:
     discontinuities whose splatter dominates a whole-record measurement and
     hides in-block leakage. Estimating the spectrum one symbol
     (``waveform.dft_size`` samples) at a time and pooling channel/adjacent
-    powers across symbols removes the boundary artifact. The channel is
-    ``waveform.channel_bandwidth_hz``.
+    powers across symbols removes the boundary artifact. Every symbol's
+    estimate comes from one _welch_linear call; the powers are pooled in
+    symbol order. The channel is ``waveform.channel_bandwidth_hz``.
 
     Raises:
         FramingError: if the signal's rate is not the waveform's or its
@@ -119,14 +129,15 @@ def aclr_db_gated(signal: IqSignal, waveform: OfdmConfig) -> float:
         )
     _require_finite(signal, MetricError)
     bw = waveform.channel_bandwidth_hz
+    freqs, psd = _welch_linear(signal.samples.reshape(-1, waveform.dft_size),
+                               signal.sample_rate_hz)
+    in_channel = np.abs(freqs) <= bw / 2.0
+    adjacent = (np.abs(freqs) <= 2.0 * bw) & ~in_channel
     p_channel = 0.0
     p_adjacent = 0.0
-    for block in signal.samples.reshape(-1, waveform.dft_size):
-        freqs, psd = _welch_linear(IqSignal(block, signal.sample_rate_hz))
-        measured = np.abs(freqs) <= 2.0 * bw
-        in_channel = np.abs(freqs) <= bw / 2.0
-        p_channel += float(np.sum(psd[in_channel]))
-        p_adjacent += float(np.sum(psd[measured & ~in_channel]))
+    for row in psd:
+        p_channel += float(np.sum(row[in_channel]))
+        p_adjacent += float(np.sum(row[adjacent]))
     if p_channel <= 0:
         raise MetricError("channel power is zero; ACLR undefined")
     return float(10.0 * np.log10(p_adjacent / p_channel))
@@ -140,12 +151,16 @@ def evm_percent(reference: SymbolGrid, received: SymbolGrid) -> float:
 
     Raises:
         ConfigurationError: on shape mismatch.
-        MetricError: for a zero-power reference or a zero fitted gain.
+        MetricError: for a grid with NaN/inf symbols, a zero-power reference
+            or a zero fitted gain.
     """
     if reference.shape != received.shape:
         raise ConfigurationError(
             f"grid shapes differ: reference {reference.shape}, received {received.shape}"
         )
+    for name, grid in (("reference", reference), ("received", received)):
+        if not np.isfinite(grid.symbols).all():
+            raise MetricError(f"{name} grid holds non-finite symbols")
     s = reference.symbols.ravel()
     r = received.symbols.ravel()
     denom = np.vdot(s, s)

@@ -481,6 +481,65 @@ SOLVER_SHAPES = [
 ]
 
 
+def loop_mean_column_energy(basis):
+    """_mean_column_energy as one cumulative sum per column, the way it was first written."""
+    n, n_cols = basis.shape
+    if n == 0 or n_cols == 1:
+        return float(np.mean(np.sum(np.square(np.abs(basis)), axis=0)))
+    energy = np.empty(n)
+    total = np.empty(n_cols)
+    for j, column in enumerate(basis.T):
+        np.square(np.abs(column, out=energy), out=energy)
+        total[j] = np.cumsum(energy, out=energy)[-1]
+    return float(np.mean(total))
+
+
+def tap_runs(shape):
+    """The basis's runs of delayed columns: each branch's taps, then 1 for dc."""
+    return [taps for _, _, taps in shape.branches] + [1] * shape.include_dc
+
+
+#: the solver's shapes, a +dc shape, conjugate taps outnumbering the main
+#: ones, and the one-column basis that numpy sums pairwise
+RUN_SHAPES = SOLVER_SHAPES + [
+    PolyShape(5, 2, q_max=3, conj_taps=1, include_dc=True),
+    PolyShape(3, 2, q_max=1, conj_taps=3),
+    PolyShape(1, 1),
+]
+
+
+class TestRidgeEnergyRuns:
+    """One cumulative sum per run of delayed columns must give the per-column loop's bits."""
+
+    @pytest.mark.parametrize("n", [BASIS_BLOCK, BASIS_BLOCK + 1, 3 * BASIS_BLOCK + 5])
+    @pytest.mark.parametrize("shape", RUN_SHAPES, ids=str)
+    def test_fit_ila_lambda_has_the_per_column_bits(self, monkeypatch, shape, n):
+        seen = []
+
+        def checked(basis, runs=None):
+            got = mean_column_energy(basis, runs)
+            seen.append((runs, got, loop_mean_column_energy(basis)))
+            return got
+
+        mean_column_energy = mempoly._mean_column_energy
+        monkeypatch.setattr(mempoly, "_mean_column_energy", checked)
+        fit_ila(load_default_pa(), shape, IqSignal(0.5 * raw_samples(n, seed=n), RATE), 2)
+        assert len(seen) == 2
+        for runs, got, want in seen:
+            assert runs == tap_runs(shape)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("shape", [PolyShape(11, 4), PolyShape(3, 2, q_max=1, conj_taps=3),
+                                       PolyShape(5, 4, include_dc=True)], ids=str)
+    def test_taps_delayed_past_the_last_row(self, shape, n):
+        # a tap delayed by n rows or more is all +0+0j, and sums to 0
+        stack = np.empty((n + shape.n_basis_columns, shape.n_basis_columns), complex, order="F")
+        basis = build_basis(raw_samples(n, seed=n), shape, out=stack[:n])
+        got = _mean_column_energy(basis, tap_runs(shape))
+        assert np.float64(got).tobytes() == np.float64(loop_mean_column_energy(basis)).tobytes()
+
+
 class TestSolverOracle:
     """solve_regularized_ls factors its own column-major stack in place; it
     must return lstsq's bytes and keep lstsq's checks."""

@@ -1,5 +1,7 @@
 """Tests for PSD, ACLR, and EVM measurements."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -9,7 +11,9 @@ from hypothesis.extra import numpy as hnp
 
 from dpdkit import IqSignal, OfdmConfig, demodulate_ofdm, generate_ofdm
 from dpdkit.errors import ConfigurationError, FramingError, MetricError
-from dpdkit.metrics import _welch, _welch_linear, aclr_db_gated, evm_percent, psd_welch
+from dpdkit.metrics import (
+    _welch, _welch_linear, aclr_db_gated, default_segment_len, evm_percent, psd_welch
+)
 
 RATE = 61.44e6
 
@@ -38,6 +42,15 @@ class TestWelchOracle:
         rng = np.random.default_rng(n + nperseg)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         _assert_same_bytes(x, RATE, nperseg, int(nperseg * overlap))
+        # a (rows, n) batch: each row's estimate has its 1-D call's bytes and scipy's
+        rows = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        f, p = _welch(rows, RATE, nperseg, int(nperseg * overlap))
+        assert p.shape == (3, nperseg) and p.flags.c_contiguous
+        for row, got in zip(rows, p):
+            f_row, p_row = _welch(row, RATE, nperseg, int(nperseg * overlap))
+            assert f.tobytes() == f_row.tobytes()
+            assert got.tobytes() == p_row.tobytes()
+            _assert_same_bytes(row, RATE, nperseg, int(nperseg * overlap))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -78,7 +91,7 @@ class TestPsd:
         rng = np.random.default_rng(12)
         n = 1 << 17
         sig = IqSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), RATE)
-        _, psd = _welch_linear(sig)
+        _, psd = _welch_linear(sig.samples, sig.sample_rate_hz)
         spread_db = 10 * np.log10(psd.max() / psd.min())
         assert spread_db < 3.0
 
@@ -94,7 +107,7 @@ class TestPsd:
     def test_integrated_density_recovers_mean_power(self):
         rng = np.random.default_rng(14)
         sig = IqSignal(rng.standard_normal(8192) + 1j * rng.standard_normal(8192), RATE)
-        freqs, psd = _welch_linear(sig)
+        freqs, psd = _welch_linear(sig.samples, sig.sample_rate_hz)
         integrated = np.sum(psd) * (freqs[1] - freqs[0])
         assert integrated == pytest.approx(sig.mean_power(), rel=1e-9)
 
@@ -178,7 +191,43 @@ class TestAclr:
             aclr_db_gated(sig, cfg)
 
 
+def loop_aclr_db_gated(signal, waveform):
+    """aclr_db_gated as one Welch estimate per symbol, the way it was first written.
+
+    scipy's welch stands in for the per-symbol _welch call, whose bytes the
+    oracle above holds to scipy's.
+    """
+    bw = waveform.channel_bandwidth_hz
+    p_channel = 0.0
+    p_adjacent = 0.0
+    for block in signal.samples.reshape(-1, waveform.dft_size):
+        segment_len = default_segment_len(len(block))
+        freqs, psd = _scipy_welch(block, signal.sample_rate_hz, segment_len, segment_len // 2)
+        freqs = np.fft.fftshift(freqs)
+        psd = np.fft.fftshift(psd)
+        total = float(np.sum(psd) * (signal.sample_rate_hz / segment_len))
+        mean_power = IqSignal(block, signal.sample_rate_hz).mean_power()
+        if total > 0:
+            psd = psd * (mean_power / total)
+        measured = np.abs(freqs) <= 2.0 * bw
+        in_channel = np.abs(freqs) <= bw / 2.0
+        p_channel += float(np.sum(psd[in_channel]))
+        p_adjacent += float(np.sum(psd[measured & ~in_channel]))
+    return float(10.0 * np.log10(p_adjacent / p_channel))
+
+
 class TestGatedAclr:
+    @pytest.mark.parametrize("n_symbols", [1, 2, 10, 20])
+    @pytest.mark.parametrize("waveform", [{}, {"n_subcarriers": 300, "oversampling_factor": 3}],
+                             ids=["default", "300x3"])
+    def test_one_batched_estimate_has_the_per_symbol_bits(self, waveform, n_symbols):
+        cfg = OfdmConfig(n_symbols=n_symbols, seed=n_symbols, **waveform)
+        _, x = generate_ofdm(cfg)
+        y = IqSignal(x.samples * (1 - 0.05 * np.abs(x.samples) ** 2), x.sample_rate_hz)
+        got = aclr_db_gated(y, cfg)
+        assert np.float64(got).tobytes() == np.float64(loop_aclr_db_gated(y, cfg)).tobytes()
+
+
     def test_gated_removes_block_boundary_splatter(self):
         cfg = OfdmConfig(n_subcarriers=600, n_symbols=10, constellation="qam16", seed=1)
         _, x = generate_ofdm(cfg)
@@ -237,6 +286,16 @@ class TestEvm:
         oracle = 100.0 * np.linalg.norm(recv - g * ref) / np.linalg.norm(g * ref)
 
         assert value == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["reference", "received"])
+    def test_non_finite_symbol_rejected(self, which, bad):
+        grids = {"reference": self.grid, "received": demodulate_ofdm(self.x, self.cfg)}
+        symbols = grids[which].symbols.copy()
+        symbols[2, 17] = bad
+        grids[which] = dataclasses.replace(grids[which], symbols=symbols)
+        with pytest.raises(MetricError, match=f"{which} grid holds non-finite symbols"):
+            evm_percent(grids["reference"], grids["received"])
 
     def test_mismatched_grids_rejected(self):
         other = OfdmConfig(n_subcarriers=120, n_symbols=4, seed=21)
