@@ -21,8 +21,8 @@ import numpy as np
 from .complexity import ComplexityReport, parse_descriptor
 from .errors import AlignmentError, ConfigurationError, FormatError
 from .fixedpoint import FixedFormat, FixedPointStats
-from .metrics import aclr_db_gated, default_segment_len, evm_percent, psd_welch
-from .ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
+from .metrics import _scorer, default_segment_len, psd_welch
+from .ofdm import OfdmConfig, generate_ofdm
 from .pa import load_default_pa, load_pa_profile
 from .signals import IqSignal, _read_text, _write_lines
 from .training import TrainConfig
@@ -211,20 +211,16 @@ def _run_descriptor(
     row_dir.mkdir(parents=True, exist_ok=True)
     family.save(model, str(row_dir / "model.txt"))
     _write_lines(row_dir / "trainlog.csv", [log_header], log_rows)
-
-    def score(y: IqSignal) -> tuple[float, float]:
-        return aclr_db_gated(y, val_cfg), evm_percent(ref_grid, demodulate_ofdm(y, val_cfg))
-
+    score = _scorer(pa, val_cfg, ref_grid)
     # only the fixed-point forward runs on the helper: with the float metrics there too,
     # the helper's malloc arena kept their temporaries and poly_grid's peak RSS rose 7%
     fmt, stats = spec.fixed_point, FixedPointStats()
     fixed = None if fmt is None else helper.submit(family.forward_fixed, model, x_val, fmt, stats)
     try:
-        y = pa.apply(family.forward(model, x_val))
-        aclr, evm = score(y)
+        y, aclr, evm = score(family.forward(model, x_val))
         emit_psd_overlay([(slug, y)], row_dir / "psd.csv")
         # the fixed output's transmit follows the float one, so each keeps its noise draw
-        fixed_scores = None if fixed is None else score(pa.apply(fixed.result()))
+        fixed_scores = None if fixed is None else score(fixed.result())[1:]
     finally:
         if fixed is not None:
             fixed.exception()  # waits: no task of this row outlives it

@@ -409,12 +409,15 @@ def fit_ila(
             f"training signal has {len(x_train)} samples; "
             f"need at least {10 * n_cols} for {n_cols} coefficients"
         )
+    if n_iterations:  # the first capture transmits x_train itself, not poly_predistort's output
+        _require_finite(x_train, InputRangeError)
     model = MemoryPolyModel.identity(shape)
     residuals: list[float] = []
     stack = _mapped_stack(len(x_train) + n_cols, n_cols) if n_iterations else None
     runs = [taps for _, _, taps in shape.branches] + [1] * shape.include_dc
-    for _ in range(n_iterations):
-        x_hat = poly_predistort(model, x_train)
+    for i in range(n_iterations):
+        # the identity model gives x_train back bit for bit
+        x_hat = poly_predistort(model, x_train) if i else x_train
         y = pa.apply(x_hat)
         y_norm = y.samples / estimate_gain(x_hat, y)
         del y  # the fit reads only its normalized copy

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FramingError, MetricError
-from .ofdm import OfdmConfig, SymbolGrid
+from .ofdm import OfdmConfig, SymbolGrid, demodulate_ofdm
 from .signals import IqSignal, _require_finite
 
 
@@ -171,3 +171,13 @@ def evm_percent(reference: SymbolGrid, received: SymbolGrid) -> float:
         raise MetricError("fitted gain is zero; EVM undefined")
     r = r / g
     return float(100.0 * np.linalg.norm(r - s) / np.linalg.norm(s))
+
+
+def _scorer(pa, frame: OfdmConfig, ref_grid: SymbolGrid):
+    """A row's one scoring path: ``score(u)`` transmits u once through ``pa`` and returns
+    (y, ACLR dB, EVM %) on ``frame``, whose symbols are ``ref_grid``. The metrics are this
+    module's globals, looked up per call, so a tracer that rebinds them sees every score."""
+    def score(u: IqSignal) -> tuple[IqSignal, float, float]:
+        y = pa.apply(u)
+        return y, aclr_db_gated(y, frame), evm_percent(ref_grid, demodulate_ofdm(y, frame))
+    return score

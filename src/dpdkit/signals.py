@@ -98,11 +98,27 @@ def _write_lines(path, header: list[str], rows) -> None:
     os.replace(tmp, path)
 
 
+def _require_finite_rows(path, keys, values: np.ndarray) -> None:
+    """Refuse, before ``path`` is written, a row its reader would refuse: one holding NaN or inf.
+
+    ``values`` holds one row per key, in the order of ``keys``; the error names the first bad key.
+    """
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if not finite.all():
+        raise ConfigurationError(f"{path}: row {keys[int(finite.argmin())]!r} holds a non-finite "
+                                 f"value, which its reader refuses; nothing was written")
+
+
 def _write_rows(path, header: list[str], keys: list[str], values: np.ndarray) -> None:
     """Write ``header`` lines, then a ``key,value,...`` row per key, the layout _read_rows reads.
 
     ``values`` holds one row of floats per key, in the order of ``keys``.
+
+    Raises:
+        ConfigurationError: naming the first key whose row holds NaN or inf;
+            nothing is written then.
     """
+    _require_finite_rows(path, keys, values)
     _write_lines(path, header, ([key, *row] for key, row in zip(keys, values.tolist(), strict=True)))
 
 
@@ -214,8 +230,8 @@ def write_signal_csv(signal: IqSignal, path: str, metadata: dict | None = None) 
     Raises:
         ConfigurationError: for a metadata entry that read_signal_csv would
             not give back as written, such as a sample_rate_hz key, a key
-            holding a colon or a value holding a line break; nothing is
-            written then.
+            holding a colon or a value holding a line break, and naming the
+            first index of a NaN or inf sample; nothing is written then.
     """
     meta_path = f"{path}.meta"  # path may be a str or a Path
     meta = {"sample_rate_hz": _fmt(signal.sample_rate_hz)}
@@ -229,6 +245,7 @@ def write_signal_csv(signal: IqSignal, path: str, metadata: dict | None = None) 
             raise ConfigurationError(f"metadata {key!r}: {value!r} would not read back as written")
         meta[key] = value
     x = signal.samples
+    _require_finite_rows(path, range(x.size), x)
     _write_lines(path, ["index,re,im"], zip(range(x.size), x.real.tolist(), x.imag.tolist()))
     _write_lines(meta_path, [f"{key}: {value}" for key, value in meta.items()], [])
 

@@ -17,7 +17,7 @@ from dpdkit.complexity import FAMILIES, nn_count, parse_descriptor, poly_count
 from dpdkit.fixedpoint import FixedFormat, FixedPointStats, nn_forward_fixed, poly_forward_fixed
 from dpdkit.harness import DEFAULT_SWEEP, ExperimentSpec, run_sweep
 from dpdkit.mempoly import MemoryPolyModel, PolyShape, fit_ila, poly_predistort, rescale_cascade_gain
-from dpdkit.metrics import aclr_db_gated, evm_percent
+from dpdkit.metrics import _scorer, evm_percent
 from dpdkit.nn import (
     DenseNet,
     glorot_net,
@@ -47,10 +47,7 @@ def frames():
 def baseline(frames):
     """ACLR/EVM of the bare amplifier on the held-out frame."""
     _, x_val, ref_grid = frames
-    y = load_default_pa().apply(x_val)
-    aclr = aclr_db_gated(y, VAL_WAVE)
-    evm = evm_percent(ref_grid, demodulate_ofdm(y, VAL_WAVE))
-    return aclr, evm
+    return _evaluate(x_val, ref_grid)
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +78,8 @@ def fitted_polys(frames):
 
 
 def _evaluate(predistorted: IqSignal, ref_grid) -> tuple[float, float]:
-    y = load_default_pa().apply(predistorted)
-    return (
-        aclr_db_gated(y, VAL_WAVE),
-        evm_percent(ref_grid, demodulate_ofdm(y, VAL_WAVE)),
-    )
+    """ACLR/EVM of one transmit through a fresh default amplifier, the harness's scoring path."""
+    return _scorer(load_default_pa(), VAL_WAVE, ref_grid)(predistorted)[1:]
 
 
 def test_1_multiplier_and_parameter_series(capsys):

@@ -20,11 +20,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dpdkit
-from dpdkit import complexity, harness, training
+from dpdkit import complexity, harness, metrics, training
 from dpdkit.cli import _SWEEP_FLAGS, _build_parser, _spec_from_args, main
 from dpdkit.complexity import FAMILIES, nn_count, parse_descriptor, poly_count
 from dpdkit.errors import AlignmentError, ConfigurationError, MetricError
-from dpdkit.fixedpoint import FixedFormat
+from dpdkit.fixedpoint import FixedFormat, FixedPointStats
 from dpdkit.harness import (
     DEFAULT_SWEEP,
     ExperimentSpec,
@@ -33,9 +33,9 @@ from dpdkit.harness import (
     run_sweep,
 )
 from dpdkit.mempoly import PolyShape, load_poly_model
-from dpdkit.metrics import aclr_db_gated, evm_percent, psd_welch
+from dpdkit.metrics import _scorer, psd_welch
 from dpdkit.nn import load_net
-from dpdkit.ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
+from dpdkit.ofdm import OfdmConfig, generate_ofdm
 from dpdkit.pa import load_default_pa, save_pa_profile
 from dpdkit.signals import IqSignal
 from dpdkit.training import TrainConfig
@@ -62,8 +62,7 @@ def baseline_metrics() -> tuple[float, float]:
     """No-DPD ACLR/EVM on the held-out frame of the small waveform."""
     val_cfg = OfdmConfig(n_symbols=1, seed=2)
     ref, x_val = generate_ofdm(val_cfg)
-    y = load_default_pa().apply(x_val)
-    return aclr_db_gated(y, val_cfg), evm_percent(ref, demodulate_ofdm(y, val_cfg))
+    return _scorer(load_default_pa(), val_cfg, ref)(x_val)[1:]
 
 
 class TestParseDescriptor:
@@ -424,10 +423,10 @@ class TestRunSweep:
         recording(harness)
         recording(training)
         scored = []
-        aclr, demodulate = harness.aclr_db_gated, harness.demodulate_ofdm
-        monkeypatch.setattr(harness, "aclr_db_gated",
+        aclr, demodulate = metrics.aclr_db_gated, metrics.demodulate_ofdm
+        monkeypatch.setattr(metrics, "aclr_db_gated",
                             lambda y, cfg: scored.append(cfg) or aclr(y, cfg))
-        monkeypatch.setattr(harness, "demodulate_ofdm",
+        monkeypatch.setattr(metrics, "demodulate_ofdm",
                             lambda y, cfg: scored.append(cfg) or demodulate(y, cfg))
         train = TrainConfig(outer_iterations=1, epochs_per_iteration=(30,), train_symbols=2,
                             val_symbols=1)
@@ -634,7 +633,7 @@ class TestTwoThreadScoring:
             raise MetricError("float ACLR")
 
         monkeypatch.setattr(complexity, "poly_forward_fixed", fail_fixed_forward)
-        monkeypatch.setattr(harness, "aclr_db_gated", failing_aclr)
+        monkeypatch.setattr(metrics, "aclr_db_gated", failing_aclr)
         rows = run_sweep(self.fixed_spec(tmp_path))
         assert [row.status for row in rows] == ["error: MetricError: float ACLR"]
         assert not (tmp_path / "out" / "poly_P7_M1" / "psd.csv").exists()
@@ -661,6 +660,43 @@ class TestTwoThreadScoring:
         rows = run_sweep(self.fixed_spec(tmp_path, dpd_list=["poly P=5 M=1", "nn K=1 N=4"]))
         assert [row.status for row in rows] == ["error: RuntimeError: fixed forward", "ok", "ok"]
         assert threading.active_count() == before
+
+
+class TestTransmitOrder:
+    """A row's fit transmits first, then the scorer transmits the float output and then the
+    fixed one; each transmit's noise draw is keyed by the amplifier's call index."""
+
+    # n ILA iterations transmit n times; n outer iterations of an nn row transmit 2n times
+    @pytest.mark.parametrize("descriptor, iterations, fit_transmits", [
+        ("poly P=5 M=1", 1, 1), ("poly P=5 M=1", 3, 3), ("nn K=1 N=4", 1, 2), ("nn K=1 N=4", 2, 4),
+    ])
+    def test_float_then_fixed_follow_the_fit(self, tmp_path, descriptor, iterations,
+                                             fit_transmits):
+        # seed 2: the nets stay within the amplifier's drive
+        train = TrainConfig(outer_iterations=iterations, epochs_per_iteration=(1,) * iterations,
+                            train_symbols=1, val_symbols=1, seed=2)
+        spec = small_spec(tmp_path, dpd_list=[descriptor], train=train, fixed_point=FixedFormat())
+        rows = run_sweep(spec)
+        assert [row.status for row in rows] == ["ok", "ok"]
+        family, _, report = parse_descriptor(descriptor)
+        load = load_poly_model if family is FAMILIES["poly"] else load_net
+        model = load(str(tmp_path / "out" / descriptor_slug(report.model_descriptor) / "model.txt"))
+        val_cfg = spec.frames()[1]
+        ref_grid, x_val = generate_ofdm(val_cfg)
+        float_out = family.forward(model, x_val)
+        fixed_out = family.forward_fixed(model, x_val, spec.fixed_point, FixedPointStats())
+
+        def scored_at(call_index, u):
+            pa = load_default_pa()
+            for _ in range(call_index):
+                pa.apply(x_val)
+            return _scorer(pa, val_cfg, ref_grid)(u)[1:]
+
+        n = fit_transmits
+        got = [(row.aclr_db, row.evm_pct) for row in rows]
+        assert got == [scored_at(n, float_out), scored_at(n + 1, fixed_out)]
+        # the index keys the noise: the same output one transmit earlier scores otherwise
+        assert scored_at(n - 1, float_out) != got[0]
 
 
 class TestEmitPsdOverlay:

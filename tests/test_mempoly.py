@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from dpdkit import IqSignal
 from dpdkit import mempoly
-from dpdkit.errors import ConditioningError, ConfigurationError, FormatError
+from dpdkit.errors import ConditioningError, ConfigurationError, FormatError, InputRangeError
 from dpdkit.mempoly import (
     BASIS_BLOCK,
     MemoryPolyModel,
@@ -805,6 +805,24 @@ class TestIla:
         assert residuals == []
         np.testing.assert_array_equal(model.theta, MemoryPolyModel.identity(shape).theta)
 
+    @pytest.mark.parametrize("wave_seed", [1, 2, 3])
+    def test_identity_model_gives_a_generated_frame_back_bit_for_bit(self, wave_seed):
+        # so the first capture transmits the training frame itself; the shapes are those of
+        # the default sweep and the poly_grid benchmark, on 20-symbol frames
+        from dpdkit.ofdm import OfdmConfig, generate_ofdm
+
+        _, x = generate_ofdm(OfdmConfig(n_symbols=20, seed=wave_seed))
+        for shape in (PolyShape(7, 1), PolyShape(11, 2), PolyShape(5, 2), PolyShape(7, 3),
+                      PolyShape(9, 2), PolyShape(11, 4), PolyShape(13, 3), PolyShape(9, 3, 5, 2)):
+            out = poly_predistort(MemoryPolyModel.identity(shape), x)
+            assert out.samples.tobytes() == x.samples.tobytes(), shape
+
+    def test_non_finite_frame_refused_before_the_amplifier(self):
+        sig = random_signal(300, seed=4)
+        sig.samples[7] = np.nan
+        with pytest.raises(InputRangeError, match="non-finite"):
+            fit_ila(UntouchablePa(), PolyShape(p_max=3, main_taps=1), sig, 1)
+
     @pytest.mark.parametrize("bad", [-1, 2.0])
     def test_bad_iteration_count_rejected(self, bad):
         with pytest.raises(ConfigurationError, match="n_iterations"):
@@ -817,6 +835,16 @@ class TestIla:
 
 
 class TestModelIo:
+    def test_non_finite_coefficient_is_refused_unwritten(self, tmp_path):
+        # load_poly_model refuses a non-finite row, so save_poly_model does not write one
+        shape = PolyShape(p_max=5, main_taps=2, q_max=3, conj_taps=1, include_dc=True)
+        theta = MemoryPolyModel.identity(shape).theta.copy()
+        theta[3], theta[-1] = complex(0, np.nan), complex(np.inf, 0)
+        path = tmp_path / "model.txt"
+        with pytest.raises(ConfigurationError, match="row 'main,3,1' holds a non-finite value"):
+            save_poly_model(MemoryPolyModel(shape, theta), path)
+        assert not path.exists()
+
     def test_round_trip_bitwise(self, tmp_path):
         shape = PolyShape(p_max=5, main_taps=2, q_max=3, conj_taps=1, include_dc=True)
         rng = np.random.default_rng(13)

@@ -489,6 +489,16 @@ class TestComplexityCounts:
 
 
 class TestNetIo:
+    def test_non_finite_value_is_refused_unwritten(self, tmp_path):
+        # load_net refuses a non-finite row, so save_net does not write one
+        net = random_net(2, 3, seed=61)
+        net.weights[1][2, 0] = np.nan
+        net.biases[0][1] = -np.inf  # a bias row comes after every weight row
+        path = tmp_path / "net.txt"
+        with pytest.raises(ConfigurationError, match="row '2,2,0' holds a non-finite value"):
+            save_net(net, path)
+        assert not path.exists()
+
     def test_round_trip_bitwise(self, tmp_path):
         net = random_net(2, 3, seed=60)
         path = tmp_path / "net.txt"

@@ -204,6 +204,21 @@ class TestProfileIo:
                 save_pa_profile(pa, path)
             assert not path.exists()
 
+    def test_non_finite_tap_is_refused_unwritten(self, tmp_path):
+        # load_pa_profile refuses a non-finite row, so save_pa_profile does not write one; an
+        # inf saturation limit is a header value, "no clip", and is written as before
+        shape = PolyShape(5, 2)
+        theta = MemoryPolyModel.identity(shape).theta.copy()
+        theta[2], theta[4] = complex(np.inf, 0), complex(0, np.nan)
+        pa = SimulatedPa(core=MemoryPolyModel(shape, theta), saturation_output_limit=np.inf,
+                         noise_stddev=0.0)
+        path = tmp_path / "profile.txt"
+        with pytest.raises(ConfigurationError, match="row '3,0' holds a non-finite value"):
+            save_pa_profile(pa, path)
+        assert not path.exists()
+        save_pa_profile(dataclasses.replace(pa, core=MemoryPolyModel.identity(shape)), path)
+        assert load_pa_profile(path).saturation_output_limit == np.inf
+
     def test_malformed_coefficient_row(self, tmp_path):
         path = tmp_path / "bad.txt"
         # a non-finite coefficient, a row outside the p_max=1 M=1 shape and a

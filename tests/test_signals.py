@@ -112,6 +112,14 @@ class TestSignalCsv:
         assert back.sample_rate_hz == sig.sample_rate_hz
         assert meta["label"] == "unit"
 
+    def test_non_finite_sample_is_refused_unwritten(self, tmp_path):
+        # read_signal_csv refuses a non-finite row, so write_signal_csv writes neither file
+        samples = random_signal(seed=13).samples.copy()
+        samples[5], samples[7] = complex(1, np.nan), complex(np.inf, 0)
+        with pytest.raises(ConfigurationError, match="row 5 holds a non-finite value"):
+            write_signal_csv(IqSignal(samples, 1e6), tmp_path / "s.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_round_trip_takes_a_path(self, tmp_path):
         # the sidecar's name is built before anything is written: a Path gives the CSV and its .meta
         sig = random_signal(seed=12)
